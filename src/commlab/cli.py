@@ -80,7 +80,9 @@ def _fat_budget() -> int:
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--n", "n", default=3, show_default=True, type=click.IntRange(min=1),
               help="number of normal subgroups per instance")
-@click.option("--degree-cap", default=10, show_default=True, type=click.IntRange(min=3))
+@click.option("--degree-cap", default=10, show_default=True,
+              type=click.IntRange(min=3, max=255),
+              help="largest permutation degree (a degree is stored in one byte)")
 @click.option("--order-cap", default=2000, show_default=True, type=click.IntRange(min=2))
 @click.option("--weight-cap", default=None, type=click.IntRange(min=1),
               help="bracket weight cap (defaults to 2n)")
@@ -125,6 +127,8 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
             fat_order=fat.fat_order,
             symmetric_order=fat.symmetric_order,
             stabilized=fat.stabilized,
+            fat_evaluations=fat.evaluations,
+            fat_orders_by_weight=fat.orders_by_weight,
             fat_equals_symmetric=fat.passed,
             restriction=restr.passed,
             product_rule=rule.passed,
@@ -208,6 +212,7 @@ def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt
 @run_options
 def homotopy_cmd(pi, trials, samples, conj_depth, seed, out_dir, fmt):
     """Sphere-presentation certificates for the low homotopy groups."""
+    started = time.perf_counter()
     if pi == 2:
         report = homotopy_mod.pi2_check(seed, trials)
     elif pi == 3:
@@ -218,8 +223,8 @@ def homotopy_cmd(pi, trials, samples, conj_depth, seed, out_dir, fmt):
     results["passed"] = report.passed
     config = {"pi": pi, "trials": trials, "samples": samples,
               "conj_depth": conj_depth}
-    _finish("homotopy", seed, config, results, started=time.perf_counter(),
-            out_dir=out_dir, fmt=fmt, ok=report.passed)
+    _finish("homotopy", seed, config, results, started, out_dir, fmt,
+            ok=report.passed)
 
 
 @main.command("braid-tools")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
-from commlab.brackets import BracketArrangement, Leaf, enumerate_brackets
 from commlab.words import Word
 
 DEFAULT_ORDER_CAP = 20000
@@ -404,13 +403,23 @@ def fat_commutator(
 ) -> FatResult:
     """Subgroup generated by all bracket values of weight n..weight_cap.
 
-    Every bracket arrangement is evaluated on every surjective assignment of
-    the R_i to its leaves; the subgroup generated by the element-level values
-    of one such shape is the corresponding iterated commutator subgroup, so
-    the enumeration runs over subgroups with memoised commutators. The
-    ``stabilized`` flag records whether the last two weights agree (the
-    soundness condition for treating the cap as exhaustive), and
-    ``evaluations`` counts bracket-tree nodes against the budget.
+    The element-level values of one bracket arrangement on one surjective
+    assignment of the R_i to its leaves generate the corresponding iterated
+    commutator subgroup, so the computation runs over subgroups. A table
+    ``V[t][mask]`` holds the distinct subgroups that are values of weight-t
+    brackets whose leaves use exactly the index set ``mask``: ``V[1][{i}]``
+    is ``{R_i}``, and ``V[t][m1 | m2]`` collects ``[A, B]`` for ``A`` in
+    ``V[t1][m1]`` and ``B`` in ``V[t2][m2]`` with ``t1 + t2 = t``. Since
+    ``[A, B] = [B, A]`` only ``t1 <= t2`` is taken, and entries that can no
+    longer grow into a full-mask bracket by ``weight_cap`` are not built.
+    The fat subgroup is the product of ``V[t][full]`` over t = n..weight_cap,
+    so the cost follows the number of distinct subgroups, not the number of
+    bracket trees.
+
+    ``evaluations`` counts ``commutator_subgroup`` calls, which the budget
+    bounds. ``orders_by_weight`` holds the order of the running product after
+    each weight, and ``stabilized`` records whether the last two agree (the
+    soundness condition for treating the cap as exhaustive).
     """
     n = len(Rs)
     if n < 1:
@@ -420,41 +429,44 @@ def fat_commutator(
     if weight_cap < n:
         raise ValueError(f"weight_cap must be >= {n}, got {weight_cap}")
     cache = cache or SubgroupCache()
-    Rs = [cache.intern(R) for R in Rs]
+    full = (1 << n) - 1
+    # values[t]: (mask, subgroup) entries, distinct subgroups per mask
+    values: list[list[tuple[int, NormalSubgroup]]] = [
+        [], [(1 << i, cache.intern(R)) for i, R in enumerate(Rs)]
+    ]
     total = NormalSubgroup.trivial(G)
     evaluations = 0
     orders: list[int] = []
-    slots = range(n)
-    full = set(slots)
-    for t in range(n, weight_cap + 1):
-        for assignment in itertools.product(slots, repeat=t):
-            if set(assignment) != full:
-                continue
-            for arrangement in enumerate_brackets(t):
-                evaluations += 2 * t - 1
+    for t in range(2, weight_cap + 1):
+        table: dict[int, dict[frozenset[bytes], NormalSubgroup]] = {}
+        for t1 in range(1, t // 2 + 1):
+            left, right = values[t1], values[t - t1]
+            pairs = (
+                itertools.combinations_with_replacement(left, 2)
+                if t1 == t - t1
+                else itertools.product(left, right)
+            )
+            for (m1, A), (m2, B) in pairs:
+                mask = m1 | m2
+                if mask != full and t + n - mask.bit_count() > weight_cap:
+                    continue
+                evaluations += 1
                 if evaluations > budget:
                     raise BudgetExceeded(
-                        f"fat enumeration exceeds budget of {budget} evaluations"
+                        f"fat computation exceeds budget of {budget} evaluations"
                     )
-                sub = _bracket_subgroup(arrangement, assignment, Rs, cache)
-                if not sub.elements <= total.elements:
-                    total = product_subgroup(total, sub)
+                C = commutator_subgroup(A, B, cache)
+                table.setdefault(mask, {}).setdefault(C.elements, C)
+        values.append(
+            [(mask, C) for mask, subs in table.items() for C in subs.values()]
+        )
+    for t in range(n, weight_cap + 1):
+        for mask, sub in values[t]:
+            if mask == full and not sub.elements <= total.elements:
+                total = product_subgroup(total, sub)
         orders.append(total.order)
     stabilized = len(orders) >= 2 and orders[-1] == orders[-2]
     return FatResult(total, stabilized, evaluations, tuple(orders))
-
-
-def _bracket_subgroup(
-    b: BracketArrangement,
-    assignment: Sequence[int],
-    Rs: Sequence[NormalSubgroup],
-    cache: SubgroupCache,
-) -> NormalSubgroup:
-    if isinstance(b, Leaf):
-        return Rs[assignment[b.position - 1]]
-    left = _bracket_subgroup(b.left, assignment, Rs, cache)
-    right = _bracket_subgroup(b.right, assignment, Rs, cache)
-    return commutator_subgroup(left, right, cache)
 
 
 def word_image(w: Word, images: Sequence[Permutation]) -> Permutation:
@@ -485,6 +497,8 @@ class FatSymReport:
     symmetric_order: int
     stabilized: bool
     passed: bool
+    evaluations: int
+    orders_by_weight: tuple[int, ...]
 
 
 def verify_fat_equals_symmetric(
@@ -506,6 +520,8 @@ def verify_fat_equals_symmetric(
         symmetric_order=sym.order,
         stabilized=fat.stabilized,
         passed=fat.stabilized and fat.subgroup.elements == sym.elements,
+        evaluations=fat.evaluations,
+        orders_by_weight=fat.orders_by_weight,
     )
 
 

@@ -114,9 +114,6 @@ def commutator(a: Word, b: Word) -> Word:
     return a.inverse() * b.inverse() * a * b
 
 
-_WORD_TOKEN = re.compile(r"^x([1-9][0-9]*)(\^-1)?$")
-
-
 def parse_word(text: str) -> Word:
     """Parse whitespace-separated tokens ``x<k>`` and ``x<k>^-1``.
 

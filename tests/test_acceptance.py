@@ -2,7 +2,8 @@
 
 Run with plain pytest; the `criterion N: PASS/FAIL` lines bypass capture so
 they always show. Criteria 1 and 2 intentionally share the same 200 seeded
-instances; everything else draws its own seeds.
+instances; everything else draws its own seeds. Criterion 9 repeats both
+subgroup checks at n = 4 and n = 5.
 """
 
 import random
@@ -176,3 +177,28 @@ def test_criterion_8_magnus_laws_and_frozen_expansion(announce):
     }
     ok = law_good == 10_000 and frozen
     announce(8, ok, f"laws {law_good}/10000, [x1,x2] = 1 + X1 X2 - X2 X1: {frozen}")
+
+
+def test_criterion_9_fat_equals_symmetric_for_four_and_five(announce):
+    t0 = time.perf_counter()
+    cases = [(4000 + i, 4) for i in range(50)] + [(5000 + i, 5) for i in range(10)]
+    fat_good = stabilized = restricted_good = 0
+    for seed, n in cases:
+        inst = finite.random_instance(seed, n=n, degree_cap=10, order_cap=2000)
+        cache = finite.SubgroupCache()
+        fat = finite.verify_fat_equals_symmetric(
+            inst.group, inst.subgroups, None, finite.DEFAULT_FAT_BUDGET, cache
+        )
+        fat_good += fat.passed
+        stabilized += fat.stabilized
+        restricted_good += finite.verify_first_slot_restriction(
+            inst.group, inst.subgroups, cache
+        ).passed
+    elapsed = time.perf_counter() - t0
+    ok = fat_good == stabilized == restricted_good == 60
+    announce(
+        9,
+        ok,
+        f"n=4,5: fat=symmetric {fat_good}/60, stabilized {stabilized}/60, "
+        f"restricted=symmetric {restricted_good}/60, {elapsed:.1f}s",
+    )

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from commlab import homotopy
 from commlab.braids import load_corpus
 from commlab.cli import main
 
@@ -43,6 +45,15 @@ def test_verify_finite_small_run(runner, tmp_path):
     assert len(payload["results"]["trials"]) == 3
     trial = payload["results"]["trials"][0]
     assert trial["fat_equals_symmetric"] and trial["hall"]
+    assert trial["fat_evaluations"] > 0
+    assert len(trial["fat_orders_by_weight"]) == 3  # weights n..2n
+    assert trial["fat_orders_by_weight"][-1] == trial["fat_order"]
+
+
+def test_verify_finite_rejects_unrepresentable_degree(runner, tmp_path):
+    result = invoke(runner, tmp_path, ["verify-finite", "--degree-cap", "300"])
+    assert result.exit_code == 2
+    assert "--degree-cap" in result.output
 
 
 def test_verify_finite_zero_trials_passes(runner, tmp_path):
@@ -142,6 +153,19 @@ def test_homotopy_certificates(runner, tmp_path):
     results = read_report(pi3, tmp_path)["results"]
     assert results["witness_in_intersection"] is True
     assert results["witness_in_gamma"] is False
+
+
+def test_homotopy_timing_covers_the_certificate(runner, tmp_path, monkeypatch):
+    real = homotopy.pi2_check
+
+    def slow_pi2_check(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(homotopy, "pi2_check", slow_pi2_check)
+    result = invoke(runner, tmp_path, ["homotopy", "--pi", "2", "--trials", "2"])
+    assert result.exit_code == 0
+    assert read_report(result, tmp_path)["timing"]["elapsed_ms"] >= 50
 
 
 def test_homotopy_rejects_unsupported_levels(runner, tmp_path):

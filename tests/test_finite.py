@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from commlab.brackets import Leaf, enumerate_brackets
 from commlab.finite import (
     BudgetExceeded,
     CapExceeded,
@@ -246,6 +248,52 @@ def test_fat_commutator_matches_tuple_enumeration_oracle():
         out = fat_commutator(inst.group, inst.subgroups, weight_cap=3)
         brute = oracle_fat([tuples(R.elements) for R in inst.subgroups], 3)
         assert tuples(out.subgroup.elements) == brute
+
+
+def tree_walk_fat(G, Rs, weight_cap):
+    """Reference fat computation: every surjective assignment x bracket tree.
+
+    The subgroup of one (assignment, arrangement) pair is its iterated
+    commutator subgroup; the fat subgroup is the product over all pairs of
+    weight n..weight_cap. Returns (subgroup, orders_by_weight, stabilized).
+    """
+    n = len(Rs)
+    cache = SubgroupCache()
+    Rs = [cache.intern(R) for R in Rs]
+
+    def value(b, assignment):
+        if isinstance(b, Leaf):
+            return Rs[assignment[b.position - 1]]
+        left = value(b.left, assignment)
+        right = value(b.right, assignment)
+        return commutator_subgroup(left, right, cache)
+
+    total = NormalSubgroup.trivial(G)
+    orders = []
+    for t in range(n, weight_cap + 1):
+        for assignment in itertools.product(range(n), repeat=t):
+            if len(set(assignment)) != n:
+                continue
+            for arrangement in enumerate_brackets(t):
+                sub = value(arrangement, assignment)
+                if not sub.elements <= total.elements:
+                    total = product_subgroup(total, sub)
+        orders.append(total.order)
+    stabilized = len(orders) >= 2 and orders[-1] == orders[-2]
+    return total, tuple(orders), stabilized
+
+
+def test_fat_commutator_matches_tree_walk():
+    cases = [(1000 + i, 2 + i % 2) for i in range(30)] + [(9, 1)]
+    for seed, n in cases:
+        inst = random_instance(seed, n=n, degree_cap=10, order_cap=2000)
+        # the default cap 2n, plus low caps where the DP prunes the most
+        for cap in sorted({n, n + 1, 2 * n}):
+            out = fat_commutator(inst.group, inst.subgroups, weight_cap=cap)
+            sub, orders, stabilized = tree_walk_fat(inst.group, inst.subgroups, cap)
+            assert out.subgroup.elements == sub.elements, (seed, cap)
+            assert out.orders_by_weight == orders, (seed, cap)
+            assert out.stabilized == stabilized, (seed, cap)
 
 
 def test_fat_commutator_budget_guard():
