@@ -12,7 +12,8 @@ Submodules:
 * cli       - the ``commlab`` command line tool
 """
 
-from commlab.kernels import BACKEND as KERNEL_BACKEND
+# The kernels have one implementation; the constant stays for benchmark metadata.
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"
 

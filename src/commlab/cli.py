@@ -1,7 +1,9 @@
 """Experiment driver: seeded verification subcommands with JSON reports.
 
 Exit codes: 0 when every check passed, 1 when a mathematical check failed
-(which would indicate an implementation bug), 2 on usage or config errors.
+(which would indicate an implementation bug), 2 on usage or config errors,
+3 when no check failed but some trial was undecided because it exhausted its
+budget. Run it as ``commlab``, ``python -m commlab`` or ``python -m commlab.cli``.
 The JSON report written under --out is the contract; --format text prints a
 fixed-width table of the same payload instead.
 """
@@ -21,6 +23,7 @@ from commlab import homotopy as homotopy_mod
 from commlab.words import ParseError
 
 EXIT_CHECK_FAILED = 1
+EXIT_UNDECIDED = 3
 
 
 @click.group()
@@ -50,7 +53,9 @@ def run_options(fn):
     return fn
 
 
-def _finish(subcommand, seed, config, results, started, out_dir, fmt, ok) -> None:
+def _finish(
+    subcommand, seed, config, results, started, out_dir, fmt, ok, undecided=False
+) -> None:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     payload = reports.build_payload(subcommand, seed, config, results, elapsed_ms)
     path = reports.write_report(out_dir, payload)
@@ -61,6 +66,8 @@ def _finish(subcommand, seed, config, results, started, out_dir, fmt, ok) -> Non
     click.echo(f"report: {path}", err=True)
     if not ok:
         raise SystemExit(EXIT_CHECK_FAILED)
+    if undecided:
+        raise SystemExit(EXIT_UNDECIDED)
 
 
 def _fat_budget() -> int:
@@ -91,12 +98,13 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
     """Fat = symmetric, first-slot restriction, product rule, and Hall checks.
 
     Runs seeded random finite instances; connectivity of each instance is
-    reported for information but never fails the run.
+    reported for information but never fails the run. A trial that exhausts
+    the fat budget is undecided: it neither passes nor fails.
     """
     budget = _fat_budget()
     started = time.perf_counter()
     rows = []
-    passes = 0
+    passes = undecided = 0
     conn_equal = conn_checked = 0
     for k in range(trials):
         inst = finite.random_instance(
@@ -120,7 +128,8 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
             rule = finite.verify_product_rule(A, B, C, cache)
             hall = finite.verify_hall(A, B, C, cache)
         except finite.BudgetExceeded as exc:
-            row.update(budget_exceeded=str(exc), passed=False)
+            row.update(budget_exceeded=str(exc), undecided=True)
+            undecided += 1
             rows.append(row)
             continue
         row.update(
@@ -147,6 +156,7 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
     results = {
         "summary": {
             "pass": f"{passes}/{trials}",
+            "undecided": f"{undecided}/{trials}",
             "connectivity_holds": f"{conn_equal}/{conn_checked}",
         },
         "trials": rows,
@@ -156,7 +166,7 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
         "order_cap": order_cap, "weight_cap": weight_cap, "budget": budget,
     }
     _finish("verify-finite", seed, config, results, started, out_dir, fmt,
-            ok=passes == trials)
+            ok=passes + undecided == trials, undecided=undecided > 0)
 
 
 @main.command()
@@ -301,3 +311,7 @@ def _print_generator(args: tuple[str, ...]) -> None:
             raise click.UsageError(usage)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+if __name__ == "__main__":
+    main()

@@ -128,3 +128,64 @@ def _eval_shape(shape, args, offset: int = 0):
         _eval_shape(left, args, offset),
         _eval_shape(right, args, offset + k),
     )
+
+
+def oracle_generated(gens, degree: int, cap: int) -> set[tuple[int, ...]] | None:
+    """Elements reached from the identity by right multiplication by gens.
+
+    In a finite group that is the generated subgroup. Returns None once more
+    than ``cap`` elements have been reached. Unlike ``oracle_closure`` it costs
+    |G| * len(gens) products, so it reaches the symmetric group S_7.
+    """
+    gens = [tuple(g) for g in gens]
+    elems = {tuple(range(degree))}
+    frontier = list(elems)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            r = o_mul(p, g)
+            if r not in elems:
+                elems.add(r)
+                if len(elems) > cap:
+                    return None
+                frontier.append(r)
+    return elems
+
+
+def oracle_reduce(letters) -> tuple[int, ...]:
+    """Delete the first adjacent (c, -c) pair until none is left."""
+    w = list(letters)
+    while True:
+        for i in range(len(w) - 1):
+            if w[i] == -w[i + 1]:
+                del w[i : i + 2]
+                break
+        else:
+            return tuple(w)
+
+
+def oracle_artin_images(strands: int, letters) -> list[tuple[int, ...]]:
+    """Images of x_1..x_n under a braid word, by whole-word substitution.
+
+    The first letter acts first: each letter's automorphism is substituted
+    into the current image words, which are then reduced.
+    sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i;
+    sigma_i^-1: x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}.
+    """
+    images = [(k,) for k in range(1, strands + 1)]
+    for lt in letters:
+        i = abs(lt)
+        if lt > 0:
+            step = {i: (i, i + 1, -i), i + 1: (i,)}
+        else:
+            step = {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
+        images = [oracle_reduce(_substitute(step, w)) for w in images]
+    return images
+
+
+def _substitute(step, word) -> list[int]:
+    out: list[int] = []
+    for c in word:
+        image = step.get(abs(c), (abs(c),))
+        out.extend(image if c > 0 else [-x for x in reversed(image)])
+    return out

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from commlab import homotopy
+import commlab
+from commlab import finite, homotopy
 from commlab.braids import load_corpus
 from commlab.cli import main
 
@@ -89,9 +94,37 @@ def test_verify_finite_budget_env(runner, tmp_path):
         ["verify-finite", "--trials", "1", "--n", "3", "--seed", "7"],
         env={"COMMLAB_BUDGET": "40"},
     )
-    assert tiny.exit_code == 1
+    assert tiny.exit_code == 3
     payload = json.loads(tiny.stdout)
-    assert "budget_exceeded" in payload["results"]["trials"][0]
+    assert payload["results"]["summary"]["undecided"] == "1/1"
+    trial = payload["results"]["trials"][0]
+    assert "budget_exceeded" in trial
+    assert trial["undecided"] is True
+    assert "passed" not in trial
+
+
+def test_verify_finite_failure_outranks_undecided(runner, tmp_path, monkeypatch):
+    # trial 0 exhausts its budget, trial 1 fails the Hall check: exit 1, not 3
+    real_fat, real_hall = finite.verify_fat_equals_symmetric, finite.verify_hall
+    calls = []
+
+    def fat_once_over_budget(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise finite.BudgetExceeded("over budget")
+        return real_fat(*args)
+
+    def failing_hall(*args):
+        return dataclasses.replace(real_hall(*args), passed=False)
+
+    monkeypatch.setattr(finite, "verify_fat_equals_symmetric", fat_once_over_budget)
+    monkeypatch.setattr(finite, "verify_hall", failing_hall)
+    result = invoke(runner, tmp_path, ["verify-finite", "--trials", "2", "--n", "2"])
+    assert result.exit_code == 1
+    summary = json.loads(result.stdout)["results"]["summary"]
+    assert summary == {
+        "pass": "0/2", "undecided": "1/2", "connectivity_holds": "0/0"
+    }
 
 
 def test_verify_finite_text_format(runner, tmp_path):
@@ -219,3 +252,25 @@ def test_reports_accumulate_and_latest_moves(runner, tmp_path):
     assert len(files) == 2
     latest = (tmp_path / "latest").read_text().strip()
     assert latest.startswith("verify-finite-2-")
+
+
+def test_module_entry_points_run_the_cli(tmp_path):
+    # the child does not inherit pytest's pythonpath setting
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "commlab", "verify-finite", "--trials", "1",
+            "--n", "2", "--out", str(tmp_path),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["results"]["summary"]["pass"] == "1/1"
+    assert list(tmp_path.glob("verify-finite-*.json"))
+    version = subprocess.run(
+        [sys.executable, "-m", "commlab.cli", "--version"],
+        capture_output=True, text=True, env=env,
+    )
+    assert version.returncode == 0, version.stderr
+    assert commlab.__version__ in version.stdout
