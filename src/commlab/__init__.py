@@ -4,7 +4,7 @@ Submodules:
 
 * words     - freely reduced words, conjugates and commutators
 * brackets  - bracket arrangements (binary commutator shapes)
-* sampling  - seeded streams of symmetric/fat commutator generators
+* sampling  - seeded streams of symmetric commutator generators
 * magnus    - truncated Magnus expansion, lower-central membership
 * finite    - brute-force subgroup identities in permutation groups
 * braids    - braid words, Artin action, Brunnian checks

@@ -1,9 +1,9 @@
 """Bracket arrangements: full binary commutator shapes of a given weight.
 
 A bracket arrangement of weight t is a full binary tree with t leaves; leaf
-positions are numbered 1..t left to right. Evaluating an arrangement on t
-words nests commutators according to the tree, e.g. the two weight-3 shapes
-are [[a1, a2], a3] and [a1, [a2, a3]].
+positions are numbered 1..t left to right, e.g. the two weight-3 shapes are
+[[a1, a2], a3] and [a1, [a2, a3]]. ``left_normed`` builds the left comb
+[[...[a1, a2], ...], ak] directly on words.
 """
 
 from __future__ import annotations
@@ -27,20 +27,6 @@ class Node:
 
 
 BracketArrangement = Union[Leaf, Node]
-
-
-def weight(b: BracketArrangement) -> int:
-    """Number of leaves."""
-    if isinstance(b, Leaf):
-        return 1
-    return weight(b.left) + weight(b.right)
-
-
-def describe(b: BracketArrangement) -> str:
-    """Compact text form, e.g. ``[[1,2],3]``."""
-    if isinstance(b, Leaf):
-        return str(b.position)
-    return f"[{describe(b.left)},{describe(b.right)}]"
 
 
 def enumerate_brackets(t: int) -> list[BracketArrangement]:
@@ -71,21 +57,6 @@ def _shift(b: BracketArrangement, offset: int) -> BracketArrangement:
     if isinstance(b, Leaf):
         return Leaf(b.position + offset)
     return Node(_shift(b.left, offset), _shift(b.right, offset))
-
-
-def evaluate_bracket(b: BracketArrangement, args: Sequence[Word]) -> Word:
-    """Plug words into the leaves (args[i] at position i+1) and evaluate."""
-    if len(args) != weight(b):
-        raise ValueError(
-            f"arrangement has weight {weight(b)}, got {len(args)} arguments"
-        )
-    return _evaluate(b, args)
-
-
-def _evaluate(b: BracketArrangement, args: Sequence[Word]) -> Word:
-    if isinstance(b, Leaf):
-        return args[b.position - 1]
-    return commutator(_evaluate(b.left, args), _evaluate(b.right, args))
 
 
 def left_normed(args: Sequence[Word]) -> Word:

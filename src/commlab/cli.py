@@ -91,10 +91,8 @@ def _fat_budget() -> int:
               type=click.IntRange(min=3, max=255),
               help="largest permutation degree (a degree is stored in one byte)")
 @click.option("--order-cap", default=2000, show_default=True, type=click.IntRange(min=2))
-@click.option("--weight-cap", default=None, type=click.IntRange(min=1),
-              help="bracket weight cap (defaults to 2n)")
 @run_options
-def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, fmt):
+def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
     """Fat = symmetric, first-slot restriction, product rule, and Hall checks.
 
     Runs seeded random finite instances; connectivity of each instance is
@@ -119,7 +117,7 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
         }
         try:
             fat = finite.verify_fat_equals_symmetric(
-                inst.group, inst.subgroups, weight_cap, budget, cache
+                inst.group, inst.subgroups, budget=budget, cache=cache
             )
             restr = finite.verify_first_slot_restriction(
                 inst.group, inst.subgroups, cache
@@ -163,7 +161,7 @@ def verify_finite(trials, n, degree_cap, order_cap, weight_cap, seed, out_dir, f
     }
     config = {
         "trials": trials, "n": n, "degree_cap": degree_cap,
-        "order_cap": order_cap, "weight_cap": weight_cap, "budget": budget,
+        "order_cap": order_cap, "budget": budget,
     }
     _finish("verify-finite", seed, config, results, started, out_dir, fmt,
             ok=passes + undecided == trials, undecided=undecided > 0)

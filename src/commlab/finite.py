@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
-from commlab.words import Word
 
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_FAT_BUDGET = 10**7
@@ -268,10 +267,12 @@ class SubgroupCache:
 
     def store(
         self, a: NormalSubgroup, b: NormalSubgroup, result: NormalSubgroup
-    ) -> None:
+    ) -> NormalSubgroup:
+        """Memoise [a, b] = [b, a]; returns the interned result."""
         result = self.intern(result)
         self._commutators[(a.elements, b.elements)] = result
         self._commutators[(b.elements, a.elements)] = result
+        return result
 
 
 def commutator_subgroup(
@@ -296,8 +297,7 @@ def commutator_subgroup(
                 seeds.add(c)
     result = normal_closure(parent, sorted(seeds))
     if cache is not None:
-        cache.store(A, B, result)
-        result = cache.intern(result)
+        result = cache.store(A, B, result)
     return result
 
 
@@ -467,21 +467,6 @@ def fat_commutator(
         orders.append(total.order)
     stabilized = len(orders) >= 2 and orders[-1] == orders[-2]
     return FatResult(total, stabilized, evaluations, tuple(orders))
-
-
-def word_image(w: Word, images: Sequence[Permutation]) -> Permutation:
-    """Evaluate a free word in a permutation group via x_k -> images[k-1]."""
-    if not images:
-        raise ValueError("need at least one image permutation")
-    acc = bytes(Permutation.identity(len(images[0])))
-    for c in w.letters:
-        if abs(c) > len(images):
-            raise ValueError(f"word uses x{abs(c)} but only {len(images)} images given")
-        p = bytes(images[abs(c) - 1])
-        if c < 0:
-            p = kernels.invert_perm(p)
-        acc = kernels.compose(acc, p)
-    return Permutation(acc)
 
 
 # ---------------------------------------------------------------------------

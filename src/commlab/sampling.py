@@ -1,15 +1,10 @@
-"""Seeded word streams: sampled generators of symmetric and fat subgroups.
+"""Seeded word streams: sampled generators of symmetric commutator subgroups.
 
 Given normal subgroups R_1..R_n of a free group, each described by a finite
-generator list (SubgroupSpec, standing for the normal closure), these streams
-emit random elements of
-
-* the symmetric commutator subgroup: left-normed commutators
-  [[r_{s(1)}, r_{s(2)}], ..., r_{s(n)}] over sampled permutations s, where
-  each r_i is a conjugated generator of the matching subgroup;
-* the fat commutator subgroup: bracket arrangements of weight t >= n whose
-  leaves are conjugated generators, with every subgroup index hit at least
-  once (surjective index assignment).
+generator list (SubgroupSpec, standing for the normal closure), the stream
+emits random elements of the symmetric commutator subgroup: left-normed
+commutators [[r_{s(1)}, r_{s(2)}], ..., r_{s(n)}] over sampled permutations
+s, where each r_i is a conjugated generator of the matching subgroup.
 
 All sampling is driven by random.Random(seed), so streams are reproducible.
 """
@@ -20,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from commlab.brackets import enumerate_brackets, evaluate_bracket, left_normed
+from commlab.brackets import left_normed
 from commlab.words import Word
 
 
@@ -54,11 +49,6 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     return Word(tuple(letters))
 
 
-def surjective_over(indices: Sequence[int], n: int) -> bool:
-    """Whether every subgroup slot 1..n appears among the indices."""
-    return set(indices) >= set(range(1, n + 1))
-
-
 def symmetric_generators(
     subgroups: Sequence[SubgroupSpec],
     conj_depth: int,
@@ -66,26 +56,6 @@ def symmetric_generators(
     count: int | None = None,
 ) -> Iterator[Word]:
     """Stream of sampled symmetric-commutator generators."""
-    yield from _symmetric_stream(subgroups, conj_depth, seed, count, False)
-
-
-def symmetric_generators_fix1(
-    subgroups: Sequence[SubgroupSpec],
-    conj_depth: int,
-    seed: int,
-    count: int | None = None,
-) -> Iterator[Word]:
-    """As symmetric_generators, but sampled orderings keep R_1 in slot 1."""
-    yield from _symmetric_stream(subgroups, conj_depth, seed, count, True)
-
-
-def _symmetric_stream(
-    subgroups: Sequence[SubgroupSpec],
-    conj_depth: int,
-    seed: int,
-    count: int | None,
-    fix_first: bool,
-) -> Iterator[Word]:
     subgroups = list(subgroups)
     if not subgroups:
         raise ValueError("need at least one subgroup")
@@ -96,56 +66,13 @@ def _symmetric_stream(
     emitted = 0
     while count is None or emitted < count:
         order = list(range(len(subgroups)))
-        if fix_first:
-            tail = order[1:]
-            rng.shuffle(tail)
-            order[1:] = tail
-        else:
-            rng.shuffle(order)
+        rng.shuffle(order)
         args = [
             _conjugated_generator(rng, subgroups[i], rank, conj_depth)
             for i in order
         ]
         yield left_normed(args)
         emitted += 1
-
-
-def fat_generators(
-    subgroups: Sequence[SubgroupSpec],
-    max_weight: int,
-    conj_depth: int,
-    seed: int,
-    count: int | None = None,
-) -> Iterator[Word]:
-    """Stream of sampled fat-commutator generators of weight n..max_weight."""
-    subgroups = list(subgroups)
-    if not subgroups:
-        raise ValueError("need at least one subgroup")
-    n = len(subgroups)
-    if max_weight < n:
-        raise ValueError(f"max_weight must be >= {n}, got {max_weight}")
-    if conj_depth < 0:
-        raise ValueError(f"conj_depth must be >= 0, got {conj_depth}")
-    rank = max(s.rank_hint() for s in subgroups)
-    rng = random.Random(seed)
-    emitted = 0
-    while count is None or emitted < count:
-        t = rng.randint(n, max_weight)
-        arrangement = rng.choice(enumerate_brackets(t))
-        indices = _sample_surjective(rng, t, n)
-        args = [
-            _conjugated_generator(rng, subgroups[i - 1], rank, conj_depth)
-            for i in indices
-        ]
-        yield evaluate_bracket(arrangement, args)
-        emitted += 1
-
-
-def _sample_surjective(rng: random.Random, t: int, n: int) -> tuple[int, ...]:
-    while True:
-        indices = tuple(rng.randint(1, n) for _ in range(t))
-        if surjective_over(indices, n):
-            return indices
 
 
 def _conjugated_generator(

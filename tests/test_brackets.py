@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from commlab.brackets import (
-    Leaf,
-    Node,
-    describe,
-    enumerate_brackets,
-    evaluate_bracket,
-    left_normed,
-    weight,
-)
+from commlab.brackets import Leaf, Node, enumerate_brackets, left_normed
 from commlab.words import Word, commutator, free_reduce
 
 
@@ -28,8 +20,10 @@ def test_enumeration_counts_match_catalan():
 
 
 def test_weight_three_shapes_and_order():
-    shapes = enumerate_brackets(3)
-    assert [describe(b) for b in shapes] == ["[[1,2],3]", "[1,[2,3]]"]
+    assert enumerate_brackets(3) == [
+        Node(Node(Leaf(1), Leaf(2)), Leaf(3)),
+        Node(Leaf(1), Node(Leaf(2), Leaf(3))),
+    ]
 
 
 def test_leaf_positions_run_left_to_right():
@@ -41,7 +35,6 @@ def test_leaf_positions_run_left_to_right():
     for t in range(1, 7):
         for b in enumerate_brackets(t):
             assert leaves(b) == list(range(1, t + 1))
-            assert weight(b) == t
 
 
 def test_enumeration_has_no_duplicates():
@@ -55,42 +48,23 @@ def test_invalid_weight_rejected():
         enumerate_brackets(0)
 
 
-def test_evaluate_weight_two_is_the_commutator():
-    x1, x2 = Word.generator(1), Word.generator(2)
-    (shape,) = enumerate_brackets(2)
-    assert evaluate_bracket(shape, [x1, x2]) == commutator(x1, x2)
-
-
-def test_evaluate_weight_three_frozen_expansions():
+def test_left_normed_matches_left_comb_evaluation():
+    x1, x2, x3 = (Word.generator(i) for i in (1, 2, 3))
+    assert left_normed([x1, x2]) == commutator(x1, x2)
     # hand expansion with [a, b] = a^-1 b^-1 a b:
     # [[x1,x2],x3] = x2^-1 x1^-1 x2 x1 x3^-1 x1^-1 x2^-1 x1 x2 x3
-    # [x1,[x2,x3]] = x1^-1 x3^-1 x2^-1 x3 x2 x1 x2^-1 x3^-1 x2 x3
-    x = [Word.generator(i) for i in (1, 2, 3)]
-    left, right = enumerate_brackets(3)
-    assert evaluate_bracket(left, x).letters == (-2, -1, 2, 1, -3, -1, -2, 1, 2, 3)
-    assert evaluate_bracket(right, x).letters == (-1, -3, -2, 3, 2, 1, -2, -3, 2, 3)
-
-
-def test_evaluate_arity_mismatch():
-    (shape,) = enumerate_brackets(2)
-    with pytest.raises(ValueError):
-        evaluate_bracket(shape, [Word.generator(1)])
-
-
-def test_left_normed_matches_left_comb_evaluation():
+    assert left_normed([x1, x2, x3]).letters == (-2, -1, 2, 1, -3, -1, -2, 1, 2, 3)
     rng = random.Random(30)
     for _ in range(50):
-        t = rng.randint(1, 5)
+        t = rng.randint(2, 5)
         args = [
             free_reduce(
                 [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(4)]
             )
             for _ in range(t)
         ]
-        comb = Leaf(1)
-        for pos in range(2, t + 1):
-            comb = Node(comb, Leaf(pos))
-        assert left_normed(args) == evaluate_bracket(comb, args)
+        # the left comb peels off its last leaf: [comb(a1..ak-1), ak]
+        assert left_normed(args) == commutator(left_normed(args[:-1]), args[-1])
 
 
 def test_left_normed_single_and_empty():

@@ -46,6 +46,7 @@ def test_verify_finite_small_run(runner, tmp_path):
     payload = read_report(result, tmp_path)
     assert payload["meta"]["subcommand"] == "verify-finite"
     assert payload["meta"]["seed"] == 5
+    assert "weight_cap" not in payload["config"]
     assert payload["results"]["summary"]["pass"] == "3/3"
     assert len(payload["results"]["trials"]) == 3
     trial = payload["results"]["trials"][0]
@@ -59,6 +60,15 @@ def test_verify_finite_rejects_unrepresentable_degree(runner, tmp_path):
     result = invoke(runner, tmp_path, ["verify-finite", "--degree-cap", "300"])
     assert result.exit_code == 2
     assert "--degree-cap" in result.output
+
+
+def test_verify_finite_has_no_weight_cap_option(runner, tmp_path):
+    # the bracket weight cap is fixed at 2n; an old --weight-cap is a usage error
+    result = invoke(
+        runner, tmp_path, ["verify-finite", "--n", "3", "--weight-cap", "2"]
+    )
+    assert result.exit_code == 2
+    assert "--weight-cap" in result.output
 
 
 def test_verify_finite_zero_trials_passes(runner, tmp_path):
@@ -108,11 +118,11 @@ def test_verify_finite_failure_outranks_undecided(runner, tmp_path, monkeypatch)
     real_fat, real_hall = finite.verify_fat_equals_symmetric, finite.verify_hall
     calls = []
 
-    def fat_once_over_budget(*args):
+    def fat_once_over_budget(*args, **kwargs):
         calls.append(None)
         if len(calls) == 1:
             raise finite.BudgetExceeded("over budget")
-        return real_fat(*args)
+        return real_fat(*args, **kwargs)
 
     def failing_hall(*args):
         return dataclasses.replace(real_hall(*args), passed=False)

@@ -27,9 +27,7 @@ from commlab.finite import (
     verify_first_slot_restriction,
     verify_hall,
     verify_product_rule,
-    word_image,
 )
-from commlab.words import parse_word
 
 from _oracles import (
     oracle_closure,
@@ -401,26 +399,6 @@ def test_generating_set_reproduces_subgroups():
         gens = generating_set(inst.group, R.elements)
         assert closure(gens, degree=inst.group.degree).elements == R.elements
         assert len(gens) <= max(1, R.order.bit_length())
-
-
-def test_word_image_is_a_homomorphism():
-    G = s4()
-    a = Permutation.from_cycles(4, (1, 2))
-    b = Permutation.from_cycles(4, (2, 3, 4))
-    w = parse_word("x1 x2^-1 x1")
-    expected = a * b.inverse() * a
-    assert word_image(w, [a, b]) == expected
-    rng = random.Random(62)
-    pool = [Permutation(p) for p in sorted(G.elements)]
-    from commlab.sampling import random_reduced_word
-
-    for _ in range(40):
-        u = random_reduced_word(rng, 2, rng.randint(0, 6))
-        v = random_reduced_word(rng, 2, rng.randint(0, 6))
-        imgs = [rng.choice(pool), rng.choice(pool)]
-        assert word_image(u * v, imgs) == word_image(u, imgs) * word_image(v, imgs)
-    with pytest.raises(ValueError):
-        word_image(parse_word("x3"), [a, b])
 
 
 def test_random_instance_is_deterministic():
