@@ -133,9 +133,8 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
         row.update(
             fat_order=fat.fat_order,
             symmetric_order=fat.symmetric_order,
-            stabilized=fat.stabilized,
             fat_evaluations=fat.evaluations,
-            fat_orders_by_weight=fat.orders_by_weight,
+            fat_rounds=fat.rounds,
             fat_equals_symmetric=fat.passed,
             restriction=restr.passed,
             product_rule=rule.passed,

@@ -1,14 +1,23 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is deliberately naive and shares no code with the package:
-permutations are tuples of 0-based ints, closures are fixed-point scans, and
-commutator subgroups are closures of all element-level commutators. The real
-implementations must agree with these on small instances.
+Everything here is deliberately naive and, except ``ordered_walk``, shares no
+code with the package: permutations are tuples of 0-based ints, closures are
+fixed-point scans, and commutator subgroups are closures of all element-level
+commutators. The real implementations must agree with these on small
+instances. ``ordered_walk`` reuses the package's commutator and product of
+subgroups, which the element-level oracles check, so that it reaches n = 5.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+
+from commlab.finite import (
+    NormalSubgroup,
+    SubgroupCache,
+    commutator_subgroup,
+    product_subgroup,
+)
 
 
 def o_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -89,6 +98,23 @@ def oracle_symmetric(Rs) -> set[tuple[int, ...]]:
             term = oracle_commutator_subgroup(term, Rs[i])
         total = oracle_set_product(total, term)
     return oracle_closure(total, degree)
+
+
+def ordered_walk(G, Rs, first_slot_only: bool = False) -> NormalSubgroup:
+    """Product of [R_s1, ..., R_sn] over the orderings, walked one by one.
+
+    With ``first_slot_only`` only the orderings that keep R_1 first count.
+    """
+    cache = SubgroupCache()
+    total = NormalSubgroup.trivial(G)
+    for order in permutations(range(len(Rs))):
+        if first_slot_only and order[0] != 0:
+            continue
+        term = Rs[order[0]]
+        for i in order[1:]:
+            term = commutator_subgroup(term, Rs[i], cache)
+        total = product_subgroup(total, term)
+    return total
 
 
 def oracle_fat(Rs, weight_cap: int) -> set[tuple[int, ...]]:

@@ -52,8 +52,8 @@ def test_verify_finite_small_run(runner, tmp_path):
     trial = payload["results"]["trials"][0]
     assert trial["fat_equals_symmetric"] and trial["hall"]
     assert trial["fat_evaluations"] > 0
-    assert len(trial["fat_orders_by_weight"]) == 3  # weights n..2n
-    assert trial["fat_orders_by_weight"][-1] == trial["fat_order"]
+    assert trial["fat_rounds"] >= 1
+    assert "stabilized" not in trial and "fat_orders_by_weight" not in trial
 
 
 def test_verify_finite_rejects_unrepresentable_degree(runner, tmp_path):
@@ -63,12 +63,20 @@ def test_verify_finite_rejects_unrepresentable_degree(runner, tmp_path):
 
 
 def test_verify_finite_has_no_weight_cap_option(runner, tmp_path):
-    # the bracket weight cap is fixed at 2n; an old --weight-cap is a usage error
+    # the fat subgroup covers every bracket weight; an old --weight-cap is a usage error
     result = invoke(
         runner, tmp_path, ["verify-finite", "--n", "3", "--weight-cap", "2"]
     )
     assert result.exit_code == 2
     assert "--weight-cap" in result.output
+
+
+def test_verify_finite_decides_ten_subgroups(runner, tmp_path):
+    result = invoke(
+        runner, tmp_path, ["verify-finite", "--n", "10", "--seed", "1", "--trials", "1"]
+    )
+    assert result.exit_code == 0
+    assert read_report(result, tmp_path)["results"]["summary"]["pass"] == "1/1"
 
 
 def test_verify_finite_zero_trials_passes(runner, tmp_path):

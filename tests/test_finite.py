@@ -35,6 +35,7 @@ from _oracles import (
     oracle_fat,
     oracle_normal_closure,
     oracle_symmetric,
+    ordered_walk,
 )
 
 
@@ -226,24 +227,44 @@ def test_symmetric_commutator_matches_oracle():
     assert tuples(sym.elements) == brute
 
 
+def test_symmetric_products_match_the_ordering_walk():
+    for n in range(2, 6):
+        for seed in range(10):
+            inst = random_instance(100 * n + seed, n=n)
+            G, Rs = inst.group, inst.subgroups
+            sym = symmetric_commutator(G, Rs)
+            assert sym.elements == ordered_walk(G, Rs).elements, (n, seed)
+            restricted = restricted_symmetric_commutator(G, Rs)
+            walk = ordered_walk(G, Rs, first_slot_only=True)
+            assert restricted.elements == walk.elements, (n, seed)
+
+
 def test_fat_commutator_examples():
     inst = random_instance(9, n=1, degree_cap=6, order_cap=300)
     fat = fat_commutator(inst.group, inst.subgroups)
     assert fat.subgroup.elements == inst.subgroups[0].elements
-    assert fat.stabilized
-    assert fat.orders_by_weight == (inst.subgroups[0].order,) * 2
+    assert fat.rounds >= 1
 
     abelian = closure([Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
     R = normal_closure(abelian, list(abelian.gens))
     out = fat_commutator(abelian, [R, R])
     assert out.subgroup.is_trivial
-    assert out.stabilized
+    # R1, R2 and the trivial subgroup on masks {1}, {2}, {1, 2}: 15 pairs
+    assert (out.evaluations, out.rounds) == (15, 2)
+
+
+def test_fat_commutator_counters_are_frozen():
+    # evaluations = E(E + 1) / 2 over the E distinct (mask, subgroup) entries
+    for seed, n, expected in [(7, 3, (136, 3)), (4001, 4, (946, 4))]:
+        inst = random_instance(seed, n=n)
+        out = fat_commutator(inst.group, inst.subgroups)
+        assert (out.evaluations, out.rounds) == expected, seed
 
 
 def test_fat_commutator_matches_tuple_enumeration_oracle():
     for seed in (0, 2, 5, 8):
         inst = random_instance(seed, n=2, degree_cap=4, order_cap=16)
-        out = fat_commutator(inst.group, inst.subgroups, weight_cap=3)
+        out = fat_commutator(inst.group, inst.subgroups)
         brute = oracle_fat([tuples(R.elements) for R in inst.subgroups], 3)
         assert tuples(out.subgroup.elements) == brute
 
@@ -253,7 +274,7 @@ def tree_walk_fat(G, Rs, weight_cap):
 
     The subgroup of one (assignment, arrangement) pair is its iterated
     commutator subgroup; the fat subgroup is the product over all pairs of
-    weight n..weight_cap. Returns (subgroup, orders_by_weight, stabilized).
+    weight n..weight_cap.
     """
     n = len(Rs)
     cache = SubgroupCache()
@@ -267,7 +288,6 @@ def tree_walk_fat(G, Rs, weight_cap):
         return commutator_subgroup(left, right, cache)
 
     total = NormalSubgroup.trivial(G)
-    orders = []
     for t in range(n, weight_cap + 1):
         for assignment in itertools.product(range(n), repeat=t):
             if len(set(assignment)) != n:
@@ -276,30 +296,24 @@ def tree_walk_fat(G, Rs, weight_cap):
                 sub = value(arrangement, assignment)
                 if not sub.elements <= total.elements:
                     total = product_subgroup(total, sub)
-        orders.append(total.order)
-    stabilized = len(orders) >= 2 and orders[-1] == orders[-2]
-    return total, tuple(orders), stabilized
+    return total
 
 
 def test_fat_commutator_matches_tree_walk():
     cases = [(1000 + i, 2 + i % 2) for i in range(30)] + [(9, 1)]
     for seed, n in cases:
         inst = random_instance(seed, n=n, degree_cap=10, order_cap=2000)
-        # the default cap 2n, plus low caps where the DP prunes the most
+        out = fat_commutator(inst.group, inst.subgroups)
+        # weight n already gives every bracket value the saturation reaches
         for cap in sorted({n, n + 1, 2 * n}):
-            out = fat_commutator(inst.group, inst.subgroups, weight_cap=cap)
-            sub, orders, stabilized = tree_walk_fat(inst.group, inst.subgroups, cap)
+            sub = tree_walk_fat(inst.group, inst.subgroups, cap)
             assert out.subgroup.elements == sub.elements, (seed, cap)
-            assert out.orders_by_weight == orders, (seed, cap)
-            assert out.stabilized == stabilized, (seed, cap)
 
 
 def test_fat_commutator_budget_guard():
     inst = random_instance(11, n=3, degree_cap=6, order_cap=300)
     with pytest.raises(BudgetExceeded):
-        fat_commutator(inst.group, inst.subgroups, weight_cap=6, budget=100)
-    with pytest.raises(ValueError):
-        fat_commutator(inst.group, inst.subgroups, weight_cap=2)
+        fat_commutator(inst.group, inst.subgroups, budget=100)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +327,8 @@ def test_verify_fat_equals_symmetric_on_seeded_instances():
         report = verify_fat_equals_symmetric(inst.group, inst.subgroups)
         assert report.passed and report.stabilized
         assert report.fat_order == report.symmetric_order
+    with pytest.raises(ValueError):
+        verify_fat_equals_symmetric(inst.group, inst.subgroups, 6)
 
 
 def test_verify_first_slot_restriction_on_seeded_instances():
