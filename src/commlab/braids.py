@@ -10,6 +10,13 @@ faithful.
 Letter order convention: words act left to right, so in ``a * b`` the braid
 ``a`` is performed first and `artin_action(a * b) == artin_action(a) *
 artin_action(b)` with the same left-to-right composition.
+
+Validation happens once, at the public boundary: ``Braid(...)``,
+``Braid.from_letters``, ``parse_braid``, ``gen_a``, ``gen_t`` and
+``load_corpus`` check that every letter is in range and that the word is
+freely reduced. Values made from already-valid braids by the letter kernels
+(products, inverses, strand deletions) are reduced and in range by
+construction, so they are built with the unchecked ``Braid._trusted``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,14 @@ class Braid:
             prev = c
 
     @classmethod
+    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> Braid:
+        """Build without validation, for kernel output from valid braids."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "strands", strands)
+        object.__setattr__(b, "letters", letters)
+        return b
+
+    @classmethod
     def identity(cls, strands: int) -> Braid:
         return cls(strands)
 
@@ -63,12 +78,12 @@ class Braid:
             raise ValueError(
                 f"strand mismatch: {self.strands} vs {other.strands}"
             )
-        return Braid(
+        return Braid._trusted(
             self.strands, kernels.multiply_reduced(self.letters, other.letters)
         )
 
     def inverse(self) -> Braid:
-        return Braid(self.strands, kernels.invert_reduced(self.letters))
+        return Braid._trusted(self.strands, kernels.invert_reduced(self.letters))
 
     def __pow__(self, n: int) -> Braid:
         base = self if n >= 0 else self.inverse()
@@ -198,8 +213,9 @@ def delete_strand(b: Braid, j: int) -> Braid:
     """Remove the strand that starts at position j and renumber the rest.
 
     Follows the strand geometrically through the word, drops every crossing
-    it participates in, and shifts the remaining generator indices down by
-    one wherever the deleted strand sits to their left.
+    it participates in, shifts the remaining generator indices down by one
+    wherever the deleted strand sits to their left, and freely reduces the
+    result on the output stack in the same pass.
     """
     if b.strands < 2:
         raise ValueError("need at least two strands to delete one")
@@ -208,15 +224,24 @@ def delete_strand(b: Braid, j: int) -> Braid:
     pos = j
     out: list[int] = []
     for c in b.letters:
-        i = abs(c)
-        if pos == i:
-            pos = i + 1
-        elif pos == i + 1:
-            pos = i
+        if c > 0:
+            if pos < c:
+                c -= 1
+            elif pos <= c + 1:
+                # the strand crosses at c: it moves to the other side
+                pos = 2 * c + 1 - pos
+                continue
         else:
-            k = i - 1 if pos < i else i
-            out.append(k if c > 0 else -k)
-    return Braid.from_letters(b.strands - 1, out)
+            if pos < -c:
+                c += 1
+            elif pos <= 1 - c:
+                pos = 1 - 2 * c - pos
+                continue
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return Braid._trusted(b.strands - 1, tuple(out))
 
 
 def is_brunnian(b: Braid) -> bool:

@@ -105,9 +105,12 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
     passes = undecided = 0
     conn_equal = conn_checked = 0
     for k in range(trials):
-        inst = finite.random_instance(
-            seed + k, n=n, degree_cap=degree_cap, order_cap=order_cap
-        )
+        try:
+            inst = finite.random_instance(
+                seed + k, n=n, degree_cap=degree_cap, order_cap=order_cap
+            )
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         cache = finite.SubgroupCache()
         row = {
             "seed": inst.seed,

@@ -26,6 +26,11 @@ from commlab import kernels
 
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_FAT_BUDGET = 10**7
+# random_instance gives up after this many carrier draws. No seed in 0-299
+# needed more than 7 at the default caps; at order cap 2 and degree cap 255,
+# the sparsest caps allowed, seeds 0-59 needed about 1200 on average and 5526
+# at most.
+MAX_INSTANCE_DRAWS = 20_000
 
 
 class CapExceeded(RuntimeError):
@@ -638,12 +643,17 @@ def random_instance(
 
     Degree <= degree_cap, 2-3 random generators, retried deterministically
     until the closure fits under order_cap; each R_i is the normal closure of
-    1-2 random elements.
+    1-2 random elements. Raises ValueError on caps that admit no carrier and
+    when MAX_INSTANCE_DRAWS draws find none.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 subgroups, got {n}")
+    if not 3 <= degree_cap <= 255:
+        raise ValueError(f"degree_cap must be in 3..255, got {degree_cap}")
+    if order_cap < 2:
+        raise ValueError(f"order_cap must be >= 2, got {order_cap}")
     rng = random.Random(seed)
-    while True:
+    for _ in range(MAX_INSTANCE_DRAWS):
         degree = rng.randint(3, degree_cap)
         gens = [_random_perm(rng, degree) for _ in range(rng.randint(2, 3))]
         try:
@@ -658,6 +668,10 @@ def random_instance(
             for _ in range(n)
         )
         return Instance(seed, G, subs)
+    raise ValueError(
+        f"seed {seed}: no group of order 2..{order_cap} and degree "
+        f"<= {degree_cap} in {MAX_INSTANCE_DRAWS} draws"
+    )
 
 
 def random_normal_triple(

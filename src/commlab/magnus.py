@@ -35,6 +35,16 @@ class TruncatedSeries:
                 raise ValueError(f"zero coefficient stored for {mono}")
 
     @classmethod
+    def _trusted(
+        cls, cutoff: int, terms: Mapping[Monomial, int]
+    ) -> TruncatedSeries:
+        """Build without validation, for products of valid series."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "cutoff", cutoff)
+        object.__setattr__(s, "terms", terms)
+        return s
+
+    @classmethod
     def one(cls, cutoff: int) -> TruncatedSeries:
         return cls(cutoff, {(): 1})
 
@@ -56,7 +66,7 @@ class TruncatedSeries:
                     acc[mono] = val
                 elif mono in acc:
                     del acc[mono]
-        return TruncatedSeries(cutoff, acc)
+        return TruncatedSeries._trusted(cutoff, acc)
 
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(tuple(mono), 0)

@@ -3,6 +3,9 @@
 A word is stored as a tuple of nonzero ints: +k for x_k, -k for x_k^{-1}.
 All public constructors freely reduce, so ``Word`` values are canonical and
 two words are equal iff they are the same element of the free group.
+Products and inverses of words are reduced by the letter kernels, so they
+are built with the unchecked ``Word._trusted``; every other construction is
+validated.
 
 Conventions (used throughout the package):
 
@@ -50,6 +53,13 @@ class Word:
             prev = c
 
     @classmethod
+    def _trusted(cls, letters: tuple[int, ...]) -> Word:
+        """Build without validation, for kernel output from valid words."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls) -> Word:
         return cls(())
 
@@ -62,10 +72,12 @@ class Word:
         return cls((sign * index,))
 
     def __mul__(self, other: Word) -> Word:
-        return Word(kernels.multiply_reduced(self.letters, other.letters))
+        return Word._trusted(
+            kernels.multiply_reduced(self.letters, other.letters)
+        )
 
     def inverse(self) -> Word:
-        return Word(kernels.invert_reduced(self.letters))
+        return Word._trusted(kernels.invert_reduced(self.letters))
 
     def __pow__(self, n: int) -> Word:
         base = self if n >= 0 else self.inverse()

@@ -215,3 +215,27 @@ def _substitute(step, word) -> list[int]:
         image = step.get(abs(c), (abs(c),))
         out.extend(image if c > 0 else [-x for x in reversed(image)])
     return out
+
+
+def oracle_follow_strand(strands: int, letters, j: int) -> list[int]:
+    """The letters left after deleting strand j, shifted but not reduced.
+
+    Tracks the full arrangement of strands across the word: a crossing of
+    positions i, i+1 is dropped when strand j is one of the two, and kept
+    with its index lowered by the number of positions below i that strand j
+    occupies (0 or 1) otherwise.
+    """
+    at = list(range(1, strands + 1))  # at[p - 1] is the strand at position p
+    out: list[int] = []
+    for c in letters:
+        i = abs(c)
+        if j not in (at[i - 1], at[i]):
+            shift = 1 if at.index(j) < i - 1 else 0
+            out.append((i - shift) * (1 if c > 0 else -1))
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return out
+
+
+def oracle_delete_strand(strands: int, letters, j: int) -> tuple[int, ...]:
+    """Delete strand j (1-based start position) from a braid word, then reduce."""
+    return oracle_reduce(oracle_follow_strand(strands, letters, j))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,13 @@ from commlab.braids import (
     strand_permutation,
 )
 from commlab.words import ParseError, Word, free_reduce
+
+from _oracles import (
+    oracle_artin_images,
+    oracle_delete_strand,
+    oracle_follow_strand,
+    oracle_reduce,
+)
 
 
 def rand_braid(rng, strands, length=12):
@@ -63,6 +71,8 @@ def test_braid_constructor_reduces_and_validates():
     with pytest.raises(ValueError):
         Braid(3, (3,))  # only sigma_1, sigma_2 exist on 3 strands
     with pytest.raises(ValueError):
+        Braid.from_letters(3, [3])  # reduce_letters does not check ranges
+    with pytest.raises(ValueError):
         Braid(1, (1,))
     with pytest.raises(ValueError):
         Braid(0, ())
@@ -79,6 +89,22 @@ def test_braid_algebra():
     assert len(a * b) == 2
     with pytest.raises(ValueError):
         a * Braid.generator(3, 1)
+
+
+def test_kernel_built_braids_equal_validated_ones():
+    rng = random.Random(60)
+    for _ in range(100):
+        strands = rng.randint(2, 6)
+        a = rand_braid(rng, strands)
+        b = rand_braid(rng, strands)
+        j = rng.randint(1, strands)
+        built_by_kernels = (
+            a * b, a.inverse(), braid_commutator(a, b), delete_strand(a, j)
+        )
+        for built in built_by_kernels:
+            checked = Braid(built.strands, built.letters)
+            assert built == checked
+            assert hash(built) == hash(checked)
 
 
 def test_parse_and_render_round_trip():
@@ -237,6 +263,69 @@ def test_delete_strand_is_a_homomorphism_on_pure_braids():
         assert artin_action(lhs) == artin_action(rhs)
 
 
+def _fuzzed_braids(rng, strands):
+    """Random, pure, commutator and conjugate braids on the given strands.
+
+    Commutators and conjugates put inverse letters on both sides of the
+    crossings of a strand, so their deletions cancel across dropped crossings.
+    """
+    a = rand_braid(rng, strands)
+    b = rand_braid(rng, strands)
+    u = rand_braid(rng, strands, length=6)
+    sigma = Braid.generator(strands, rng.randint(1, strands - 1), rng.choice([1, -1]))
+    return [
+        a,
+        rand_pure_braid(rng, strands),
+        braid_commutator(a, b),
+        sigma.conjugate(u),
+        rand_pure_braid(rng, strands).conjugate(u),
+    ]
+
+
+def test_delete_strand_matches_oracle_at_every_strand():
+    rng = random.Random(61)
+    pure = cancelled = 0
+    for _ in range(150):
+        strands = rng.randint(2, 8)
+        for b in _fuzzed_braids(rng, strands):
+            pure += is_pure(b)
+            for j in range(1, strands + 1):
+                got = delete_strand(b, j)
+                assert got.strands == strands - 1
+                follow = oracle_follow_strand(strands, b.letters, j)
+                expected = oracle_reduce(follow)
+                assert got.letters == expected
+                cancelled += expected != tuple(follow)
+    # the fuzz covers pure braids and cancellation across dropped crossings
+    assert pure > 200
+    assert cancelled > 500
+
+
+def _oracle_is_brunnian(b):
+    if not strand_permutation(b).is_identity:
+        return False
+    n = b.strands - 1
+    identity = [(k,) for k in range(1, n + 1)]
+    return all(
+        oracle_artin_images(n, oracle_delete_strand(b.strands, b.letters, j))
+        == identity
+        for j in range(1, b.strands + 1)
+    )
+
+
+def test_is_brunnian_matches_oracle_on_sampled_braids():
+    seen = {True: 0, False: 0}
+    for n in range(2, 6):
+        for b in sample_brun_generators(n, conj_depth=2, seed=62 + n, count=6):
+            for candidate in (b, b * gen_a(1, 2, n)):
+                expected = _oracle_is_brunnian(candidate)
+                assert is_brunnian(candidate) is expected
+                seen[expected] += 1
+    # every pure braid on two strands is Brunnian, so only n = 3..5 give
+    # the 18 non-Brunnian controls
+    assert seen == {True: 30, False: 18}
+
+
 # ---------------------------------------------------------------------------
 # generator families
 
@@ -332,6 +421,15 @@ def test_sampling_is_deterministic_and_validates():
         list(sample_brun_generators(3, 2, seed=0, count=-1))
 
 
+def test_sampled_corpus_is_frozen():
+    # any change to sampling, multiplication or reduction shows here
+    sams = list(sample_brun_generators(6, 4, 3, 20))
+    text = dump_corpus(sams, 6, 3)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "869a5d838c479a8406b8a0e908d6b48539c8bb1b1a02a4b992c18f644b02ecd8"
+    )
+
+
 # ---------------------------------------------------------------------------
 # corpus files
 
@@ -355,3 +453,5 @@ def test_corpus_rejects_bad_input():
         load_corpus("strands=3 seed=0\n")
     with pytest.raises(ValueError):
         load_corpus("# strands=3 seed=x\n")
+    with pytest.raises(ValueError):
+        load_corpus("# strands=3 seed=0\ns1 s2\ns3\n")

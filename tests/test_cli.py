@@ -62,6 +62,18 @@ def test_verify_finite_rejects_unrepresentable_degree(runner, tmp_path):
     assert "--degree-cap" in result.output
 
 
+def test_verify_finite_reports_exhausted_draws_as_usage_error(
+    runner, tmp_path, monkeypatch
+):
+    # seed 0 at order cap 2 needs 31 carrier draws
+    monkeypatch.setattr(finite, "MAX_INSTANCE_DRAWS", 30)
+    result = invoke(
+        runner, tmp_path, ["verify-finite", "--trials", "1", "--order-cap", "2"]
+    )
+    assert result.exit_code == 2
+    assert "30 draws" in result.output
+
+
 def test_verify_finite_has_no_weight_cap_option(runner, tmp_path):
     # the fat subgroup covers every bracket weight; an old --weight-cap is a usage error
     result = invoke(

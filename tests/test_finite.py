@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from commlab import finite
 from commlab.brackets import Leaf, enumerate_brackets
 from commlab.finite import (
     BudgetExceeded,
@@ -423,3 +424,27 @@ def test_random_instance_is_deterministic():
     assert a.group.elements == b.group.elements
     assert [R.elements for R in a.subgroups] == [R.elements for R in b.subgroups]
     assert a.group.order <= 2000 and a.group.degree <= 10
+
+
+def test_random_instance_rejects_caps_without_carriers():
+    # order 1 admits only the trivial group, which is never accepted
+    for bad in (
+        dict(order_cap=1),
+        dict(order_cap=0),
+        dict(degree_cap=2),
+        dict(degree_cap=256),
+    ):
+        with pytest.raises(ValueError):
+            random_instance(0, n=2, **bad)
+
+
+def test_random_instance_gives_up_after_a_fixed_number_of_draws(monkeypatch):
+    # seed 0 at order cap 2 finds its carrier on the 31st draw
+    found = random_instance(0, n=1, degree_cap=10, order_cap=2)
+    assert found.group.order == 2
+    monkeypatch.setattr(finite, "MAX_INSTANCE_DRAWS", 31)
+    again = random_instance(0, n=1, degree_cap=10, order_cap=2)
+    assert again.group.elements == found.group.elements
+    monkeypatch.setattr(finite, "MAX_INSTANCE_DRAWS", 30)
+    with pytest.raises(ValueError, match="30 draws"):
+        random_instance(0, n=1, degree_cap=10, order_cap=2)

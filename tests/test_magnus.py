@@ -66,6 +66,14 @@ def test_series_multiplication_respects_cutoff():
         TruncatedSeries(2, {(1,): 0})
 
 
+def test_series_products_equal_validated_series():
+    rng = random.Random(33)
+    for _ in range(100):
+        cutoff = rng.randint(0, 4)
+        product = expand(rand_word(rng), cutoff) * expand(rand_word(rng), cutoff)
+        assert product == TruncatedSeries(cutoff, dict(product.terms))
+
+
 def test_gamma_membership_basics():
     x1, x2 = Word.generator(1), Word.generator(2)
     assert gamma_membership(x1, 1)

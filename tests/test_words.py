@@ -53,6 +53,16 @@ def test_multiplication_cancels_at_the_seam():
     assert (a * b).letters == (3,)
 
 
+def test_products_and_inverses_equal_validated_words():
+    rng = random.Random(25)
+    for _ in range(200):
+        a, b = rand_word(rng), rand_word(rng)
+        for built in (a * b, a.inverse(), commutator(a, b)):
+            checked = Word(built.letters)
+            assert built == checked
+            assert hash(built) == hash(checked)
+
+
 def test_group_laws_on_fuzzed_triples():
     rng = random.Random(21)
     for _ in range(300):
