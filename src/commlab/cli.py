@@ -137,7 +137,6 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
             fat_order=fat.fat_order,
             symmetric_order=fat.symmetric_order,
             fat_evaluations=fat.evaluations,
-            fat_rounds=fat.rounds,
             fat_equals_symmetric=fat.passed,
             restriction=restr.passed,
             product_rule=rule.passed,

@@ -51,8 +51,8 @@ def test_verify_finite_small_run(runner, tmp_path):
     assert len(payload["results"]["trials"]) == 3
     trial = payload["results"]["trials"][0]
     assert trial["fat_equals_symmetric"] and trial["hall"]
-    assert trial["fat_evaluations"] > 0
-    assert trial["fat_rounds"] >= 1
+    assert trial["fat_evaluations"] == 1
+    assert "fat_rounds" not in trial
     assert "stabilized" not in trial and "fat_orders_by_weight" not in trial
 
 
@@ -91,6 +91,17 @@ def test_verify_finite_decides_ten_subgroups(runner, tmp_path):
     assert read_report(result, tmp_path)["results"]["summary"]["pass"] == "1/1"
 
 
+def test_verify_finite_thirteen_subgroups_exceed_the_default_budget(
+    runner, tmp_path
+):
+    # 31,964,205 mask pairs at n = 13, over the default 10^7
+    result = invoke(runner, tmp_path, ["verify-finite", "--n", "13", "--trials", "1"])
+    assert result.exit_code == 3
+    trial = read_report(result, tmp_path)["results"]["trials"][0]
+    assert trial["undecided"] is True
+    assert "31964205 mask pairs" in trial["budget_exceeded"]
+
+
 def test_verify_finite_zero_trials_passes(runner, tmp_path):
     result = invoke(runner, tmp_path, ["verify-finite", "--trials", "0"])
     assert result.exit_code == 0
@@ -122,7 +133,7 @@ def test_verify_finite_budget_env(runner, tmp_path):
         runner,
         tmp_path,
         ["verify-finite", "--trials", "1", "--n", "3", "--seed", "7"],
-        env={"COMMLAB_BUDGET": "40"},
+        env={"COMMLAB_BUDGET": "8"},
     )
     assert tiny.exit_code == 3
     payload = json.loads(tiny.stdout)

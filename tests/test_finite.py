@@ -244,22 +244,33 @@ def test_fat_commutator_examples():
     inst = random_instance(9, n=1, degree_cap=6, order_cap=300)
     fat = fat_commutator(inst.group, inst.subgroups)
     assert fat.subgroup.elements == inst.subgroups[0].elements
-    assert fat.rounds >= 1
+    assert fat.evaluations == 0
 
     abelian = closure([Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
     R = normal_closure(abelian, list(abelian.gens))
     out = fat_commutator(abelian, [R, R])
     assert out.subgroup.is_trivial
-    # R1, R2 and the trivial subgroup on masks {1}, {2}, {1, 2}: 15 pairs
-    assert (out.evaluations, out.rounds) == (15, 2)
+    # the one mask pair {1}, {2}
+    assert out.evaluations == 1
 
 
 def test_fat_commutator_counters_are_frozen():
-    # evaluations = E(E + 1) / 2 over the E distinct (mask, subgroup) entries
-    for seed, n, expected in [(7, 3, (136, 3)), (4001, 4, (946, 4))]:
+    # evaluations = unordered {A, B} of proper submasks with A | B = M, over M
+    for seed, n, expected in [(7, 3, 9), (4001, 4, 55)]:
         inst = random_instance(seed, n=n)
         out = fat_commutator(inst.group, inst.subgroups)
-        assert (out.evaluations, out.rounds) == expected, seed
+        assert out.evaluations == expected, seed
+    for n, expected in enumerate([0, 1, 9, 55, 285, 1351], start=1):
+        brute = sum(
+            1
+            for M in range(1 << n)
+            for A in range(1, M)
+            for B in range(A + 1, M)
+            if A | B == M
+        )
+        inst = random_instance(200 + n, n=n)
+        out = fat_commutator(inst.group, inst.subgroups)
+        assert brute == out.evaluations == expected, n
 
 
 def test_fat_commutator_matches_tuple_enumeration_oracle():
@@ -301,20 +312,43 @@ def tree_walk_fat(G, Rs, weight_cap):
 
 
 def test_fat_commutator_matches_tree_walk():
-    cases = [(1000 + i, 2 + i % 2) for i in range(30)] + [(9, 1)]
-    for seed, n in cases:
-        inst = random_instance(seed, n=n, degree_cap=10, order_cap=2000)
+    cases = [(1000 + i, 2 + i % 2, 10, 2000) for i in range(30)] + [(9, 1, 10, 2000)]
+    # n = 4 is the first n where two 3-index masks are paired
+    cases += [(1030 + i, 4, 10, 2000) for i in range(10)]
+    # here fat is bigger than some single commutator of the full mask's
+    # splits, so a table that keeps one commutator per mask falls short
+    cases += [(134, 3, 6, 720), (249, 3, 6, 720)]
+    for seed, n, degree_cap, order_cap in cases:
+        inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
         out = fat_commutator(inst.group, inst.subgroups)
-        # weight n already gives every bracket value the saturation reaches
-        for cap in sorted({n, n + 1, 2 * n}):
+        # the walk reaches fat at weight n; higher caps add nothing
+        for cap in sorted({n, n + 1, 2 * n} if n < 4 else {n, n + 1}):
             sub = tree_walk_fat(inst.group, inst.subgroups, cap)
             assert out.subgroup.elements == sub.elements, (seed, cap)
 
 
-def test_fat_commutator_budget_guard():
+def test_fat_commutator_budget_guard(monkeypatch):
     inst = random_instance(11, n=3, degree_cap=6, order_cap=300)
     with pytest.raises(BudgetExceeded):
-        fat_commutator(inst.group, inst.subgroups, budget=100)
+        fat_commutator(inst.group, inst.subgroups, budget=8)
+
+    # the pair count is checked before any commutator is computed
+    calls = []
+    real = finite.commutator_subgroup
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(finite, "commutator_subgroup", counting)
+    for n, pairs in [(2, 1), (3, 9), (4, 55), (5, 285)]:
+        inst = random_instance(300 + n, n=n)
+        calls.clear()
+        with pytest.raises(BudgetExceeded, match=f"n = {n} needs {pairs} "):
+            fat_commutator(inst.group, inst.subgroups, budget=pairs - 1)
+        assert not calls, n
+        out = fat_commutator(inst.group, inst.subgroups, budget=pairs)
+        assert out.evaluations == pairs and calls, n
 
 
 # ---------------------------------------------------------------------------
