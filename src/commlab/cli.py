@@ -1,7 +1,8 @@
 """Experiment driver: seeded verification subcommands with JSON reports.
 
 Exit codes: 0 when every check passed, 1 when a mathematical check failed
-(which would indicate an implementation bug), 2 on usage or config errors,
+(which would indicate an implementation bug), 2 on usage or config errors
+(an unwritable --out or --export path included),
 3 when no check failed but some trial was undecided because it exhausted its
 budget. Run it as ``commlab``, ``python -m commlab`` or ``python -m commlab.cli``.
 The JSON report written under --out is the contract; --format text prints a
@@ -58,7 +59,12 @@ def _finish(
 ) -> None:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     payload = reports.build_payload(subcommand, seed, config, results, elapsed_ms)
-    path = reports.write_report(out_dir, payload)
+    try:
+        path = reports.write_report(out_dir, payload)
+    except OSError as exc:
+        raise click.UsageError(
+            f"cannot write a report under {out_dir}: {exc.strerror or exc}"
+        )
     if fmt == "text":
         click.echo(reports.render_table(payload))
     else:
@@ -199,9 +205,14 @@ def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt
     sams = list(braids.sample_brun_generators(n, conj_depth, seed, samples))
     good = sum(braids.is_brunnian(b) for b in sams)
     if export_path is not None:
-        reports.atomic_write_text(
-            Path(export_path), braids.dump_corpus(sams, n, seed)
-        )
+        try:
+            reports.atomic_write_text(
+                Path(export_path), braids.dump_corpus(sams, n, seed)
+            )
+        except OSError as exc:
+            raise click.UsageError(
+                f"cannot export the corpus to {export_path}: {exc.strerror or exc}"
+            )
     results = {
         "summary": {"pass": f"{good}/{samples}"},
         "max_word_length": max((len(b) for b in sams), default=0),

@@ -16,7 +16,9 @@ subgroups here are normal in their parent; the element-level enumeration is
 kept in the test suite as an independent oracle. The fat and symmetric
 commutator subgroups are each one table with a subgroup per index mask, a
 product of commutators of smaller masks' entries. Two identities for normal
-subgroups make that exact: [XY, Z] = [X, Z][Y, Z], and [X, Z] <= X.
+subgroups make that exact: [XY, Z] = [X, Z][Y, Z], and [X, Z] <= X. The fat
+entry of a mask needs only its two-block partitions {A, M - A}: every other
+cover's commutator lies in one of theirs (see ``fat_commutator``).
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ class Permutation(bytes):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         return cls(range(degree))
-
-    @classmethod
-    def from_images(cls, images: Sequence[int]) -> Permutation:
-        """Build from 1-based images, e.g. [2, 1, 3] for the transposition."""
-        return cls(i - 1 for i in images)
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Permutation:
@@ -143,10 +140,6 @@ class PermGroup:
     def __contains__(self, p: bytes) -> bool:
         return p in self.elements
 
-    def members(self) -> Iterator[Permutation]:
-        for p in sorted(self.elements):
-            yield Permutation(p)
-
 
 @dataclass(frozen=True)
 class NormalSubgroup:
@@ -165,22 +158,10 @@ class NormalSubgroup:
     def __contains__(self, p: bytes) -> bool:
         return p in self.elements
 
-    def members(self) -> Iterator[Permutation]:
-        for p in sorted(self.elements):
-            yield Permutation(p)
-
     @classmethod
     def trivial(cls, parent: PermGroup) -> NormalSubgroup:
         ident = bytes(parent.identity)
         return cls(parent, frozenset((ident,)), ())
-
-    def is_normal_in_parent(self) -> bool:
-        """Full conjugation scan; quadratic, intended for tests."""
-        return all(
-            _conj(p, g) in self.elements
-            for p in self.elements
-            for g in self.parent.elements
-        )
 
 
 def _same_parent(a: NormalSubgroup, b: NormalSubgroup) -> PermGroup:
@@ -434,15 +415,23 @@ def fat_commutator(
     Let F(M) be the subgroup generated by the brackets whose leaves use
     exactly the index mask M; F({i}) = R_i. A bracket [u, v] on M with a child
     on all of M lies in that child, as [X, Z] <= X. Any other lies in
-    [F(A), F(B)] for proper submasks A | B = M, overlapping or not, and by
-    [XY, Z] = [X, Z][Y, Z] such brackets generate that commutator. So F(M) is
-    the product of [F(A), F(B)] over those unordered pairs; fat is F(full).
+    [F(A), F(B)] for proper submasks A | B = M, and by [XY, Z] = [X, Z][Y, Z]
+    such brackets generate that commutator. So F(M) is the product of
+    [F(A), F(B)] over those covers, and the two-block partitions suffice.
 
-    ``evaluations`` is the number of such mask pairs, (4^n - 2*3^n + 2^n) / 2,
+    Lemma: F(M) <= F(M - {j}) for j in M, |M| >= 2, so F shrinks as M grows.
+    By induction on |M|, take a cover {A, B} of M. If a block is M - {j},
+    [F(A), F(B)] <= F(M - {j}) as [X, Z] <= X & Z. Otherwise A - {j} and
+    B - {j} are proper nonempty submasks covering M - {j}, and by induction and
+    monotonicity [F(A), F(B)] <= [F(A - {j}), F(B - {j})] <= F(M - {j}).
+    So for a cover with A proper, M - A is nonempty and inside B, and
+    [F(A), F(B)] <= [F(A), F(M - A)]. Fat is F(full).
+
+    ``evaluations`` is the number of such partitions, (3^n + 1) / 2 - 2^n,
     which ``budget`` bounds; it is checked before any work.
     """
     n = len(Rs)
-    pairs = (4**n - 2 * 3**n + 2**n) // 2
+    pairs = (3**n + 1) // 2 - 2**n
     if pairs > budget:
         raise BudgetExceeded(
             f"fat computation at n = {n} needs {pairs} mask pairs, "
@@ -452,15 +441,11 @@ def fat_commutator(
 
 
 def _fat_splits(mask: int) -> Iterator[tuple[int, int]]:
-    """Each unordered {A, B} of proper submasks with A | B = mask, once."""
+    """Each two-block partition {A, mask - A} of the mask, once."""
     a = mask
     while a := (a - 1) & mask:
-        sub = a
-        while sub:  # B is mask - A plus a proper submask of A, 0 included
-            sub = (sub - 1) & a
-            b = (mask ^ a) | sub
-            if a < b:
-                yield a, b
+        if a < mask ^ a:
+            yield a, mask ^ a
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ class TruncatedSeries:
                     del acc[mono]
         return TruncatedSeries._trusted(cutoff, acc)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(tuple(mono), 0)
-
     @property
     def is_one(self) -> bool:
         return self.terms == {(): 1}

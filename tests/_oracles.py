@@ -77,6 +77,12 @@ def oracle_normal_closure(group, seeds) -> set[tuple[int, ...]]:
         elems = oracle_closure(elems | new, degree)
 
 
+def oracle_is_normal(group, sub) -> bool:
+    """Every conjugate of every element of sub by every element of group is in sub."""
+    sub = set(sub)
+    return all(o_conj(p, g) in sub for p in sub for g in group)
+
+
 def oracle_commutator_subgroup(A, B) -> set[tuple[int, ...]]:
     """Closure of all element-level commutators [a, b]."""
     degree = len(next(iter(A)))

@@ -91,15 +91,15 @@ def test_verify_finite_decides_ten_subgroups(runner, tmp_path):
     assert read_report(result, tmp_path)["results"]["summary"]["pass"] == "1/1"
 
 
-def test_verify_finite_thirteen_subgroups_exceed_the_default_budget(
+def test_verify_finite_sixteen_subgroups_exceed_the_default_budget(
     runner, tmp_path
 ):
-    # 31,964,205 mask pairs at n = 13, over the default 10^7
-    result = invoke(runner, tmp_path, ["verify-finite", "--n", "13", "--trials", "1"])
+    # 21,457,825 mask pairs at n = 16, over the default 10^7
+    result = invoke(runner, tmp_path, ["verify-finite", "--n", "16", "--trials", "1"])
     assert result.exit_code == 3
     trial = read_report(result, tmp_path)["results"]["trials"][0]
     assert trial["undecided"] is True
-    assert "31964205 mask pairs" in trial["budget_exceeded"]
+    assert "21457825 mask pairs" in trial["budget_exceeded"]
 
 
 def test_verify_finite_zero_trials_passes(runner, tmp_path):
@@ -133,7 +133,7 @@ def test_verify_finite_budget_env(runner, tmp_path):
         runner,
         tmp_path,
         ["verify-finite", "--trials", "1", "--n", "3", "--seed", "7"],
-        env={"COMMLAB_BUDGET": "8"},
+        env={"COMMLAB_BUDGET": "5"},
     )
     assert tiny.exit_code == 3
     payload = json.loads(tiny.stdout)
@@ -199,6 +199,27 @@ def test_brunnian_sampling_and_export(runner, tmp_path):
     assert payload["results"]["summary"]["pass"] == "8/8"
     strands, seed, braids = load_corpus(corpus.read_text())
     assert (strands, seed, len(braids)) == (3, 11, 8)
+
+
+def test_brunnian_export_to_a_missing_directory_is_a_usage_error(runner, tmp_path):
+    target = tmp_path / "missing_dir" / "c.txt"
+    result = invoke(
+        runner, tmp_path, ["brunnian", "--samples", "2", "--export", str(target)]
+    )
+    assert result.exit_code == 2
+    assert str(target) in result.output
+    assert not (tmp_path / "latest").exists()
+
+
+def test_report_directory_under_a_regular_file_is_a_usage_error(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "reports"
+    result = runner.invoke(
+        main, ["verify-finite", "--trials", "1", "--n", "2", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert str(out) in result.output
 
 
 def test_brunnian_check_word(runner, tmp_path):

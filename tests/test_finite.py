@@ -34,6 +34,7 @@ from _oracles import (
     oracle_closure,
     oracle_commutator_subgroup,
     oracle_fat,
+    oracle_is_normal,
     oracle_normal_closure,
     oracle_symmetric,
     ordered_walk,
@@ -60,7 +61,6 @@ def test_permutation_constructors_and_composition():
     p = Permutation.from_cycles(3, (1, 2))
     q = Permutation.from_cycles(3, (2, 3))
     assert p.images() == (2, 1, 3)
-    assert Permutation.from_images([2, 1, 3]) == p
     # left-to-right: (p * q)(1) = q(p(1))
     assert (p * q).images() == (3, 1, 2)
     assert (p * p).is_identity
@@ -74,8 +74,6 @@ def test_permutation_constructors_and_composition():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Permutation.from_images([1, 1, 3])
     with pytest.raises(ValueError):
         Permutation.identity(0)
 
@@ -150,7 +148,7 @@ def test_normal_closure_is_conjugation_stable_on_random_instances():
     for seed in range(6):
         inst = random_instance(seed, n=2, degree_cap=6, order_cap=200)
         for R in inst.subgroups:
-            assert R.is_normal_in_parent()
+            assert oracle_is_normal(tuples(inst.group.elements), tuples(R.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +253,17 @@ def test_fat_commutator_examples():
 
 
 def test_fat_commutator_counters_are_frozen():
-    # evaluations = unordered {A, B} of proper submasks with A | B = M, over M
-    for seed, n, expected in [(7, 3, 9), (4001, 4, 55)]:
+    # evaluations = unordered two-block partitions {A, M - A}, over the masks M
+    for seed, n, expected in [(7, 3, 6), (4001, 4, 25)]:
         inst = random_instance(seed, n=n)
         out = fat_commutator(inst.group, inst.subgroups)
         assert out.evaluations == expected, seed
-    for n, expected in enumerate([0, 1, 9, 55, 285, 1351], start=1):
+    for n, expected in enumerate([0, 1, 6, 25, 90, 301], start=1):
         brute = sum(
             1
             for M in range(1 << n)
             for A in range(1, M)
-            for B in range(A + 1, M)
-            if A | B == M
+            if A & M == A and A < M ^ A
         )
         inst = random_instance(200 + n, n=n)
         out = fat_commutator(inst.group, inst.subgroups)
@@ -311,14 +308,18 @@ def tree_walk_fat(G, Rs, weight_cap):
     return total
 
 
+TREE_WALK_CASES = [(1000 + i, 2 + i % 2, 10, 2000) for i in range(30)] + [
+    (9, 1, 10, 2000)
+]
+# n = 4 is the first n where two 3-index masks are paired
+TREE_WALK_CASES += [(1030 + i, 4, 10, 2000) for i in range(10)]
+# here fat is bigger than some single commutator of the full mask's
+# splits, so a table that keeps one commutator per mask falls short
+TREE_WALK_CASES += [(134, 3, 6, 720), (249, 3, 6, 720)]
+
+
 def test_fat_commutator_matches_tree_walk():
-    cases = [(1000 + i, 2 + i % 2, 10, 2000) for i in range(30)] + [(9, 1, 10, 2000)]
-    # n = 4 is the first n where two 3-index masks are paired
-    cases += [(1030 + i, 4, 10, 2000) for i in range(10)]
-    # here fat is bigger than some single commutator of the full mask's
-    # splits, so a table that keeps one commutator per mask falls short
-    cases += [(134, 3, 6, 720), (249, 3, 6, 720)]
-    for seed, n, degree_cap, order_cap in cases:
+    for seed, n, degree_cap, order_cap in TREE_WALK_CASES:
         inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
         out = fat_commutator(inst.group, inst.subgroups)
         # the walk reaches fat at weight n; higher caps add nothing
@@ -327,10 +328,50 @@ def test_fat_commutator_matches_tree_walk():
             assert out.subgroup.elements == sub.elements, (seed, cap)
 
 
+# seeded carriers for the two-block partition lemma, n = 2..5
+LEMMA_CASES = [
+    (700 + 10 * n + i, n, degree_cap, order_cap)
+    for n in range(2, 6)
+    for i in range(6)
+    for degree_cap, order_cap in [(10, 2000), (6, 720)]
+]
+
+
+def _all_covers(mask):
+    """Each unordered {A, B} of proper submasks with A | B = mask, once."""
+    a = mask
+    while a := (a - 1) & mask:
+        sub = a
+        while sub:  # B is mask - A plus a proper submask of A, 0 included
+            sub = (sub - 1) & a
+            b = (mask ^ a) | sub
+            if a < b:
+                yield a, b
+
+
+def test_fat_shrinks_when_a_subgroup_is_added():
+    # fat(R_1..R_n) <= fat(R_1..R_n without R_i), the lemma behind the partitions
+    for seed, n, degree_cap, order_cap in LEMMA_CASES:
+        inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
+        G, Rs = inst.group, inst.subgroups
+        fat = fat_commutator(G, Rs).subgroup.elements
+        for i in range(n):
+            fewer = fat_commutator(G, Rs[:i] + Rs[i + 1 :]).subgroup.elements
+            assert fat <= fewer, (seed, i)
+
+
+def test_fat_partitions_equal_the_table_over_all_covers():
+    for seed, n, degree_cap, order_cap in LEMMA_CASES + TREE_WALK_CASES:
+        inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
+        G, Rs = inst.group, inst.subgroups
+        covers = finite._mask_table(G, Rs, _all_covers, None)
+        assert fat_commutator(G, Rs).subgroup.elements == covers.elements, seed
+
+
 def test_fat_commutator_budget_guard(monkeypatch):
     inst = random_instance(11, n=3, degree_cap=6, order_cap=300)
     with pytest.raises(BudgetExceeded):
-        fat_commutator(inst.group, inst.subgroups, budget=8)
+        fat_commutator(inst.group, inst.subgroups, budget=5)
 
     # the pair count is checked before any commutator is computed
     calls = []
@@ -341,7 +382,7 @@ def test_fat_commutator_budget_guard(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(finite, "commutator_subgroup", counting)
-    for n, pairs in [(2, 1), (3, 9), (4, 55), (5, 285)]:
+    for n, pairs in [(2, 1), (3, 6), (4, 25), (5, 90)]:
         inst = random_instance(300 + n, n=n)
         calls.clear()
         with pytest.raises(BudgetExceeded, match=f"n = {n} needs {pairs} "):
