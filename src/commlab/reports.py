@@ -5,17 +5,21 @@ a `latest` pointer file in the same directory is rewritten to hold the
 newest report's filename. Writes go through a temp file and os.replace, so
 readers never observe a partial report. Two runs with identical config and
 seed produce identical payloads except for meta.timestamp and the timing
-block, which is why those live in separate fields.
+block, which is why those live in separate fields. meta also names what ran:
+the commlab version and the Python version.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 import time
 from pathlib import Path
 from typing import Any, Iterator, Mapping
+
+from commlab import __version__
 
 
 def build_payload(
@@ -29,7 +33,13 @@ def build_payload(
     now = time.time() if now is None else now
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime(now))
     return {
-        "meta": {"subcommand": subcommand, "seed": seed, "timestamp": stamp},
+        "meta": {
+            "subcommand": subcommand,
+            "seed": seed,
+            "timestamp": stamp,
+            "version": __version__,
+            "python": platform.python_version(),
+        },
         "config": dict(config),
         "results": dict(results),
         "timing": {"elapsed_ms": round(elapsed_ms, 3)},

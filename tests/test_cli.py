@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -54,6 +55,13 @@ def test_verify_finite_small_run(runner, tmp_path):
     assert trial["fat_evaluations"] == 1
     assert "fat_rounds" not in trial
     assert "stabilized" not in trial and "fat_orders_by_weight" not in trial
+
+
+def test_verify_finite_report_says_what_ran(runner, tmp_path):
+    result = invoke(runner, tmp_path, ["verify-finite", "--trials", "1"])
+    meta = read_report(result, tmp_path)["meta"]
+    assert meta["version"] == commlab.__version__
+    assert meta["python"] == platform.python_version()
 
 
 def test_verify_finite_rejects_unrepresentable_degree(runner, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -523,3 +524,25 @@ def test_random_instance_gives_up_after_a_fixed_number_of_draws(monkeypatch):
     monkeypatch.setattr(finite, "MAX_INSTANCE_DRAWS", 30)
     with pytest.raises(ValueError, match="30 draws"):
         random_instance(0, n=1, degree_cap=10, order_cap=2)
+
+
+# SHA-256 over random_instance seeds 0-199 (n = 3) of repr((degree, group
+# order, subgroup orders)), keyed by (degree_cap, order_cap). Recorded before
+# closure_set gained its order bound: the stream stays the same only if the
+# bound rejects exactly the draws the enumeration rejected.
+FROZEN_CARRIER_STREAMS = {
+    (10, 2000): "e1240754ec74b2e6b9d0be7f367210a34a242f6614aea6231aec2bfc5dd27bfb",
+    (12, 20000): "ffa39516c17214caeb7a3ca03f887c48556c76d9478304df7aadd89ceaf9e629",
+    (255, 2000): "bd145fb81e0379a0e18d713120ecd372341370c1ea9d95266d05f3140c23cbdb",
+    (10, 2): "2680dde1a17d9cfd21c2082462e7dbed2e22bcc07fa4ef4c2bbf74c81ba30346",
+}
+
+
+@pytest.mark.parametrize("degree_cap, order_cap", list(FROZEN_CARRIER_STREAMS))
+def test_random_instance_stream_is_frozen(degree_cap, order_cap):
+    digest = hashlib.sha256()
+    for seed in range(200):
+        inst = random_instance(seed, n=3, degree_cap=degree_cap, order_cap=order_cap)
+        orders = tuple(R.order for R in inst.subgroups)
+        digest.update(repr((inst.group.degree, inst.group.order, orders)).encode())
+    assert digest.hexdigest() == FROZEN_CARRIER_STREAMS[degree_cap, order_cap]

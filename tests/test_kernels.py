@@ -4,8 +4,11 @@ The fuzzers compare every kernel with a naive oracle from ``_oracles.py``,
 which shares no code with the package.
 """
 
+import itertools
+import math
 import random
 
+import pytest
 from _oracles import (
     o_inv,
     o_mul,
@@ -136,3 +139,88 @@ def test_permutation_kernels_match_the_oracle_on_fuzzed_generators():
         q = bytes(rng.sample(range(degree), degree))
         assert tuple(kernels.compose(p, q)) == o_mul(tuple(p), tuple(q))
         assert tuple(kernels.invert_perm(p)) == o_inv(tuple(p))
+
+
+def _cycle(degree, points):
+    p = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        p[a] = b
+    return bytes(p)
+
+
+def _symmetric(degree):
+    return [_cycle(degree, [0, 1]), _cycle(degree, list(range(degree)))]
+
+
+def _alternating(degree):
+    long_cycle = range(degree) if degree % 2 else range(1, degree)
+    return [_cycle(degree, [0, 1, 2]), _cycle(degree, list(long_cycle))]
+
+
+def _is_even(p):
+    inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+    return inversions % 2 == 0
+
+
+def _forbid_enumeration(monkeypatch):
+    def enumerate_anyway(*args):
+        raise AssertionError("the order bound let an oversized group through")
+
+    monkeypatch.setattr(kernels, "extend_subgroup", enumerate_anyway)
+
+
+def test_closure_set_matches_the_oracle_at_the_cap_boundary():
+    # the caps sit on the group order, where an unsound bound would show
+    rng = random.Random(35)
+    checked = nontrivial = rejected = 0
+    for _ in range(200):
+        degree = rng.randint(3, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(degree), rng.randint(2, degree))
+            p = list(range(degree))
+            for a, b in zip(support, rng.sample(support, len(support))):
+                p[a] = b
+            gens.append(bytes(p))
+        full = oracle_generated(gens, degree, 5040)
+        if full is None:
+            continue
+        order = len(full)
+        for cap in (order - 1, order, order + 1):
+            got = kernels.closure_set(gens, degree, cap)
+            want = oracle_generated(gens, degree, cap)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert {tuple(p) for p in got} == want
+            rejected += got is None
+        checked += 1
+        nontrivial += order > 1
+    # cap = order - 1 rejects every group but the trivial one at cap 0
+    assert checked >= 150 and rejected == nontrivial
+
+
+@pytest.mark.parametrize("degree", range(8, 13))
+def test_symmetric_and_alternating_groups_at_their_order(degree, monkeypatch):
+    sym_order = math.factorial(degree)
+    for gens, order in (
+        (_symmetric(degree), sym_order),
+        (_alternating(degree), sym_order // 2),
+    ):
+        if order <= 40320:
+            perms = set(itertools.permutations(range(degree)))
+            if order < sym_order:
+                perms = {p for p in perms if _is_even(p)}
+            got = kernels.closure_set(gens, degree, order)
+            assert {tuple(p) for p in got} == perms
+        else:
+            # too large to enumerate: the bound alone must let it through
+            assert not kernels._order_exceeds(gens, degree, order)
+        with monkeypatch.context() as m:
+            _forbid_enumeration(m)
+            assert kernels.closure_set(gens, degree, order - 1) is None
+
+
+def test_degree_200_group_is_rejected_without_enumeration(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    assert kernels.closure_set(_symmetric(200), 200, 10**6) is None
+    assert kernels.closure_set(_alternating(200), 200, 10**6) is None

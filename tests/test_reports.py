@@ -1,6 +1,8 @@
 import json
+import platform
 import time
 
+import commlab
 from commlab import reports
 
 
@@ -20,6 +22,8 @@ def test_payload_shape_and_timestamp_format():
     assert set(p) == {"meta", "config", "results", "timing"}
     assert p["meta"]["subcommand"] == "demo"
     assert p["meta"]["seed"] == 7
+    assert p["meta"]["version"] == commlab.__version__
+    assert p["meta"]["python"] == platform.python_version()
     ts = p["meta"]["timestamp"]
     assert len(ts) == 16 and ts.endswith("Z") and ts[8] == "T"
     assert p["timing"]["elapsed_ms"] == 1.235
