@@ -19,6 +19,13 @@ product of commutators of smaller masks' entries. Two identities for normal
 subgroups make that exact: [XY, Z] = [X, Z][Y, Z], and [X, Z] <= X. The fat
 entry of a mask needs only its two-block partitions {A, M - A}: every other
 cover's commutator lies in one of theirs (see ``fat_commutator``).
+
+Most of these subgroups turn out to be the whole parent, which is never
+enumerated twice. Each Dimino extension inside a parent G (normal closures,
+products, generating sets) is capped at |G|/p, p the least prime dividing
+|G|. By Lagrange a subgroup's order divides |G|, so one that passes the cap is
+G itself, and G's own element set is returned. An intersection as large as
+one of its inputs is that input, since it lies inside every input.
 """
 
 from __future__ import annotations
@@ -195,11 +202,20 @@ def closure(
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
-    """Smallest normal subgroup of G containing the seeds."""
+    """Smallest normal subgroup of G containing the seeds.
+
+    Each Dimino extension is capped at the largest proper divisor of |G|.
+    The subgroup it builds lies in G, so by Lagrange its order divides |G|,
+    and an order past that cap leaves only |G|: the closure is G itself and
+    is returned without enumerating the rest of it. Its gens are the seeds
+    taken so far, exactly those a full enumeration would keep, since every
+    later conjugate already lies in G.
+    """
     for s in seeds:
         if s not in G.elements:
             raise ValueError(f"seed {Permutation(s)!r} lies outside the group")
     ident = bytes(G.identity)
+    cap = _largest_proper_divisor(G.order)
     elems: set[bytes] = {ident}
     sub_gens: list[bytes] = []
     pending = [bytes(s) for s in seeds]
@@ -208,8 +224,9 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
         s = pending.pop()
         if s in elems:
             continue
-        grown = kernels.extend_subgroup(elems, sub_gens, s, G.order)
-        assert grown is not None  # bounded by |G|
+        grown = kernels.extend_subgroup(elems, sub_gens, s, cap)
+        if grown is None:
+            return _whole(G, [*sub_gens, s])
         elems = grown
         sub_gens.append(s)
         for g in gen_raw:
@@ -219,18 +236,43 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     )
 
 
+def _largest_proper_divisor(order: int) -> int:
+    """order // p for the least prime p dividing order (1 for order <= 1).
+
+    A subgroup of a group of this order that has more elements than this is
+    the whole group, by Lagrange.
+    """
+    p = 2
+    while p * p <= order:
+        if order % p == 0:
+            return order // p
+        p += 1
+    return 1
+
+
+def _whole(G: PermGroup, gens: Sequence[bytes]) -> NormalSubgroup:
+    """G as a normal subgroup of itself, generated by ``gens``."""
+    return NormalSubgroup(G, G.elements, tuple(Permutation(g) for g in gens))
+
+
 def generating_set(parent: PermGroup, elements: Iterable[bytes]) -> list[bytes]:
-    """Small deterministic generating set for a materialised subgroup."""
+    """Small deterministic generating set for a materialised subgroup.
+
+    Stops, by the same Lagrange argument as ``normal_closure``, once the
+    generated subgroup outgrows the largest proper divisor of its order.
+    """
     ident = bytes(parent.identity)
     have: set[bytes] = {ident}
     gens: list[bytes] = []
     pool = sorted(set(elements))
+    cap = _largest_proper_divisor(len(pool))
     for x in pool:
         if x not in have:
-            grown = kernels.extend_subgroup(have, gens, x, parent.order)
-            assert grown is not None
-            have = grown
+            grown = kernels.extend_subgroup(have, gens, x, cap)
             gens.append(x)
+            if grown is None:
+                break
+            have = grown
         if len(have) == len(pool):
             break
     return gens
@@ -290,7 +332,11 @@ def commutator_subgroup(
 
 
 def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
-    """A*B = {a b}; a subgroup since both factors are normal."""
+    """A*B = {a b}; a subgroup since both factors are normal.
+
+    Returns the parent once A*B outgrows its largest proper divisor, as in
+    ``normal_closure``.
+    """
     parent = _same_parent(A, B)
     if B.elements <= A.elements:
         return A
@@ -298,10 +344,12 @@ def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
         return B
     elems = set(A.elements)
     gens = [bytes(g) for g in A.gens]
+    cap = _largest_proper_divisor(parent.order)
     for g in B.gens:
         g = bytes(g)
-        grown = kernels.extend_subgroup(elems, gens, g, parent.order)
-        assert grown is not None
+        grown = kernels.extend_subgroup(elems, gens, g, cap)
+        if grown is None:
+            return _whole(parent, [*gens, g])
         if grown is not elems:
             gens.append(g)
         elems = grown
@@ -322,9 +370,17 @@ def product_of(
 def intersection_of(
     parent: PermGroup, subgroups: Sequence[NormalSubgroup]
 ) -> NormalSubgroup:
+    """Common elements of the subgroups.
+
+    The intersection lies in every input, so an input of the same order has
+    the same elements and is returned as it is.
+    """
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
     elems = frozenset.intersection(*(s.elements for s in subgroups))
+    for s in subgroups:
+        if s.order == len(elems):
+            return s
     gens = generating_set(parent, elems)
     return NormalSubgroup(parent, elems, tuple(Permutation(g) for g in gens))
 

@@ -21,6 +21,7 @@ larger than the cap, so oversized groups are rejected without enumeration.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 _IDENT256 = bytes(range(256))
@@ -202,9 +203,10 @@ def closure_set(
     so it lies in H_b. Recursing on the first few of them gives a subgroup
     K <= H_b, and by Lagrange the product of the orbit lengths divides |H|.
     Only the Dimino enumeration below decides a group within the cap; the
-    bound rejects nothing that the enumeration would accept.
+    bound rejects nothing that the enumeration would accept. It is skipped
+    when d! <= cap, as no group of degree d can then pass the cap.
     """
-    if _order_exceeds(gens, degree, cap):
+    if math.factorial(degree) > cap and _order_exceeds(gens, degree, cap):
         return None
     elems: set[bytes] | None = {_IDENT256[:degree]}
     done: list[bytes] = []

@@ -184,6 +184,63 @@ def oracle_generated(gens, degree: int, cap: int) -> set[tuple[int, ...]] | None
     return elems
 
 
+def oracle_span(pool, degree: int) -> tuple[list, set[tuple[int, ...]]]:
+    """Generators and elements of the subgroup generated by ``pool``.
+
+    Walks the sorted pool and keeps each element not yet reached as a new
+    generator, regenerating with ``oracle_generated``. At most log2 |H|
+    generators are kept, so it costs about |H| log2 |H| products, not
+    |H| * |pool|.
+    """
+    gens: list[tuple[int, ...]] = []
+    elems = {tuple(range(degree))}
+    for x in sorted({tuple(p) for p in pool}):
+        if x not in elems:
+            gens.append(x)
+            elems = oracle_generated(gens, degree, float("inf"))
+    return gens, elems
+
+
+def oracle_conjugates(group_gens, seeds) -> set[tuple[int, ...]]:
+    """Every conjugate of the seeds by the group that ``group_gens`` generate."""
+    group_gens = [tuple(g) for g in group_gens]
+    out = {tuple(s) for s in seeds}
+    frontier = list(out)
+    while frontier:
+        p = frontier.pop()
+        for g in group_gens:
+            c = o_conj(p, g)
+            if c not in out:
+                out.add(c)
+                frontier.append(c)
+    return out
+
+
+def oracle_normal_closure_by_conjugates(
+    group_gens, seeds, degree: int
+) -> set[tuple[int, ...]]:
+    """The subgroup generated by all conjugates of the seeds.
+
+    Unlike ``oracle_normal_closure`` it never runs over the whole group, so it
+    reaches carriers of a few thousand elements.
+    """
+    return oracle_span(oracle_conjugates(group_gens, seeds), degree)[1]
+
+
+def oracle_commutator_of_normal(
+    group_gens, A, B, degree: int
+) -> set[tuple[int, ...]]:
+    """[A, B] for normal subgroups A = <X>, B = <Y> of the group.
+
+    It is the normal closure of the [x, y]: modulo that closure each x
+    commutes with each y, hence A with B. X and Y come from ``oracle_span``.
+    """
+    X = oracle_span(A, degree)[0]
+    Y = oracle_span(B, degree)[0]
+    seeds = {o_comm(x, y) for x in X for y in Y}
+    return oracle_normal_closure_by_conjugates(group_gens, seeds, degree)
+
+
 def oracle_reduce(letters) -> tuple[int, ...]:
     """Delete the first adjacent (c, -c) pair until none is left."""
     w = list(letters)

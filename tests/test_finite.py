@@ -33,10 +33,13 @@ from commlab.finite import (
 
 from _oracles import (
     oracle_closure,
+    oracle_commutator_of_normal,
     oracle_commutator_subgroup,
     oracle_fat,
     oracle_is_normal,
     oracle_normal_closure,
+    oracle_normal_closure_by_conjugates,
+    oracle_span,
     oracle_symmetric,
     ordered_walk,
 )
@@ -150,6 +153,103 @@ def test_normal_closure_is_conjugation_stable_on_random_instances():
         inst = random_instance(seed, n=2, degree_cap=6, order_cap=200)
         for R in inst.subgroups:
             assert oracle_is_normal(tuples(inst.group.elements), tuples(R.elements))
+
+
+def _cyclic(order):
+    return closure([Permutation(list(range(1, order)) + [0])])
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_three_cycles_close_to_the_alternating_group(n):
+    # index 2: the closure has exactly the largest proper divisor of |S_n|
+    long_cycle = Permutation.from_cycles(n, tuple(range(1, n + 1)))
+    G = closure([Permutation.from_cycles(n, (1, 2)), long_cycle])
+    A = normal_closure(G, [Permutation.from_cycles(n, (1, 2, 3))])
+    even = {
+        p
+        for p in itertools.permutations(range(n))
+        if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
+    }
+    assert tuples(A.elements) == even
+    assert closure(A.gens, degree=n).elements == A.elements
+
+
+def test_closure_of_order_three_in_the_cyclic_group_of_order_nine():
+    # the least prime dividing 9 is 3, so the cap sits at 3
+    G = _cyclic(9)
+    c = G.gens[0]
+    C3 = normal_closure(G, [c * c * c])
+    assert tuples(C3.elements) == oracle_closure([tuple(c * c * c)], 9)
+    assert C3.order == 3
+    assert normal_closure(G, [c * c]).elements is G.elements
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_closures_in_groups_of_prime_order(p):
+    # the cap is 1, so any nontrivial element generates the whole group
+    G = _cyclic(p)
+    ident = bytes(G.identity)
+    assert normal_closure(G, [ident]).is_trivial
+    for g in G.elements - {ident}:
+        whole = normal_closure(G, [g])
+        assert whole.elements is G.elements
+        assert closure(whole.gens, degree=p).elements == G.elements
+    assert generating_set(G, G.elements) == [min(G.elements - {ident})]
+
+
+def test_closure_equal_to_the_group_shares_its_element_set():
+    G = s4()
+    whole = normal_closure(G, [Permutation.from_cycles(4, (1, 2))])
+    assert whole.elements is G.elements
+    assert closure(whole.gens, degree=4).elements == G.elements
+    assert product_subgroup(
+        normal_closure(G, [Permutation.from_cycles(4, (1, 2, 3))]), whole
+    ).elements == G.elements
+
+
+@pytest.mark.parametrize("degree_cap, order_cap", [(8, 500), (10, 2000)])
+def test_subgroup_operations_match_oracles_on_random_instances(
+    degree_cap, order_cap
+):
+    # normal_closure, product_subgroup, intersection_of and commutator_subgroup
+    # against oracles that generate from conjugates, never from the results
+    whole = proper = 0
+    for seed in range(40):
+        inst = random_instance(seed, n=1, degree_cap=degree_cap, order_cap=order_cap)
+        G, d = inst.group, inst.group.degree
+        rng = random.Random(seed)
+        pool = sorted(G.elements)
+        subs = []
+        for _ in range(2):
+            seeds = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+            N = normal_closure(G, seeds)
+            assert tuples(N.elements) == oracle_normal_closure_by_conjugates(
+                G.gens, seeds, d
+            )
+            subs.append(N)
+        A, B = subs
+        results = [
+            *subs,
+            product_subgroup(A, B),
+            intersection_of(G, [A, B]),
+            commutator_subgroup(A, B),
+        ]
+        wants = [
+            tuples(A.elements),
+            tuples(B.elements),
+            oracle_span(A.elements | B.elements, d)[1],
+            tuples(A.elements) & tuples(B.elements),
+            oracle_commutator_of_normal(G.gens, A.elements, B.elements, d),
+        ]
+        for R, want in zip(results, wants):
+            assert tuples(R.elements) == want
+            assert closure(R.gens, degree=d).elements == R.elements
+            if R.elements == G.elements:
+                whole += 1
+            elif R.order > 1:
+                proper += 1
+    # both the Lagrange exit and full enumeration are exercised
+    assert whole >= 40 and proper >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +583,15 @@ def test_product_and_intersection():
     assert R1.elements <= prod.elements and R2.elements <= prod.elements
     assert prod.order * intersection_of(G, [R1, R2]).order == R1.order * R2.order
     assert intersection_of(G, [R1, R1]).elements == R1.elements
+    # R1 < R2, so the intersection is the second input itself
+    assert intersection_of(G, [R2, R1]) is R1
+    # no input equals the intersection of two incomparable subgroups
+    V = closure(
+        [Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (3, 4))]
+    )
+    X, Y = (normal_closure(V, [g]) for g in V.gens)
+    meet = intersection_of(V, [X, Y])
+    assert meet.is_trivial and meet.gens == ()
 
 
 def test_generating_set_reproduces_subgroups():

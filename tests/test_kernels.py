@@ -220,6 +220,24 @@ def test_symmetric_and_alternating_groups_at_their_order(degree, monkeypatch):
             assert kernels.closure_set(gens, degree, order - 1) is None
 
 
+def test_closure_set_skips_the_bound_where_no_group_passes_the_cap(monkeypatch):
+    # |S_d| = d! <= 720 for d <= 6, so the bound has nothing to reject
+    def bound_ran(*args):
+        raise AssertionError("the order bound ran although d! <= cap")
+
+    monkeypatch.setattr(kernels, "_order_exceeds", bound_ran)
+    rng = random.Random(36)
+    for degree in range(3, 7):
+        sets = [_symmetric(degree), _alternating(degree)]
+        sets += [
+            [bytes(rng.sample(range(degree), degree)) for _ in range(2)]
+            for _ in range(5)
+        ]
+        for gens in sets:
+            got = kernels.closure_set(gens, degree, 720)
+            assert {tuple(p) for p in got} == oracle_generated(gens, degree, 720)
+
+
 def test_degree_200_group_is_rejected_without_enumeration(monkeypatch):
     _forbid_enumeration(monkeypatch)
     assert kernels.closure_set(_symmetric(200), 200, 10**6) is None
