@@ -8,7 +8,7 @@ Submodules:
 * magnus    - truncated Magnus expansion, lower-central membership
 * finite    - brute-force subgroup identities in permutation groups
 * braids    - braid words, Artin action, Brunnian checks
-* homotopy  - one-relator presentations, homotopy-group certificates
+* homotopy  - sphere-group membership, homotopy-group certificates
 * cli       - the ``commlab`` command line tool
 """
 

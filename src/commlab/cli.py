@@ -222,7 +222,7 @@ def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt
 
 
 @main.command("homotopy")
-@click.option("--pi", required=True, type=int,
+@click.option("--pi", required=True, type=click.IntRange(2, 3),
               help="which certificate to run (2 or 3)")
 @click.option("--trials", default=1000, show_default=True,
               type=click.IntRange(min=0), help="fuzzed elements for --pi 2")
@@ -235,10 +235,8 @@ def homotopy_cmd(pi, trials, samples, conj_depth, seed, out_dir, fmt):
     started = time.perf_counter()
     if pi == 2:
         report = homotopy_mod.pi2_check(seed, trials)
-    elif pi == 3:
-        report = homotopy_mod.pi3_certificate(seed, samples, conj_depth)
     else:
-        raise click.UsageError("unsupported: certificates implemented for n <= 3")
+        report = homotopy_mod.pi3_certificate(seed, samples, conj_depth)
     results = dataclasses.asdict(report)
     results["passed"] = report.passed
     config = {"pi": pi, "trials": trials, "samples": samples,

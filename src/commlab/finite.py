@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from commlab import kernels
@@ -146,6 +147,11 @@ class PermGroup:
 
     def __contains__(self, p: bytes) -> bool:
         return p in self.elements
+
+    @cached_property
+    def sorted_elements(self) -> tuple[bytes, ...]:
+        """The elements in sorted order: the seed pool of the random draws."""
+        return tuple(sorted(self.elements))
 
 
 @dataclass(frozen=True)
@@ -700,7 +706,7 @@ def random_instance(
             continue
         if G.order < 2:
             continue
-        pool = sorted(G.elements)
+        pool = G.sorted_elements
         subs = tuple(
             normal_closure(G, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
             for _ in range(n)
@@ -717,7 +723,7 @@ def random_normal_triple(
 ) -> tuple[NormalSubgroup, NormalSubgroup, NormalSubgroup]:
     """Three seeded normal closures of 1-2 random elements each."""
     rng = random.Random(seed)
-    pool = sorted(G.elements)
+    pool = G.sorted_elements
     a, b, c = (
         normal_closure(G, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
         for _ in range(3)

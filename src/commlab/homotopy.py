@@ -1,13 +1,11 @@
-"""One-relator presentations, normal-closure membership, sphere certificates.
+"""Normal-closure membership and certificates in the sphere group.
 
 The central object is the group G = <x_1..x_m | x_1 x_2 ... x_m = 1>, which
 is concretely free of rank m-1 once x_m is rewritten as (x_1...x_{m-1})^-1.
 For a subset P of the generators, membership in the normal closure <<P>> is
-decidable by killing the letters of P and, when the surviving relator allows
-it, eliminating one survivor that occurs exactly once (a Tietze move onto an
-explicit free basis). The same engine covers surface-group presentations with
-a single relator; when no survivor occurs exactly once the answer is reported
-as None (undecided by this tool) rather than guessed.
+decided by killing the letters of P and eliminating the first survivor,
+which occurs exactly once in the surviving relator (a Tietze move onto an
+explicit free basis).
 
 On top of membership sit two certificate routines:
 
@@ -22,9 +20,8 @@ On top of membership sit two certificate routines:
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from commlab import kernels
 from commlab.magnus import gamma_membership
@@ -33,142 +30,8 @@ from commlab.words import Word, commutator, render_word
 
 
 @dataclass(frozen=True)
-class OneRelatorPresentation:
-    """Group <named generators | relator = 1>."""
-
-    names: tuple[str, ...]
-    relator: Word
-
-    def __post_init__(self) -> None:
-        if not self.names:
-            raise ValueError("presentation needs at least one generator")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("generator names must be distinct")
-        if self.relator.max_index() > len(self.names):
-            raise ValueError("relator uses generators beyond the listed names")
-
-    @property
-    def rank(self) -> int:
-        return len(self.names)
-
-
-def sphere_presentation(m: int) -> OneRelatorPresentation:
-    """<x_1 .. x_m | x_1 x_2 ... x_m = 1>, free of rank m-1."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    names = tuple(f"x{i}" for i in range(1, m + 1))
-    return OneRelatorPresentation(names, Word(tuple(range(1, m + 1))))
-
-
-def projective_plane_presentation(m: int) -> OneRelatorPresentation:
-    """<a1, x_1 .. x_m | a1^2 = x_1 ... x_m>, free of rank m."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    names = ("a1",) + tuple(f"x{i}" for i in range(1, m + 1))
-    relator = [1, 1] + [-(k + 1) for k in range(m, 0, -1)]
-    return OneRelatorPresentation(names, Word(tuple(relator)))
-
-
-def surface_presentation(
-    genus: int, boundary: int, m: int, oriented: bool = True
-) -> OneRelatorPresentation:
-    """Punctured-surface group with marked generators x_1..x_m.
-
-    Oriented: <a_i, b_i, y_j, x_k | [a_1,b_1]...[a_g,b_g] = y_1..y_t x_1..x_m>
-    with genus > 0 or boundary > 0. Non-oriented: the a_i^2 product takes the
-    left side and genus > 1 or boundary > 0 is required.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if genus < 0 or boundary < 0:
-        raise ValueError("genus and boundary must be >= 0")
-    if oriented and genus == 0 and boundary == 0:
-        raise ValueError("oriented case needs genus > 0 or boundary > 0")
-    if not oriented and genus <= 1 and boundary == 0:
-        raise ValueError("non-oriented case needs genus > 1 or boundary > 0")
-    names: list[str] = []
-    left: list[int] = []
-    if oriented:
-        for i in range(1, genus + 1):
-            a = len(names) + 1
-            names += [f"a{i}", f"b{i}"]
-            left += [-a, -(a + 1), a, a + 1]
-    else:
-        if genus == 0:
-            raise ValueError("non-oriented case needs genus >= 1")
-        for i in range(1, genus + 1):
-            a = len(names) + 1
-            names.append(f"a{i}")
-            left += [a, a]
-    right: list[int] = []
-    for j in range(1, boundary + 1):
-        names.append(f"y{j}")
-        right.append(len(names))
-    for k in range(1, m + 1):
-        names.append(f"x{k}")
-        right.append(len(names))
-    relator = kernels.multiply_reduced(
-        tuple(left), kernels.invert_reduced(tuple(right))
-    )
-    return OneRelatorPresentation(tuple(names), Word(relator))
-
-
-def one_relator_membership(
-    pres: OneRelatorPresentation, w: Word, killed: Iterable[int]
-) -> bool | None:
-    """Whether w lies in the normal closure of the killed generators.
-
-    Kills the generators of ``killed`` in both the relator and w. A word
-    whose killed image reduces to the identity is always a member. Otherwise,
-    if the surviving relator is empty the quotient is free and the image
-    decides membership; if not, some survivor occurring exactly once in the
-    relator is eliminated by a Tietze move, which again leaves a free group.
-    Returns None when no such survivor exists (undecided).
-    """
-    killed = frozenset(killed)
-    for g in killed:
-        if not 1 <= g <= pres.rank:
-            raise ValueError(f"generator index {g} out of range")
-    if w.max_index() > pres.rank:
-        raise ValueError("word uses generators beyond the presentation")
-    survives = lambda c: abs(c) not in killed
-    s = kernels.reduce_letters(filter(survives, pres.relator.letters))
-    image = kernels.reduce_letters(filter(survives, w.letters))
-    if not image:
-        return True
-    if not s:
-        return False
-    counts = Counter(abs(c) for c in s)
-    once = sorted(g for g, k in counts.items() if k == 1)
-    if not once:
-        return None
-    e = once[0]
-    pos = next(i for i, c in enumerate(s) if abs(c) == e)
-    u, v = s[:pos], s[pos + 1 :]
-    # relator u e^eps v = 1 solves to e = u^-1 v^-1 (eps=+1) or e = v u
-    if s[pos] > 0:
-        repl = kernels.multiply_reduced(
-            kernels.invert_reduced(u), kernels.invert_reduced(v)
-        )
-    else:
-        repl = kernels.multiply_reduced(v, u)
-    repl_inv = kernels.invert_reduced(repl)
-    out: list[int] = []
-    for c in image:
-        if abs(c) == e:
-            out.extend(repl if c > 0 else repl_inv)
-        else:
-            out.append(c)
-    return not kernels.reduce_letters(out)
-
-
-# ---------------------------------------------------------------------------
-# the sphere case
-
-
-@dataclass(frozen=True)
 class SpherePresentation:
-    """<x_1..x_m | x_1...x_m = 1> with elements stored over x_1..x_{m-1}."""
+    """<x_1..x_m | x_1...x_m = 1>, free of rank m-1."""
 
     m: int
 
@@ -180,21 +43,37 @@ class SpherePresentation:
     def rank(self) -> int:
         return self.m - 1
 
-    def eliminate(self, raw: Word | Iterable[int]) -> Word:
-        """Rewrite x_m as (x_1...x_{m-1})^-1, giving a rank m-1 word."""
-        letters = raw.letters if isinstance(raw, Word) else tuple(raw)
-        last_inv = tuple(-k for k in range(self.m - 1, 0, -1))
-        out: list[int] = []
-        for c in letters:
-            if not isinstance(c, int) or c == 0 or abs(c) > self.m:
-                raise ValueError(f"letter {c!r} out of range for m={self.m}")
-            if abs(c) < self.m:
-                out.append(c)
-            elif c > 0:
-                out.extend(last_inv)
-            else:
-                out.extend(range(1, self.m))
-        return Word(kernels.reduce_letters(out))
+
+def one_relator_membership(
+    pres: SpherePresentation, w: Word, killed: Iterable[int]
+) -> bool:
+    """Whether w (over x_1..x_m) lies in the normal closure of ``killed``.
+
+    Killing those generators leaves the relator s_1 s_2 ... s_k over the
+    survivors s_1 < ... < s_k, so the quotient is free on s_2..s_k with
+    s_1 = s_k^-1 ... s_2^-1. w is a member iff its killed image, with s_1
+    substituted, reduces to the identity.
+    """
+    killed = frozenset(killed)
+    for g in killed:
+        if not 1 <= g <= pres.m:
+            raise ValueError(f"generator index {g} out of range")
+    if w.max_index() > pres.m:
+        raise ValueError("word uses generators beyond the presentation")
+    image = kernels.reduce_letters(c for c in w.letters if abs(c) not in killed)
+    if not image:
+        return True
+    first, *rest = (k for k in range(1, pres.m + 1) if k not in killed)
+    repl, repl_inv = kernels.invert_reduced(rest), tuple(rest)
+    out: list[int] = []
+    for c in image:
+        if c == first:
+            out.extend(repl)
+        elif c == -first:
+            out.extend(repl_inv)
+        else:
+            out.append(c)
+    return not kernels.reduce_letters(out)
 
 
 @dataclass(frozen=True)
@@ -230,9 +109,7 @@ def in_block_closure(pres: SpherePresentation, w: Word, block: Iterable[int]) ->
         raise ValueError("block must be nonempty")
     if w.max_index() >= pres.m:
         raise ValueError("word is not in eliminated form")
-    answer = one_relator_membership(sphere_presentation(pres.m), w, block)
-    assert answer is not None  # a full product relator always decides
-    return answer
+    return one_relator_membership(pres, w, block)
 
 
 def in_intersection(pres: SpherePresentation, w: Word, partition: Partition) -> bool:

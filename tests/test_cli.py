@@ -272,9 +272,10 @@ def test_homotopy_timing_covers_the_certificate(runner, tmp_path, monkeypatch):
 
 
 def test_homotopy_rejects_unsupported_levels(runner, tmp_path):
-    result = invoke(runner, tmp_path, ["homotopy", "--pi", "5"])
-    assert result.exit_code == 2
-    assert "unsupported: certificates implemented for n <= 3" in result.output
+    for level in ("1", "5"):
+        result = invoke(runner, tmp_path, ["homotopy", "--pi", level])
+        assert result.exit_code == 2
+        assert f"{level} is not in the range 2<=x<=3" in result.output
     missing = invoke(runner, tmp_path, ["homotopy"])
     assert missing.exit_code == 2
 
