@@ -150,31 +150,10 @@ class ArtinAutomorphism:
                 f"want {self.rank} images, got {len(self.images)}"
             )
 
-    @classmethod
-    def identity(cls, rank: int) -> ArtinAutomorphism:
-        return cls(rank, tuple(Word.generator(k) for k in range(1, rank + 1)))
-
     @property
     def is_identity(self) -> bool:
         return all(
             img.letters == (k,) for k, img in enumerate(self.images, start=1)
-        )
-
-    def apply(self, w: Word) -> Word:
-        if w.max_index() > self.rank:
-            raise ValueError(f"word uses generators beyond rank {self.rank}")
-        out = Word.identity()
-        for c in w.letters:
-            img = self.images[abs(c) - 1]
-            out = out * (img if c > 0 else img.inverse())
-        return out
-
-    def __mul__(self, other: ArtinAutomorphism) -> ArtinAutomorphism:
-        """Left-to-right composition: apply self first, then other."""
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return ArtinAutomorphism(
-            self.rank, tuple(other.apply(img) for img in self.images)
         )
 
 

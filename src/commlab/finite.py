@@ -20,12 +20,13 @@ subgroups make that exact: [XY, Z] = [X, Z][Y, Z], and [X, Z] <= X. The fat
 entry of a mask needs only its two-block partitions {A, M - A}: every other
 cover's commutator lies in one of theirs (see ``fat_commutator``).
 
-Most of these subgroups turn out to be the whole parent, which is never
-enumerated twice. Each Dimino extension inside a parent G (normal closures,
-products, generating sets) is capped at |G|/p, p the least prime dividing
-|G|. By Lagrange a subgroup's order divides |G|, so one that passes the cap is
-G itself, and G's own element set is returned. An intersection as large as
-one of its inputs is that input, since it lies inside every input.
+Normal closures, products and intersections inside a parent G are built by
+one growth loop: Dimino extensions by seeds and their conjugates, each capped
+at |G|/p, p the least prime dividing |G|. Most of these subgroups turn out to
+be the whole parent, which is never enumerated twice: by Lagrange a subgroup's
+order divides |G|, so one that passes the cap is G itself, and G's own element
+set is returned. An intersection as large as one of its inputs is that input,
+since it lies inside every input.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class PermGroup:
 class NormalSubgroup:
     parent: PermGroup
     elements: frozenset[bytes]
-    gens: tuple[Permutation, ...]
+    gens: tuple[bytes, ...]
 
     @property
     def order(self) -> int:
@@ -178,14 +179,9 @@ class NormalSubgroup:
 
 
 def _same_parent(a: NormalSubgroup, b: NormalSubgroup) -> PermGroup:
-    if a.parent is b.parent:
-        return a.parent
-    if (
-        a.parent.degree == b.parent.degree
-        and a.parent.elements == b.parent.elements
-    ):
-        return a.parent
-    raise ValueError("subgroups live in different parent groups")
+    if a.parent is not b.parent:
+        raise ValueError("subgroups live in different parent groups")
+    return a.parent
 
 
 def closure(
@@ -208,38 +204,44 @@ def closure(
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
-    """Smallest normal subgroup of G containing the seeds.
-
-    Each Dimino extension is capped at the largest proper divisor of |G|.
-    The subgroup it builds lies in G, so by Lagrange its order divides |G|,
-    and an order past that cap leaves only |G|: the closure is G itself and
-    is returned without enumerating the rest of it. Its gens are the seeds
-    taken so far, exactly those a full enumeration would keep, since every
-    later conjugate already lies in G.
-    """
+    """Smallest normal subgroup of G containing the seeds."""
     for s in seeds:
         if s not in G.elements:
             raise ValueError(f"seed {Permutation(s)!r} lies outside the group")
     ident = bytes(G.identity)
+    return _grow_normal(G, {ident}, (), [bytes(s) for s in seeds])
+
+
+def _grow_normal(
+    G: PermGroup,
+    elems: set[bytes] | frozenset[bytes],
+    gens: Sequence[bytes],
+    seeds: list[bytes],
+) -> NormalSubgroup:
+    """Normal closure in G of the normal subgroup <gens> = elems and the seeds.
+
+    The seeds list is the queue: pops a seed, skips it if it is a member, and
+    otherwise adds it as a generator by one Dimino extension and queues its
+    conjugates by G's generators. Each extension is capped at the largest
+    proper divisor of |G|. The subgroup it builds lies in G, so by Lagrange
+    its order divides |G|, and an order past that cap leaves only |G|: the
+    closure is G itself, returned with G's own element set and without
+    enumerating the rest of it. Its gens are those taken so far, which
+    generate G.
+    """
     cap = _largest_proper_divisor(G.order)
-    elems: set[bytes] = {ident}
-    sub_gens: list[bytes] = []
-    pending = [bytes(s) for s in seeds]
-    gen_raw = [bytes(g) for g in G.gens]
-    while pending:
-        s = pending.pop()
+    gens = list(gens)
+    while seeds:
+        s = seeds.pop()
         if s in elems:
             continue
-        grown = kernels.extend_subgroup(elems, sub_gens, s, cap)
+        grown = kernels.extend_subgroup(elems, gens, s, cap)
+        gens.append(s)
         if grown is None:
-            return _whole(G, [*sub_gens, s])
+            return NormalSubgroup(G, G.elements, tuple(gens))
         elems = grown
-        sub_gens.append(s)
-        for g in gen_raw:
-            pending.append(_conj(s, g))
-    return NormalSubgroup(
-        G, frozenset(elems), tuple(Permutation(g) for g in sub_gens)
-    )
+        seeds.extend(_conj(s, g) for g in G.gens)
+    return NormalSubgroup(G, frozenset(elems), tuple(gens))
 
 
 def _largest_proper_divisor(order: int) -> int:
@@ -254,34 +256,6 @@ def _largest_proper_divisor(order: int) -> int:
             return order // p
         p += 1
     return 1
-
-
-def _whole(G: PermGroup, gens: Sequence[bytes]) -> NormalSubgroup:
-    """G as a normal subgroup of itself, generated by ``gens``."""
-    return NormalSubgroup(G, G.elements, tuple(Permutation(g) for g in gens))
-
-
-def generating_set(parent: PermGroup, elements: Iterable[bytes]) -> list[bytes]:
-    """Small deterministic generating set for a materialised subgroup.
-
-    Stops, by the same Lagrange argument as ``normal_closure``, once the
-    generated subgroup outgrows the largest proper divisor of its order.
-    """
-    ident = bytes(parent.identity)
-    have: set[bytes] = {ident}
-    gens: list[bytes] = []
-    pool = sorted(set(elements))
-    cap = _largest_proper_divisor(len(pool))
-    for x in pool:
-        if x not in have:
-            grown = kernels.extend_subgroup(have, gens, x, cap)
-            gens.append(x)
-            if grown is None:
-                break
-            have = grown
-        if len(have) == len(pool):
-            break
-    return gens
 
 
 class SubgroupCache:
@@ -340,28 +314,15 @@ def commutator_subgroup(
 def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     """A*B = {a b}; a subgroup since both factors are normal.
 
-    Returns the parent once A*B outgrows its largest proper divisor, as in
-    ``normal_closure``.
+    Grown from A by B's gens. A*B is normal in the parent, so the normal
+    closure of A and B's gens is A*B: the conjugates queued lie in B.
     """
     parent = _same_parent(A, B)
     if B.elements <= A.elements:
         return A
     if A.elements <= B.elements:
         return B
-    elems = set(A.elements)
-    gens = [bytes(g) for g in A.gens]
-    cap = _largest_proper_divisor(parent.order)
-    for g in B.gens:
-        g = bytes(g)
-        grown = kernels.extend_subgroup(elems, gens, g, cap)
-        if grown is None:
-            return _whole(parent, [*gens, g])
-        if grown is not elems:
-            gens.append(g)
-        elems = grown
-    return NormalSubgroup(
-        parent, frozenset(elems), tuple(Permutation(g) for g in gens)
-    )
+    return _grow_normal(parent, A.elements, A.gens, list(B.gens))
 
 
 def product_of(
@@ -379,7 +340,8 @@ def intersection_of(
     """Common elements of the subgroups.
 
     The intersection lies in every input, so an input of the same order has
-    the same elements and is returned as it is.
+    the same elements and is returned as it is. Otherwise it is a proper
+    normal subgroup of the parent, its own normal closure.
     """
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
@@ -387,8 +349,7 @@ def intersection_of(
     for s in subgroups:
         if s.order == len(elems):
             return s
-    gens = generating_set(parent, elems)
-    return NormalSubgroup(parent, elems, tuple(Permutation(g) for g in gens))
+    return normal_closure(parent, sorted(elems))
 
 
 def _mask_table(

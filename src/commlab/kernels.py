@@ -11,7 +11,7 @@ plain Python. Everything here works on plain data:
 
 Permutation composition uses ``bytes.translate`` with a 256-entry table,
 which keeps permutation products at C speed, and ``bytes.maketrans(p, ident)``
-is the inverse of p as such a table.
+is the inverse of p as such a table; ``invert_perm`` is its first d bytes.
 
 ``closure_set`` enumerates a generated group only after an orbit lower bound
 on its order (orbit-stabiliser along a truncated stabiliser chain built from
@@ -152,10 +152,7 @@ def compose(p: bytes, q: bytes) -> bytes:
 
 
 def invert_perm(p: bytes) -> bytes:
-    out = bytearray(len(p))
-    for i, v in enumerate(p):
-        out[v] = i
-    return bytes(out)
+    return bytes.maketrans(p, _IDENT256[:len(p)])[:len(p)]
 
 
 def extend_subgroup(

@@ -68,10 +68,6 @@ class TruncatedSeries:
                     del acc[mono]
         return TruncatedSeries._trusted(cutoff, acc)
 
-    @property
-    def is_one(self) -> bool:
-        return self.terms == {(): 1}
-
     def min_positive_degree(self) -> int | None:
         """Smallest degree >= 1 carrying a nonzero term, None if there is none."""
         degrees = [len(m) for m in self.terms if m]

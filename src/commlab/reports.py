@@ -62,14 +62,6 @@ def write_report(out_dir: str | Path, payload: Mapping[str, Any]) -> Path:
     return path
 
 
-def latest_report(out_dir: str | Path) -> Path | None:
-    """Resolve the `latest` pointer, or None when no report exists yet."""
-    pointer = Path(out_dir) / "latest"
-    if not pointer.exists():
-        return None
-    return Path(out_dir) / pointer.read_text().strip()
-
-
 def render_table(payload: Mapping[str, Any]) -> str:
     """Fixed-width key/value table mirroring the JSON payload."""
     rows = list(_flatten("", payload))

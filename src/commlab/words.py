@@ -17,16 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 from commlab import kernels
-
-
-class Letter(NamedTuple):
-    """A single generator occurrence: generator index and a sign (+1 or -1)."""
-
-    index: int
-    sign: int
 
 
 class ParseError(ValueError):
@@ -96,10 +89,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def symbols(self) -> Iterator[Letter]:
-        for c in self.letters:
-            yield Letter(abs(c), 1 if c > 0 else -1)
 
     def max_index(self) -> int:
         """Largest generator index appearing (0 for the identity)."""

@@ -16,7 +16,6 @@ from commlab.finite import (
     closure,
     commutator_subgroup,
     fat_commutator,
-    generating_set,
     intersection_of,
     normal_closure,
     product_subgroup,
@@ -194,7 +193,6 @@ def test_closures_in_groups_of_prime_order(p):
         whole = normal_closure(G, [g])
         assert whole.elements is G.elements
         assert closure(whole.gens, degree=p).elements == G.elements
-    assert generating_set(G, G.elements) == [min(G.elements - {ident})]
 
 
 def test_closure_equal_to_the_group_shares_its_element_set():
@@ -244,6 +242,7 @@ def test_subgroup_operations_match_oracles_on_random_instances(
         for R, want in zip(results, wants):
             assert tuples(R.elements) == want
             assert closure(R.gens, degree=d).elements == R.elements
+            assert len(R.gens) <= max(1, R.order.bit_length())
             if R.elements == G.elements:
                 whole += 1
             elif R.order > 1:
@@ -294,6 +293,15 @@ def test_mismatched_parents_rejected():
     b = random_instance(2, n=1, degree_cap=6, order_cap=100)
     with pytest.raises(ValueError):
         commutator_subgroup(a.subgroups[0], b.subgroups[0])
+    # equal element sets are not enough: subgroups of two closures of the
+    # same generators cannot be mixed
+    gens = [Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (1, 2, 3, 4))]
+    G1, G2 = closure(gens), closure(gens)
+    assert G1.elements == G2.elements
+    R1, R2 = (normal_closure(G, [gens[1]]) for G in (G1, G2))
+    for op in (commutator_subgroup, product_subgroup):
+        with pytest.raises(ValueError):
+            op(R1, R2)
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +602,22 @@ def test_product_and_intersection():
     assert meet.is_trivial and meet.gens == ()
 
 
-def test_generating_set_reproduces_subgroups():
-    for seed in range(10):
-        inst = random_instance(seed + 80, n=1, degree_cap=7, order_cap=500)
-        R = inst.subgroups[0]
-        gens = generating_set(inst.group, R.elements)
-        assert closure(gens, degree=inst.group.degree).elements == R.elements
-        assert len(gens) <= max(1, R.order.bit_length())
+def test_intersections_of_incomparable_subgroups_in_an_elementary_abelian_group():
+    # in C_2^5 every subgroup is normal and a normal closure is a span, so
+    # random pairs rarely nest and most meets are built, not returned
+    V = closure([Permutation.from_cycles(10, (2 * i + 1, 2 * i + 2)) for i in range(5)])
+    assert V.order == 32
+    rng = random.Random(13)
+    pool = V.sorted_elements
+    built = 0
+    for _ in range(200):
+        X, Y = (normal_closure(V, [rng.choice(pool) for _ in range(3)]) for _ in "XY")
+        R = intersection_of(V, [X, Y])
+        assert tuples(R.elements) == tuples(X.elements) & tuples(Y.elements)
+        assert closure(R.gens, degree=10).elements == R.elements
+        assert len(R.gens) <= max(1, R.order.bit_length())
+        built += R is not X and R is not Y
+    assert built >= 100
 
 
 def test_random_instance_is_deterministic():

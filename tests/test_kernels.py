@@ -139,6 +139,9 @@ def test_permutation_kernels_match_the_oracle_on_fuzzed_generators():
         q = bytes(rng.sample(range(degree), degree))
         assert tuple(kernels.compose(p, q)) == o_mul(tuple(p), tuple(q))
         assert tuple(kernels.invert_perm(p)) == o_inv(tuple(p))
+    # degree 255, the largest random_instance draws
+    p = bytes(rng.sample(range(255), 255))
+    assert tuple(kernels.invert_perm(p)) == o_inv(tuple(p))
 
 
 def _cycle(degree, points):

@@ -32,7 +32,7 @@ def test_commutator_expansion_frozen():
 
 def test_identity_expands_to_one():
     s = expand(Word.identity(), 4)
-    assert s.is_one
+    assert s == TruncatedSeries.one(4)
     assert s.render() == "1"
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from commlab.words import (
-    Letter,
     ParseError,
     Word,
     commutator,
@@ -102,9 +101,7 @@ def test_powers():
 
 
 def test_symbols_and_max_index():
-    w = parse_word("x3 x1^-1")
-    assert list(w.symbols()) == [Letter(3, 1), Letter(1, -1)]
-    assert w.max_index() == 3
+    assert parse_word("x3 x1^-1").max_index() == 3
     assert Word.identity().max_index() == 0
 
 
