@@ -6,6 +6,12 @@ tuples of generator indices, so X_1 X_2 is the key (1, 2) and the constant
 term is the empty tuple. A word lies in the k-th lower central series term
 gamma_k of the free group iff its expansion minus 1 has no monomial of
 degree below k, which makes membership decidable by expanding at cutoff k-1.
+
+``expand`` never multiplies whole series. It keeps the running product s as
+one dict of monomials per degree and updates it in place, one letter at a
+time. A letter x_k is a shift, s(1 + X_k) = s + s X_k. For x_k^{-1} the
+product y = s(1 + X_k)^{-1} solves y = s - y X_k, which fixes y degree by
+degree from the constant term up.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ class TruncatedSeries:
     def _trusted(
         cls, cutoff: int, terms: Mapping[Monomial, int]
     ) -> TruncatedSeries:
-        """Build without validation, for products of valid series."""
+        """Build without validation, for products and expansions."""
         s = object.__new__(cls)
         object.__setattr__(s, "cutoff", cutoff)
         object.__setattr__(s, "terms", terms)
@@ -96,25 +102,38 @@ class TruncatedSeries:
         return self.render()
 
 
-def _letter_series(letter: int, cutoff: int) -> TruncatedSeries:
-    k = abs(letter)
-    if letter > 0:
-        terms: dict[Monomial, int] = {(): 1}
-        if cutoff >= 1:
-            terms[(k,)] = 1
-        return TruncatedSeries(cutoff, terms)
-    terms = {(k,) * d: (-1) ** d for d in range(cutoff + 1)}
-    return TruncatedSeries(cutoff, terms)
-
-
 def expand(w: Word, cutoff: int) -> TruncatedSeries:
     """Magnus expansion of a word, truncated beyond degree ``cutoff``."""
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    out = TruncatedSeries.one(cutoff)
+    # layers[d] holds the degree-d terms of the running product, no zeros.
+    layers: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cutoff)]
     for c in w.letters:
-        out = out * _letter_series(c, cutoff)
-    return out
+        if c > 0:
+            # s + s X_k: from the top down, so each layer is read before
+            # the shift of the layer below writes into it.
+            k = (c,)
+            degrees = range(cutoff - 1, -1, -1)
+            sign = 1
+        else:
+            # y = s - y X_k: from the bottom up, so layer d already holds
+            # y's degree-d terms when they are shifted into layer d + 1.
+            k = (-c,)
+            degrees = range(cutoff)
+            sign = -1
+        for d in degrees:
+            up = layers[d + 1]
+            for mono, coeff in layers[d].items():
+                key = mono + k
+                val = up.get(key, 0) + sign * coeff
+                if val:
+                    up[key] = val
+                else:
+                    del up[key]
+    terms: dict[Monomial, int] = {}
+    for layer in layers:
+        terms.update(layer)
+    return TruncatedSeries._trusted(cutoff, terms)
 
 
 def gamma_membership(w: Word, k: int) -> bool:

@@ -46,7 +46,7 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
         if c == -letters[-1]:
             continue
         letters.append(c)
-    return Word(tuple(letters))
+    return Word._trusted(tuple(letters))
 
 
 def symmetric_generators(

@@ -56,14 +56,6 @@ class Word:
     def identity(cls) -> Word:
         return cls(())
 
-    @classmethod
-    def generator(cls, index: int, sign: int = 1) -> Word:
-        if index < 1:
-            raise ValueError(f"generator index must be >= 1, got {index}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        return cls((sign * index,))
-
     def __mul__(self, other: Word) -> Word:
         return Word._trusted(
             kernels.multiply_reduced(self.letters, other.letters)
@@ -92,7 +84,7 @@ class Word:
 
     def max_index(self) -> int:
         """Largest generator index appearing (0 for the identity)."""
-        return max((abs(c) for c in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     def __str__(self) -> str:
         return render_word(self)

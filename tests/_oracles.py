@@ -302,3 +302,27 @@ def oracle_follow_strand(strands: int, letters, j: int) -> list[int]:
 def oracle_delete_strand(strands: int, letters, j: int) -> tuple[int, ...]:
     """Delete strand j (1-based start position) from a braid word, then reduce."""
     return oracle_reduce(oracle_follow_strand(strands, letters, j))
+
+
+def oracle_expand(letters, cutoff: int) -> dict[tuple[int, ...], int]:
+    """Magnus expansion as the product of every letter's truncated series.
+
+    x_k maps to 1 + X_k and x_k^-1 to 1 - X_k + X_k^2 - ...; the product of
+    two series multiplies every pair of monomials whose degrees fit under the
+    cutoff. Monomials are tuples of generator indices; zero terms are dropped.
+    """
+    out: dict[tuple[int, ...], int] = {(): 1}
+    for c in letters:
+        k = abs(c)
+        # the factor's terms in order of degree: term d has degree d
+        if c > 0:
+            factor = [((), 1), ((k,), 1)]
+        else:
+            factor = [((k,) * d, (-1) ** d) for d in range(cutoff + 1)]
+        acc: dict[tuple[int, ...], int] = {}
+        for m1, c1 in out.items():
+            for m2, c2 in factor[: cutoff - len(m1) + 1]:
+                mono = m1 + m2
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        out = {m: v for m, v in acc.items() if v}
+    return out

@@ -56,7 +56,7 @@ def evaluate_shape(b, args):
 
 
 def test_evaluate_weight_two_is_the_commutator():
-    x1, x2 = Word.generator(1), Word.generator(2)
+    x1, x2 = Word((1,)), Word((2,))
     (shape,) = enumerate_brackets(2)
     assert evaluate_shape(shape, [x1, x2]) == commutator(x1, x2)
     assert left_normed([x1, x2]) == commutator(x1, x2)
@@ -66,7 +66,7 @@ def test_evaluate_weight_three_frozen_expansions():
     # hand expansion with [a, b] = a^-1 b^-1 a b:
     # [[x1,x2],x3] = x2^-1 x1^-1 x2 x1 x3^-1 x1^-1 x2^-1 x1 x2 x3
     # [x1,[x2,x3]] = x1^-1 x3^-1 x2^-1 x3 x2 x1 x2^-1 x3^-1 x2 x3
-    x = [Word.generator(i) for i in (1, 2, 3)]
+    x = [Word((i,)) for i in (1, 2, 3)]
     left, right = enumerate_brackets(3)
     assert evaluate_shape(left, x).letters == (-2, -1, 2, 1, -3, -1, -2, 1, 2, 3)
     assert evaluate_shape(right, x).letters == (-1, -3, -2, 3, 2, 1, -2, -3, 2, 3)
@@ -74,7 +74,7 @@ def test_evaluate_weight_three_frozen_expansions():
 
 
 def test_left_normed_matches_left_comb_evaluation():
-    x1, x2, x3 = (Word.generator(i) for i in (1, 2, 3))
+    x1, x2, x3 = (Word((i,)) for i in (1, 2, 3))
     assert left_normed([x1, x2]) == commutator(x1, x2)
     # hand expansion with [a, b] = a^-1 b^-1 a b:
     # [[x1,x2],x3] = x2^-1 x1^-1 x2 x1 x3^-1 x1^-1 x2^-1 x1 x2 x3
@@ -93,7 +93,7 @@ def test_left_normed_matches_left_comb_evaluation():
 
 
 def test_left_normed_single_and_empty():
-    w = Word.generator(2)
+    w = Word((2,))
     assert left_normed([w]) == w
     with pytest.raises(ValueError):
         left_normed([])

@@ -4,7 +4,10 @@ import pytest
 
 from commlab.brackets import left_normed
 from commlab.magnus import TruncatedSeries, expand, gamma_membership
+from commlab.sampling import random_reduced_word
 from commlab.words import Word, commutator, free_reduce, parse_word
+
+from _oracles import oracle_expand
 
 
 def rand_word(rng, rank=3, length=8):
@@ -14,12 +17,12 @@ def rand_word(rng, rank=3, length=8):
 
 
 def test_expansion_of_a_generator():
-    s = expand(Word.generator(1), 3)
+    s = expand(Word((1,)), 3)
     assert s.terms == {(): 1, (1,): 1}
 
 
 def test_expansion_of_an_inverse_is_the_alternating_series():
-    s = expand(Word.generator(1).inverse(), 3)
+    s = expand(Word((1,)).inverse(), 3)
     assert s.terms == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
     assert s.render() == "1 - X1 + X1 X1 - X1 X1 X1"
 
@@ -34,6 +37,25 @@ def test_identity_expands_to_one():
     s = expand(Word.identity(), 4)
     assert s == TruncatedSeries.one(4)
     assert s.render() == "1"
+
+
+def test_expansion_matches_the_series_product_oracle():
+    # Ranks 1-4, up to 40 letters and cutoffs 0-6; every fourth word is a
+    # long commutator, whose low-degree terms cancel to zero on the way.
+    rng = random.Random(44)
+    for i in range(3000):
+        rank, cutoff = rng.randint(1, 4), rng.randint(0, 6)
+        if i % 4:
+            w = random_reduced_word(rng, rank, rng.randint(0, 40))
+        else:
+            args = [
+                random_reduced_word(rng, rank, rng.randint(1, 6)) for _ in range(3)
+            ]
+            w = left_normed(args)
+        terms = expand(w, cutoff).terms
+        # the oracle drops zero terms, so equality also rules out stored zeros
+        assert type(terms) is dict
+        assert terms == oracle_expand(w.letters, cutoff)
 
 
 def test_expansion_is_a_homomorphism():
@@ -75,7 +97,7 @@ def test_series_products_equal_validated_series():
 
 
 def test_gamma_membership_basics():
-    x1, x2 = Word.generator(1), Word.generator(2)
+    x1, x2 = Word((1,)), Word((2,))
     assert gamma_membership(x1, 1)
     assert not gamma_membership(x1, 2)
     c = commutator(x1, x2)

@@ -11,7 +11,7 @@ from commlab.words import Word
 
 def single_letter_specs(n):
     return [
-        SubgroupSpec((Word.generator(i),), label=f"R{i}") for i in range(1, n + 1)
+        SubgroupSpec((Word((i,)),), label=f"R{i}") for i in range(1, n + 1)
     ]
 
 
@@ -27,7 +27,7 @@ def test_spec_requires_generators():
 def test_single_subgroup_depth_zero_is_the_constant_stream():
     (spec,) = single_letter_specs(1)
     out = take(symmetric_generators([spec], conj_depth=0, seed=5), 10)
-    assert out == [Word.generator(1)] * 10
+    assert out == [Word((1,))] * 10
 
 
 def test_streams_are_deterministic_given_seed():
@@ -65,7 +65,7 @@ def test_count_argument_bounds_the_stream():
 
 def test_symmetric_depth_zero_hits_both_orderings():
     specs = single_letter_specs(2)
-    x1, x2 = Word.generator(1), Word.generator(2)
+    x1, x2 = Word((1,)), Word((2,))
     seen = set(take(symmetric_generators(specs, conj_depth=0, seed=3), 40))
     expected = {left_normed([x1, x2]), left_normed([x2, x1])}
     assert seen == expected
@@ -90,7 +90,8 @@ def test_random_reduced_word_is_reduced_and_sized():
     for _ in range(200):
         length = rng.randint(0, 12)
         w = random_reduced_word(rng, rank=3, length=length)
-        assert len(w) == length  # Word construction enforces reducedness
+        assert len(w) == length
+        assert Word(w.letters) == w  # the validating constructor accepts it
     assert random_reduced_word(rng, 0, 5).is_identity
     with pytest.raises(ValueError):
         random_reduced_word(rng, -1, 2)
