@@ -2,12 +2,14 @@
 
 Submodules:
 
-* words     - freely reduced words, conjugates and commutators
-* brackets  - bracket arrangements (binary commutator shapes)
+* words     - freely reduced words, conjugates, commutators, left-normed
+              commutators
+* brackets  - bracket arrangements (binary commutator shapes), read only by
+              the benchmark tracer
 * sampling  - seeded streams of symmetric commutator generators
 * magnus    - truncated Magnus expansion, lower-central membership
 * finite    - brute-force subgroup identities in permutation groups
-* braids    - braid words, Artin action, Brunnian checks
+* braids    - braid words, Artin action, purity, Brunnian checks
 * homotopy  - sphere-group membership, homotopy-group certificates
 * cli       - the ``commlab`` command line tool
 """

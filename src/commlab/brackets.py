@@ -2,17 +2,15 @@
 
 A bracket arrangement of weight t is a full binary tree with t leaves; leaf
 positions are numbered 1..t left to right, e.g. the two weight-3 shapes are
-[[a1, a2], a3] and [a1, [a2, a3]]. ``left_normed`` builds the left comb
-[[...[a1, a2], ...], ak] directly on words.
+[[a1, a2], a3] and [a1, [a2, a3]]. The module holds only the enumeration;
+the left comb [[...[a1, a2], ...], ak] is ``commlab.words.left_normed``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-from commlab.words import Word, commutator
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -58,12 +56,3 @@ def _shift(b: BracketArrangement, offset: int) -> BracketArrangement:
         return Leaf(b.position + offset)
     return Node(_shift(b.left, offset), _shift(b.right, offset))
 
-
-def left_normed(args: Sequence[Word]) -> Word:
-    """[[...[[a1, a2], a3]...], ak]; a single argument is returned as is."""
-    if not args:
-        raise ValueError("left_normed needs at least one argument")
-    out = args[0]
-    for a in args[1:]:
-        out = commutator(out, a)
-    return out

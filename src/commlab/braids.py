@@ -4,19 +4,25 @@ A braid on n strands is a freely reduced word in the Artin generators
 sigma_1..sigma_{n-1}, stored like a free-group word: +i for sigma_i, -i for
 its inverse. Only free cancellation is applied in storage; braid relations
 are never rewritten. Equality of braids as group elements is decided through
-the induced automorphism of the free group (`artin_action`), which is
-faithful.
+the induced automorphism of the free group, which is faithful:
+``artin_action`` returns the images of x_1..x_n as a tuple of words, so two
+braids are equal iff their tuples are.
 
 Letter order convention: words act left to right, so in ``a * b`` the braid
-``a`` is performed first and `artin_action(a * b) == artin_action(a) *
-artin_action(b)` with the same left-to-right composition.
+``a`` is performed first, and the image of x_k under ``a * b`` is the image
+under ``a`` with each letter replaced by its image under ``b``.
+
+Purity is read off the crossings alone: ``is_pure`` follows the strands
+through the word and checks that each ends where it started.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a``, ``gen_t`` and
 ``load_corpus`` check that every letter is in range and that the word is
 freely reduced. Values made from already-valid braids by the letter kernels
 (products, inverses, strand deletions) are reduced and in range by
-construction, so they are built with the unchecked ``Braid._trusted``.
+construction, so they are built with the unchecked ``Braid._trusted``; the
+image words of ``artin_action`` come reduced from the same kernels and are
+built with ``Word._trusted``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
-from commlab.finite import Permutation
 from commlab.words import ParseError, Word, _parse_letters
 
 
@@ -64,12 +69,6 @@ class Braid:
         return cls(strands)
 
     @classmethod
-    def generator(cls, strands: int, index: int, sign: int = 1) -> Braid:
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        return cls(strands, (sign * index,))
-
-    @classmethod
     def from_letters(cls, strands: int, letters: Iterable[int]) -> Braid:
         return cls(strands, kernels.reduce_letters(letters))
 
@@ -84,13 +83,6 @@ class Braid:
 
     def inverse(self) -> Braid:
         return Braid._trusted(self.strands, kernels.invert_reduced(self.letters))
-
-    def __pow__(self, n: int) -> Braid:
-        base = self if n >= 0 else self.inverse()
-        out = Braid.identity(self.strands)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
 
     def conjugate(self, by: Braid) -> Braid:
         """self^by = by^{-1} * self * by."""
@@ -137,55 +129,30 @@ def render_braid(b: Braid) -> str:
 # the induced free-group automorphism
 
 
-@dataclass(frozen=True)
-class ArtinAutomorphism:
-    """Automorphism of the free group x_1..x_rank induced by a braid."""
-
-    rank: int
-    images: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
-            raise ValueError(
-                f"want {self.rank} images, got {len(self.images)}"
-            )
-
-    @property
-    def is_identity(self) -> bool:
-        return all(
-            img.letters == (k,) for k, img in enumerate(self.images, start=1)
-        )
-
-
-def artin_action(b: Braid) -> ArtinAutomorphism:
-    """The automorphism of the free group on x_1..x_strands induced by b.
+def artin_action(b: Braid) -> tuple[Word, ...]:
+    """Images of x_1..x_strands under the free-group automorphism b induces.
 
     sigma_i sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i; letters of
     the braid word act left to right.
     """
     images = kernels.artin_images(b.strands, b.letters)
-    return ArtinAutomorphism(b.strands, tuple(Word(t) for t in images))
+    return tuple(Word._trusted(t) for t in images)
 
 
 def is_trivial(b: Braid) -> bool:
     """True iff b is the identity braid (the Artin action is faithful)."""
-    return artin_action(b).is_identity
+    return all(
+        img.letters == (k,) for k, img in enumerate(artin_action(b), start=1)
+    )
 
 
-def strand_permutation(b: Braid) -> Permutation:
-    """The permutation sending each strand's start position to its end."""
+def is_pure(b: Braid) -> bool:
+    """True iff every strand ends at the position where it starts."""
     occupant = list(range(b.strands))
     for c in b.letters:
         i = abs(c) - 1
         occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-    images = bytearray(b.strands)
-    for pos, strand in enumerate(occupant):
-        images[strand] = pos
-    return Permutation(bytes(images))
-
-
-def is_pure(b: Braid) -> bool:
-    return strand_permutation(b).is_identity
+    return occupant == list(range(b.strands))
 
 
 def delete_strand(b: Braid, j: int) -> Braid:

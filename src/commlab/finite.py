@@ -136,15 +136,15 @@ def _commutator(a: bytes, b: bytes) -> bytes:
 class PermGroup:
     degree: int
     elements: frozenset[bytes]
-    gens: tuple[Permutation, ...]
+    gens: tuple[bytes, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+    @cached_property
+    def identity(self) -> bytes:
+        return bytes(range(self.degree))
 
     def __contains__(self, p: bytes) -> bool:
         return p in self.elements
@@ -174,8 +174,7 @@ class NormalSubgroup:
 
     @classmethod
     def trivial(cls, parent: PermGroup) -> NormalSubgroup:
-        ident = bytes(parent.identity)
-        return cls(parent, frozenset((ident,)), ())
+        return cls(parent, frozenset((parent.identity,)), ())
 
 
 def _same_parent(a: NormalSubgroup, b: NormalSubgroup) -> PermGroup:
@@ -189,18 +188,23 @@ def closure(
     cap: int = DEFAULT_ORDER_CAP,
     degree: int | None = None,
 ) -> PermGroup:
-    """Materialise the group generated by ``gens``; error past ``cap``."""
+    """Materialise the group generated by ``gens``; error past ``cap``.
+
+    Each generator is checked to be a permutation of the common degree and
+    kept as plain bytes, like every other element and generator set here.
+    """
     gens = [bytes(g) for g in gens]
     if degree is None:
         if not gens:
             raise ValueError("degree is required when gens is empty")
         degree = len(gens[0])
-    if any(len(g) != degree for g in gens):
-        raise ValueError("generators must share one degree")
+    ident = list(range(degree))
+    if any(sorted(g) != ident for g in gens):
+        raise ValueError(f"generators must be permutations of 0..{degree - 1}")
     elems = kernels.closure_set(gens, degree, cap)
     if elems is None:
         raise CapExceeded(f"closure exceeds cap of {cap} elements")
-    return PermGroup(degree, frozenset(elems), tuple(Permutation(g) for g in gens))
+    return PermGroup(degree, frozenset(elems), tuple(gens))
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
@@ -208,8 +212,7 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     for s in seeds:
         if s not in G.elements:
             raise ValueError(f"seed {Permutation(s)!r} lies outside the group")
-    ident = bytes(G.identity)
-    return _grow_normal(G, {ident}, (), [bytes(s) for s in seeds])
+    return _grow_normal(G, {G.identity}, (), [bytes(s) for s in seeds])
 
 
 def _grow_normal(
@@ -298,12 +301,11 @@ def commutator_subgroup(
         hit = cache.commutator(A, B)
         if hit is not None:
             return hit
-    ident = bytes(parent.identity)
     seeds: set[bytes] = set()
     for a in A.gens:
         for b in B.gens:
             c = _commutator(a, b)
-            if c != ident:
+            if c != parent.identity:
                 seeds.add(c)
     result = normal_closure(parent, sorted(seeds))
     if cache is not None:
@@ -667,11 +669,7 @@ def random_instance(
             continue
         if G.order < 2:
             continue
-        pool = G.sorted_elements
-        subs = tuple(
-            normal_closure(G, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
-            for _ in range(n)
-        )
+        subs = tuple(_random_normal(G, rng) for _ in range(n))
         return Instance(seed, G, subs)
     raise ValueError(
         f"seed {seed}: no group of order 2..{order_cap} and degree "
@@ -684,15 +682,17 @@ def random_normal_triple(
 ) -> tuple[NormalSubgroup, NormalSubgroup, NormalSubgroup]:
     """Three seeded normal closures of 1-2 random elements each."""
     rng = random.Random(seed)
-    pool = G.sorted_elements
-    a, b, c = (
-        normal_closure(G, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
-        for _ in range(3)
-    )
+    a, b, c = (_random_normal(G, rng) for _ in range(3))
     return a, b, c
 
 
-def _random_perm(rng: random.Random, degree: int) -> Permutation:
+def _random_normal(G: PermGroup, rng: random.Random) -> NormalSubgroup:
+    """Normal closure of 1-2 elements drawn from G's sorted elements."""
+    pool = G.sorted_elements
+    return normal_closure(G, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
+
+
+def _random_perm(rng: random.Random, degree: int) -> bytes:
     images = list(range(degree))
     rng.shuffle(images)
-    return Permutation(images)
+    return bytes(images)

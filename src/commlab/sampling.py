@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from commlab.brackets import left_normed
-from commlab.words import Word
+from commlab.words import Word, left_normed
 
 
 @dataclass(frozen=True)

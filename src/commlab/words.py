@@ -11,13 +11,14 @@ Conventions (used throughout the package):
 
 * conjugation  a^g = g^{-1} a g
 * commutator  [a, b] = a^{-1} b^{-1} a b
+* left-normed commutator  [[...[a1, a2], ...], ak], built by ``left_normed``
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from commlab import kernels
 
@@ -64,13 +65,6 @@ class Word:
     def inverse(self) -> Word:
         return Word._trusted(kernels.invert_reduced(self.letters))
 
-    def __pow__(self, n: int) -> Word:
-        base = self if n >= 0 else self.inverse()
-        out = Word.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def conjugate(self, by: Word) -> Word:
         """self^by = by^{-1} * self * by."""
         return by.inverse() * self * by
@@ -105,6 +99,16 @@ def free_reduce(letters: Iterable[int]) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """[a, b] = a^{-1} b^{-1} a b."""
     return a.inverse() * b.inverse() * a * b
+
+
+def left_normed(args: Sequence[Word]) -> Word:
+    """[[...[[a1, a2], a3]...], ak]; a single argument is returned as is."""
+    if not args:
+        raise ValueError("left_normed needs at least one argument")
+    out = args[0]
+    for a in args[1:]:
+        out = commutator(out, a)
+    return out
 
 
 def parse_word(text: str) -> Word:

@@ -299,6 +299,19 @@ def oracle_follow_strand(strands: int, letters, j: int) -> list[int]:
     return out
 
 
+def oracle_is_pure(strands: int, letters) -> bool:
+    """True iff every strand ends at its start position.
+
+    Swaps the two strands of the arrangement at each crossing, whatever its
+    sign, and compares the final arrangement with the first.
+    """
+    at = list(range(1, strands + 1))  # at[p - 1] is the strand at position p
+    for c in letters:
+        i = abs(c)
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return at == list(range(1, strands + 1))
+
+
 def oracle_delete_strand(strands: int, letters, j: int) -> tuple[int, ...]:
     """Delete strand j (1-based start position) from a braid word, then reduce."""
     return oracle_reduce(oracle_follow_strand(strands, letters, j))

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from commlab.brackets import Leaf, Node, enumerate_brackets, left_normed
-from commlab.words import Word, commutator, free_reduce
+from commlab.brackets import Leaf, Node, enumerate_brackets
+from commlab.words import Word, commutator, free_reduce, left_normed
 
 
 def catalan_count(t):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from commlab.braids import (
-    ArtinAutomorphism,
     Braid,
     artin_action,
     braid_commutator,
@@ -20,7 +19,6 @@ from commlab.braids import (
     parse_braid,
     render_braid,
     sample_brun_generators,
-    strand_permutation,
 )
 from commlab.words import ParseError, Word, free_reduce
 
@@ -28,6 +26,7 @@ from _oracles import (
     oracle_artin_images,
     oracle_delete_strand,
     oracle_follow_strand,
+    oracle_is_pure,
     oracle_reduce,
 )
 
@@ -46,15 +45,16 @@ def rand_pure_braid(rng, strands, factors=4):
     for _ in range(rng.randint(0, factors)):
         i = rng.randint(1, strands - 1)
         j = rng.randint(i + 1, strands)
-        b = b * gen_a(i, j, strands) ** rng.choice([1, -1])
+        g = gen_a(i, j, strands)
+        b = b * (g if rng.choice([1, -1]) == 1 else g.inverse())
     return b
 
 
-def substituted(auto, word):
+def substituted(images, word):
     """Whole-word substitution oracle: replace each letter by its image."""
     out = Word.identity()
     for c in word.letters:
-        img = auto.images[abs(c) - 1]
+        img = images[abs(c) - 1]
         out = out * (img if c > 0 else img.inverse())
     return out
 
@@ -79,16 +79,16 @@ def test_braid_constructor_reduces_and_validates():
 
 
 def test_braid_algebra():
-    a = Braid.generator(4, 1)
-    b = Braid.generator(4, 2, sign=-1)
+    a = Braid(4, (1,))
+    b = Braid(4, (-2,))
     assert (a * b).letters == (1, -2)
     assert (a * a.inverse()).letters == ()
-    assert (a**3).letters == (1, 1, 1)
-    assert (a**-2) == a.inverse() ** 2
+    assert (a * a * a).letters == (1, 1, 1)
+    assert a.inverse() * a.inverse() == Braid(4, (-1, -1))
     assert a.conjugate(b).letters == (2, 1, -2)
     assert len(a * b) == 2
     with pytest.raises(ValueError):
-        a * Braid.generator(3, 1)
+        a * Braid(3, (1,))
 
 
 def test_kernel_built_braids_equal_validated_ones():
@@ -130,18 +130,17 @@ def test_parse_rejects_out_of_range_generators():
 
 
 def test_action_of_single_generators_is_the_standard_one():
-    auto = artin_action(Braid.generator(3, 1))
-    assert auto.images == (
+    assert artin_action(Braid(3, (1,))) == (
         free_reduce([1, 2, -1]),
         Word((1,)),
         Word((3,)),
     )
-    inv = artin_action(Braid.generator(3, 1, sign=-1))
-    assert inv.images == (
+    assert artin_action(Braid(3, (-1,))) == (
         Word((2,)),
         free_reduce([-2, 1, 2]),
         Word((3,)),
     )
+    assert artin_action(Braid.identity(3)) == (Word((1,)), Word((2,)), Word((3,)))
 
 
 def test_action_matches_whole_word_substitution_oracle():
@@ -152,16 +151,10 @@ def test_action_matches_whole_word_substitution_oracle():
         strands = rng.randint(2, 5)
         a = rand_braid(rng, strands, length=8)
         b = rand_braid(rng, strands, length=8)
-        auto_b = artin_action(b)
+        images_b = artin_action(b)
         combined = artin_action(a * b)
-        for k, img in enumerate(artin_action(a).images):
-            assert substituted(auto_b, img) == combined.images[k]
-
-
-def test_automorphism_validation_and_identity():
-    assert artin_action(Braid.identity(3)).is_identity
-    with pytest.raises(ValueError):
-        ArtinAutomorphism(2, (Word((1,)),))
+        for k, img in enumerate(artin_action(a)):
+            assert substituted(images_b, img) == combined[k]
 
 
 def test_trivial_detects_relators():
@@ -170,7 +163,7 @@ def test_trivial_detects_relators():
     assert is_trivial(comm)
     yb = Braid.from_letters(3, [1, 2, 1, -2, -1, -2])
     assert is_trivial(yb)
-    assert not is_trivial(Braid.generator(3, 1))
+    assert not is_trivial(Braid(3, (1,)))
     assert not is_trivial(Braid.from_letters(3, [1, 1]))
 
 
@@ -189,18 +182,35 @@ def test_braid_relations_act_equally_up_to_seven_strands():
 # permutations, purity, strand deletion
 
 
-def test_strand_permutation_examples():
-    assert strand_permutation(Braid.generator(3, 1)).images() == (2, 1, 3)
-    # sigma_1 then sigma_2 carries strand 1 all the way to position 3
-    assert strand_permutation(Braid.from_letters(3, [1, 2])).images() == (3, 1, 2)
-    assert strand_permutation(Braid.from_letters(3, [1, 1])).is_identity
-
-
 def test_pure_braids_are_not_necessarily_trivial():
     sq = Braid.from_letters(2, [1, 1])
     assert is_pure(sq)
     assert not is_trivial(sq)
-    assert not is_pure(Braid.generator(2, 1))
+    assert not is_pure(Braid(2, (1,)))
+
+
+def test_is_pure_matches_arrangement_oracle():
+    # a third of the braids are products of A_{i,j}, pure by construction;
+    # a third are random words; a third are pure braids times one crossing,
+    # whose strand permutation is a transposition
+    rng = random.Random(63)
+    seen = {True: 0, False: 0}
+    for case in range(600):
+        strands = rng.randint(2, 8)
+        if case % 3 == 1:
+            b = rand_braid(rng, strands, length=200)
+        else:
+            # A_{i,j} has at most 2 * strands - 2 letters, so 14 factors of
+            # at most 14 letters each stay under 200
+            b = rand_pure_braid(rng, strands, factors=14)
+            if case % 3 == 2:
+                b = b * Braid(strands, (rng.randint(1, strands - 1),))
+        assert len(b) <= 200
+        expected = oracle_is_pure(strands, b.letters)
+        assert is_pure(b) is expected
+        seen[expected] += 1
+    assert seen[True] >= 200
+    assert seen[False] >= 200
 
 
 def test_delete_strand_examples():
@@ -245,7 +255,8 @@ def _fuzzed_braids(rng, strands):
     a = rand_braid(rng, strands)
     b = rand_braid(rng, strands)
     u = rand_braid(rng, strands, length=6)
-    sigma = Braid.generator(strands, rng.randint(1, strands - 1), rng.choice([1, -1]))
+    index = rng.randint(1, strands - 1)
+    sigma = Braid(strands, (rng.choice([1, -1]) * index,))
     return [
         a,
         rand_pure_braid(rng, strands),
@@ -275,7 +286,7 @@ def test_delete_strand_matches_oracle_at_every_strand():
 
 
 def _oracle_is_brunnian(b):
-    if not strand_permutation(b).is_identity:
+    if not oracle_is_pure(b.strands, b.letters):
         return False
     n = b.strands - 1
     identity = [(k,) for k in range(1, n + 1)]
@@ -360,7 +371,7 @@ def test_closing_generator_extends_the_defining_product():
 
 def test_brunnian_examples():
     assert is_brunnian(Braid.from_letters(2, [1, 1]))
-    assert not is_brunnian(Braid.generator(2, 1))  # not pure
+    assert not is_brunnian(Braid(2, (1,)))  # not pure
     # A_{1,2} on 3 strands survives deleting strand 3
     assert not is_brunnian(gen_a(1, 2, 3))
     assert is_brunnian(Braid.identity(4))

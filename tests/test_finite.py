@@ -5,7 +5,6 @@ import random
 import pytest
 
 from commlab import finite
-from commlab.brackets import Leaf, enumerate_brackets
 from commlab.finite import (
     BudgetExceeded,
     CapExceeded,
@@ -31,6 +30,7 @@ from commlab.finite import (
 )
 
 from _oracles import (
+    _shapes,
     oracle_closure,
     oracle_commutator_of_normal,
     oracle_commutator_subgroup,
@@ -114,6 +114,9 @@ def test_closure_cap_and_degree_checks():
         closure([])
     with pytest.raises(ValueError):
         closure([Permutation.identity(2), Permutation.identity(3)])
+    # generators are kept as bytes, so closure checks them itself
+    with pytest.raises(ValueError):
+        closure([bytes([0, 0, 1])])
 
 
 def test_closure_is_independent_of_generator_order():
@@ -176,7 +179,7 @@ def test_three_cycles_close_to_the_alternating_group(n):
 def test_closure_of_order_three_in_the_cyclic_group_of_order_nine():
     # the least prime dividing 9 is 3, so the cap sits at 3
     G = _cyclic(9)
-    c = G.gens[0]
+    c = Permutation(G.gens[0])
     C3 = normal_closure(G, [c * c * c])
     assert tuples(C3.elements) == oracle_closure([tuple(c * c * c)], 9)
     assert C3.order == 3
@@ -187,7 +190,7 @@ def test_closure_of_order_three_in_the_cyclic_group_of_order_nine():
 def test_closures_in_groups_of_prime_order(p):
     # the cap is 1, so any nontrivial element generates the whole group
     G = _cyclic(p)
-    ident = bytes(G.identity)
+    ident = G.identity
     assert normal_closure(G, [ident]).is_trivial
     for g in G.elements - {ident}:
         whole = normal_closure(G, [g])
@@ -390,7 +393,8 @@ def test_fat_commutator_matches_tuple_enumeration_oracle():
 def tree_walk_fat(G, Rs, weight_cap):
     """Reference fat computation: every surjective assignment x bracket tree.
 
-    The subgroup of one (assignment, arrangement) pair is its iterated
+    The trees are the oracle's own ``_shapes``. The subgroup of one
+    (assignment, shape) pair is its iterated
     commutator subgroup; the fat subgroup is the product over all pairs of
     weight n..weight_cap.
     """
@@ -398,20 +402,23 @@ def tree_walk_fat(G, Rs, weight_cap):
     cache = SubgroupCache()
     Rs = [cache.intern(R) for R in Rs]
 
-    def value(b, assignment):
-        if isinstance(b, Leaf):
-            return Rs[assignment[b.position - 1]]
-        left = value(b.left, assignment)
-        right = value(b.right, assignment)
-        return commutator_subgroup(left, right, cache)
+    def value(shape, assignment):
+        # shape 0 is a leaf; (k, left, right) puts k leaves on the left
+        if shape == 0:
+            return Rs[assignment[0]]
+        k, left, right = shape
+        return commutator_subgroup(
+            value(left, assignment[:k]), value(right, assignment[k:]), cache
+        )
 
     total = NormalSubgroup.trivial(G)
     for t in range(n, weight_cap + 1):
+        shapes = _shapes(t)
         for assignment in itertools.product(range(n), repeat=t):
             if len(set(assignment)) != n:
                 continue
-            for arrangement in enumerate_brackets(t):
-                sub = value(arrangement, assignment)
+            for shape in shapes:
+                sub = value(shape, assignment)
                 if not sub.elements <= total.elements:
                     total = product_subgroup(total, sub)
     return total

@@ -18,6 +18,8 @@ from _oracles import (
 )
 
 from commlab import kernels
+from commlab.braids import Braid, artin_action
+from commlab.words import Word
 
 
 def test_reduce_letters_examples():
@@ -116,9 +118,13 @@ def test_artin_images_match_the_substitution_oracle():
             rng.choice([1, -1]) * rng.randint(1, strands - 1)
             for _ in range(rng.randint(0, 25))
         ]
-        assert kernels.artin_images(strands, word) == oracle_artin_images(
-            strands, word
-        )
+        expected = oracle_artin_images(strands, word)
+        assert kernels.artin_images(strands, word) == expected
+        # artin_action wraps these images in Word without validating them
+        images = artin_action(Braid.from_letters(strands, word))
+        assert [img.letters for img in images] == expected
+        for img in images:
+            assert Word(img.letters) == img
 
 
 def test_permutation_kernels_match_the_oracle_on_fuzzed_generators():

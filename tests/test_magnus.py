@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from commlab.brackets import left_normed
 from commlab.magnus import TruncatedSeries, expand, gamma_membership
 from commlab.sampling import random_reduced_word
-from commlab.words import Word, commutator, free_reduce, parse_word
+from commlab.words import Word, commutator, free_reduce, left_normed, parse_word
 
 from _oracles import oracle_expand
 

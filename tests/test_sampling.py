@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from commlab.brackets import left_normed
 from commlab.magnus import gamma_membership
 from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
-from commlab.words import Word
+from commlab.words import Word, left_normed
 
 
 def single_letter_specs(n):

@@ -89,13 +89,6 @@ def test_commutator_convention():
         assert commutator(a, b) == a.inverse() * a.conjugate(b)
 
 
-def test_powers():
-    x = Word((1,))
-    assert (x**3).letters == (1, 1, 1)
-    assert (x**-2).letters == (-1, -1)
-    assert (x**0).is_identity
-
-
 def test_symbols_and_max_index():
     assert parse_word("x3 x1^-1").max_index() == 3
     assert Word.identity().max_index() == 0
