@@ -16,19 +16,17 @@ Purity is read off the crossings alone: ``is_pure`` follows the strands
 through the word and checks that each ends where it started.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
-``Braid.from_letters``, ``parse_braid``, ``gen_a``, ``gen_t`` and
-``load_corpus`` check that every letter is in range and that the word is
-freely reduced. Values made from already-valid braids by the letter kernels
-(products, inverses, strand deletions) are reduced and in range by
-construction, so they are built with the unchecked ``Braid._trusted``; the
-image words of ``artin_action`` come reduced from the same kernels and are
-built with ``Word._trusted``.
+``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
+every letter is in range and that the word is freely reduced. Values made
+from already-valid braids by the letter kernels (products, inverses, strand
+deletions) are reduced and in range by construction, so they are built with
+the unchecked ``Braid._trusted``; the image words of ``artin_action`` come
+reduced from the same kernels and are built with ``Word._trusted``.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -301,8 +299,6 @@ def sample_brun_generators(
 # ---------------------------------------------------------------------------
 # corpus files
 
-_CORPUS_HEADER = re.compile(r"^# strands=(\d+) seed=(-?\d+)$")
-
 
 def dump_corpus(braids: Sequence[Braid], strands: int, seed: int) -> str:
     """One braid per line under a `# strands=<n> seed=<s>` header."""
@@ -314,16 +310,3 @@ def dump_corpus(braids: Sequence[Braid], strands: int, seed: int) -> str:
             )
         lines.append(render_braid(b))
     return "\n".join(lines) + "\n"
-
-
-def load_corpus(text: str) -> tuple[int, int, list[Braid]]:
-    """Inverse of dump_corpus; returns (strands, seed, braids)."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty corpus")
-    m = _CORPUS_HEADER.match(lines[0])
-    if m is None:
-        raise ValueError(f"bad corpus header: {lines[0]!r}")
-    strands, seed = int(m.group(1)), int(m.group(2))
-    braids = [parse_braid(line, strands) for line in lines[1:]]
-    return strands, seed, braids

@@ -183,10 +183,12 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
               help="test one braid word (on --n strands) instead of sampling")
 @click.option("--export", "export_path", default=None,
               type=click.Path(dir_okay=False),
-              help="also write the sampled corpus to this file")
+              help="also write the sampled corpus to this file (not with --check)")
 @run_options
 def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt):
     """Sample symmetric-commutator braids and check every one is Brunnian."""
+    if check_word is not None and export_path is not None:
+        raise click.UsageError("--export needs a sampled corpus; --check samples none")
     started = time.perf_counter()
     config = {
         "n": n, "samples": samples, "conj_depth": conj_depth,

@@ -4,10 +4,10 @@ Subgroups are materialised element sets, so every identity under test
 (product rule for commutators, Hall containments, fat = symmetric, the
 first-slot reduction, the connectivity condition) becomes a set comparison.
 
-Internally a permutation of degree d is a length-d ``bytes`` mapping position
-i to p[i] (0-based); the public ``Permutation`` type is a bytes subclass, so
-raw kernel output and wrapped values mix freely in sets. Composition is left
-to right: ``(p * q)(i) = q[p[i]]``, conjugation is ``p^g = g^-1 p g`` and the
+A permutation of degree d is a plain length-d ``bytes`` mapping position i to
+p[i] (0-based), in element sets, generator tuples and kernel output alike;
+there is no wrapper type. Composition is left to right:
+``(p * q)(i) = q[p[i]]``, conjugation is ``p^g = g^-1 p g`` and the
 commutator is ``[a, b] = a^-1 b^-1 a b``, matching the word module.
 
 Commutator subgroups are computed as normal closures of generator
@@ -55,73 +55,6 @@ class BudgetExceeded(RuntimeError):
     """The fat commutator needs more mask pairs than the budget allows."""
 
 
-class Permutation(bytes):
-    """Permutation of {1..d}, stored 0-based as bytes; p maps i to p[i]."""
-
-    __slots__ = ()
-
-    def __new__(cls, images: Iterable[int] | bytes) -> Permutation:
-        self = super().__new__(cls, images)
-        if sorted(self) != list(range(len(self))):
-            raise ValueError(f"not a permutation of 0..{len(self) - 1}")
-        return self
-
-    @classmethod
-    def identity(cls, degree: int) -> Permutation:
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
-        return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Permutation:
-        """Build from 1-based cycles, e.g. from_cycles(3, (1, 2))."""
-        out = list(range(degree))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
-                out[a - 1] = b - 1
-        return cls(out)
-
-    @property
-    def degree(self) -> int:
-        return len(self)
-
-    def images(self) -> tuple[int, ...]:
-        """1-based image tuple."""
-        return tuple(v + 1 for v in self)
-
-    def __mul__(self, other: Permutation) -> Permutation:  # type: ignore[override]
-        return Permutation(kernels.compose(self, other))
-
-    def inverse(self) -> Permutation:
-        return Permutation(kernels.invert_perm(self))
-
-    def conjugate(self, by: bytes) -> Permutation:
-        return Permutation(_conj(self, by))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self))
-
-    def cycle_string(self) -> str:
-        seen: set[int] = set()
-        parts: list[str] = []
-        for start in range(len(self)):
-            if start in seen or self[start] == start:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = self[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self[nxt]
-            parts.append("(" + " ".join(str(v + 1) for v in cycle) + ")")
-        return "".join(parts) or "()"
-
-    def __repr__(self) -> str:
-        return f"Permutation{self.cycle_string()}"
-
-
 def _conj(p: bytes, g: bytes) -> bytes:
     return kernels.compose(kernels.compose(kernels.invert_perm(g), p), g)
 
@@ -146,9 +79,6 @@ class PermGroup:
     def identity(self) -> bytes:
         return bytes(range(self.degree))
 
-    def __contains__(self, p: bytes) -> bool:
-        return p in self.elements
-
     @cached_property
     def sorted_elements(self) -> tuple[bytes, ...]:
         """The elements in sorted order: the seed pool of the random draws."""
@@ -164,13 +94,6 @@ class NormalSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
-
-    def __contains__(self, p: bytes) -> bool:
-        return p in self.elements
 
     @classmethod
     def trivial(cls, parent: PermGroup) -> NormalSubgroup:
@@ -211,8 +134,25 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     """Smallest normal subgroup of G containing the seeds."""
     for s in seeds:
         if s not in G.elements:
-            raise ValueError(f"seed {Permutation(s)!r} lies outside the group")
+            raise ValueError(f"seed {_seed_text(s)} lies outside the group")
     return _grow_normal(G, {G.identity}, (), [bytes(s) for s in seeds])
+
+
+def _seed_text(s: bytes) -> str:
+    """A permutation in 1-based cycle form, anything else as its image list."""
+    if sorted(s) != list(range(len(s))):
+        return str(list(s))
+    seen: set[int] = set()
+    parts: list[str] = []
+    for start in range(len(s)):
+        if start in seen or s[start] == start:
+            continue
+        cycle = [start]
+        while s[cycle[-1]] != start:
+            cycle.append(s[cycle[-1]])
+        seen.update(cycle)
+        parts.append("(" + " ".join(str(v + 1) for v in cycle) + ")")
+    return "".join(parts) or "()"
 
 
 def _grow_normal(
@@ -634,10 +574,6 @@ class Instance:
     seed: int
     group: PermGroup
     subgroups: tuple[NormalSubgroup, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.subgroups)
 
 
 def random_instance(

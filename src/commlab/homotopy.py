@@ -98,9 +98,6 @@ class Partition:
     def singletons(cls, m: int) -> Partition:
         return cls(m, tuple(frozenset({i}) for i in range(1, m + 1)))
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def in_block_closure(pres: SpherePresentation, w: Word, block: Iterable[int]) -> bool:
     """Whether w (over x_1..x_{m-1}) lies in the normal closure of the block."""

@@ -79,28 +79,6 @@ class TruncatedSeries:
         degrees = [len(m) for m in self.terms if m]
         return min(degrees) if degrees else None
 
-    def render(self) -> str:
-        """Deterministic text form, monomials sorted by degree then lex."""
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
-            if mono:
-                body = " ".join(f"X{i}" for i in mono)
-                if abs(coeff) != 1:
-                    body = f"{abs(coeff)}·{body}"
-            else:
-                body = str(abs(coeff))
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
 
 def expand(w: Word, cutoff: int) -> TruncatedSeries:
     """Magnus expansion of a word, truncated beyond degree ``cutoff``."""

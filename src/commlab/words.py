@@ -1,8 +1,8 @@
 """Freely reduced words in a free group with numbered generators x1, x2, ...
 
 A word is stored as a tuple of nonzero ints: +k for x_k, -k for x_k^{-1}.
-All public constructors freely reduce, so ``Word`` values are canonical and
-two words are equal iff they are the same element of the free group.
+``Word`` rejects a word that is not freely reduced, so values are canonical
+and two words are equal iff they are the same element of the free group.
 Products and inverses of words are reduced by the letter kernels, so they
 are built with the unchecked ``Word._trusted``; every other construction is
 validated.
@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from commlab import kernels
 
 
 class ParseError(ValueError):
-    """Raised on malformed word or braid text; carries the token position."""
+    """Raised on malformed generator tokens; carries the token position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (token {position})")
@@ -43,7 +43,7 @@ class Word:
             if not isinstance(c, int) or c == 0:
                 raise ValueError(f"invalid letter {c!r}: want a nonzero int")
             if c == -prev:
-                raise ValueError("word is not freely reduced; use free_reduce")
+                raise ValueError("word is not freely reduced")
             prev = c
 
     @classmethod
@@ -73,9 +73,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def max_index(self) -> int:
         """Largest generator index appearing (0 for the identity)."""
         return max(map(abs, self.letters), default=0)
@@ -85,15 +82,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
-
-
-def free_reduce(letters: Iterable[int]) -> Word:
-    """Build a Word from an arbitrary letter string, reducing as needed."""
-    letters = tuple(letters)
-    for c in letters:
-        if not isinstance(c, int) or c == 0:
-            raise ValueError(f"invalid letter {c!r}: want a nonzero int")
-    return Word(kernels.reduce_letters(letters))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -111,18 +99,11 @@ def left_normed(args: Sequence[Word]) -> Word:
     return out
 
 
-def parse_word(text: str) -> Word:
-    """Parse whitespace-separated tokens ``x<k>`` and ``x<k>^-1``.
-
-    The empty string parses to the identity. Indices start at 1; anything
-    else (x0, stray characters, missing index) raises ParseError with the
-    offending token position.
-    """
-    return free_reduce(_parse_letters(text, "x"))
-
-
 def render_word(w: Word) -> str:
-    """Inverse of parse_word; the identity renders as the empty string."""
+    """Space-separated tokens ``x<k>`` and ``x<k>^-1``.
+
+    The identity renders as the empty string.
+    """
     return " ".join(
         f"x{abs(c)}" if c > 0 else f"x{abs(c)}^-1" for c in w.letters
     )

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive and, except ``ordered_walk``, shares no
-code with the package: permutations are tuples of 0-based ints, closures are
+code with the package: permutations are tuples of 0-based ints (``from_cycles``
+builds the package's own bytes form for test inputs), closures are
 fixed-point scans, and commutator subgroups are closures of all element-level
 commutators. The real implementations must agree with these on small
 instances. ``ordered_walk`` reuses the package's commutator and product of
@@ -18,6 +19,15 @@ from commlab.finite import (
     commutator_subgroup,
     product_subgroup,
 )
+
+
+def from_cycles(degree: int, *cycles: tuple[int, ...]) -> bytes:
+    """The permutation with these 1-based cycles, stored 0-based as bytes."""
+    out = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a - 1] = b - 1
+    return bytes(out)
 
 
 def o_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from commlab.braids import (
 from commlab.homotopy import pi2_check, pi3_certificate
 from commlab.magnus import TruncatedSeries, expand
 from commlab.sampling import random_reduced_word
-from commlab.words import parse_word
+from commlab.words import Word
 
 
 @pytest.fixture
@@ -167,7 +167,7 @@ def test_criterion_8_magnus_laws_and_frozen_expansion(announce):
         inverse = expand(u.inverse(), cutoff) * expand(u, cutoff) == \
             TruncatedSeries.one(cutoff)
         law_good += homomorphic and inverse
-    frozen = expand(parse_word("x1^-1 x2^-1 x1 x2"), 2).terms == {
+    frozen = expand(Word((-1, -2, 1, 2)), 2).terms == {
         (): 1,
         (1, 2): 1,
         (2, 1): -1,

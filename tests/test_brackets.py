@@ -3,7 +3,9 @@ import random
 import pytest
 
 from commlab.brackets import Leaf, Node, enumerate_brackets
-from commlab.words import Word, commutator, free_reduce, left_normed
+from commlab.words import Word, commutator, left_normed
+
+from _oracles import oracle_reduce
 
 
 def catalan_count(t):
@@ -83,9 +85,9 @@ def test_left_normed_matches_left_comb_evaluation():
     for _ in range(50):
         t = rng.randint(2, 5)
         args = [
-            free_reduce(
+            Word(oracle_reduce(
                 [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(4)]
-            )
+            ))
             for _ in range(t)
         ]
         # the left comb peels off its last leaf: [comb(a1..ak-1), ak]

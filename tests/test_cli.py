@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import commlab
 from commlab import finite, homotopy
-from commlab.braids import load_corpus
+from commlab.braids import parse_braid, sample_brun_generators
 from commlab.cli import main
 
 
@@ -205,8 +205,23 @@ def test_brunnian_sampling_and_export(runner, tmp_path):
     assert result.exit_code == 0
     payload = read_report(result, tmp_path)
     assert payload["results"]["summary"]["pass"] == "8/8"
-    strands, seed, braids = load_corpus(corpus.read_text())
-    assert (strands, seed, len(braids)) == (3, 11, 8)
+    header, *lines = corpus.read_text().splitlines()
+    assert header == "# strands=3 seed=11"
+    exported = [parse_braid(line, 3) for line in lines]
+    assert exported == list(sample_brun_generators(3, 2, 11, 8))
+
+
+def test_brunnian_check_with_export_is_a_usage_error(runner, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    result = invoke(
+        runner,
+        tmp_path,
+        ["brunnian", "--n", "2", "--check", "s1 s1", "--export", str(corpus)],
+    )
+    assert result.exit_code == 2
+    assert "--export" in result.output
+    assert not corpus.exists()
+    assert not (tmp_path / "latest").exists()
 
 
 def test_brunnian_export_to_a_missing_directory_is_a_usage_error(runner, tmp_path):

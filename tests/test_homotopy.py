@@ -15,7 +15,9 @@ from commlab.homotopy import (
 )
 from commlab.magnus import gamma_membership
 from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
-from commlab.words import Word, commutator, free_reduce
+from commlab.words import Word, commutator
+
+from _oracles import oracle_reduce
 
 
 def oracle_member(m, w, killed):
@@ -29,7 +31,7 @@ def oracle_member(m, w, killed):
     survivors = [k for k in range(1, m + 1) if k not in killed]
     image = [c for c in w.letters if abs(c) not in killed]
     if not survivors:
-        return not free_reduce(image).letters
+        return not oracle_reduce(image)
     e = survivors[-1]
     others = survivors[:-1]
     # s_1 ... s_j e = 1 in the quotient, so e = s_j^-1 ... s_1^-1
@@ -38,7 +40,7 @@ def oracle_member(m, w, killed):
     out = []
     for c in image:
         out.extend(repl if c == e else repl_inv if c == -e else [c])
-    return not free_reduce(out).letters
+    return not oracle_reduce(out)
 
 
 def rand_sphere_word(rng, m, length=14):
@@ -125,8 +127,8 @@ def test_planted_members_match_the_oracle_through_the_substitution():
         expected = m - len(block) == 1
         assert oracle_member(m, outside, block) is expected
         assert one_relator_membership(pres, outside, block) is expected
-        image = free_reduce(c for c in w.letters if abs(c) not in block)
-        substituted += not image.is_identity
+        image = oracle_reduce(c for c in w.letters if abs(c) not in block)
+        substituted += bool(image)
     assert substituted >= 100
 
 
@@ -204,7 +206,7 @@ def test_block_closure_agrees_with_eliminated_membership():
 
 def test_partition_validation():
     part = Partition.singletons(3)
-    assert len(part) == 3
+    assert len(part.blocks) == 3
     assert part.blocks[0] == frozenset({1})
     with pytest.raises(ValueError):
         Partition(3, (frozenset({1, 2}),))  # misses 3

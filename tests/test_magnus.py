@@ -4,15 +4,15 @@ import pytest
 
 from commlab.magnus import TruncatedSeries, expand, gamma_membership
 from commlab.sampling import random_reduced_word
-from commlab.words import Word, commutator, free_reduce, left_normed, parse_word
+from commlab.words import Word, commutator, left_normed
 
-from _oracles import oracle_expand
+from _oracles import oracle_expand, oracle_reduce
 
 
 def rand_word(rng, rank=3, length=8):
-    return free_reduce(
+    return Word(oracle_reduce(
         [rng.choice([1, -1]) * rng.randint(1, rank) for _ in range(length)]
-    )
+    ))
 
 
 def test_expansion_of_a_generator():
@@ -23,19 +23,17 @@ def test_expansion_of_a_generator():
 def test_expansion_of_an_inverse_is_the_alternating_series():
     s = expand(Word((1,)).inverse(), 3)
     assert s.terms == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
-    assert s.render() == "1 - X1 + X1 X1 - X1 X1 X1"
 
 
 def test_commutator_expansion_frozen():
-    s = expand(parse_word("x1^-1 x2^-1 x1 x2"), 2)
+    s = expand(Word((-1, -2, 1, 2)), 2)
     assert s.terms == {(): 1, (1, 2): 1, (2, 1): -1}
-    assert s.render() == "1 + X1 X2 - X2 X1"
 
 
 def test_identity_expands_to_one():
     s = expand(Word.identity(), 4)
     assert s == TruncatedSeries.one(4)
-    assert s.render() == "1"
+    assert s.terms == {(): 1}
 
 
 def test_expansion_matches_the_series_product_oracle():
@@ -75,8 +73,8 @@ def test_inverses_expand_to_series_inverses():
 
 
 def test_series_multiplication_respects_cutoff():
-    a = expand(parse_word("x1 x2"), 2)
-    b = expand(parse_word("x2 x1"), 3)
+    a = expand(Word((1, 2)), 2)
+    b = expand(Word((2, 1)), 3)
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
@@ -124,8 +122,7 @@ def test_gamma_membership_is_conjugation_invariant():
             assert gamma_membership(w, k) == gamma_membership(w.conjugate(g), k)
 
 
-def test_render_is_sorted_and_shows_coefficients():
+def test_expansion_of_a_square_has_coefficient_two():
     # x1^2 at cutoff 2: 1 + 2*X1 + X1 X1
-    s = expand(parse_word("x1 x1"), 2)
-    assert s.render() == "1 + 2·X1 + X1 X1"
-    assert str(s) == s.render()
+    s = expand(Word((1, 1)), 2)
+    assert s.terms == {(): 1, (1,): 2, (1, 1): 1}

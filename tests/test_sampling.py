@@ -89,7 +89,7 @@ def test_random_reduced_word_is_reduced_and_sized():
     for _ in range(200):
         length = rng.randint(0, 12)
         w = random_reduced_word(rng, rank=3, length=length)
-        assert len(w) == length
+        assert len(w.letters) == length
         assert Word(w.letters) == w  # the validating constructor accepts it
     assert random_reduced_word(rng, 0, 5).is_identity
     with pytest.raises(ValueError):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from commlab.braids import parse_braid
 from commlab.words import (
     ParseError,
     Word,
+    _parse_letters,
     commutator,
-    free_reduce,
-    parse_word,
     render_word,
 )
+
+from _oracles import oracle_reduce
 
 
 def rand_letters(rng, rank=3, length=12):
@@ -17,20 +19,7 @@ def rand_letters(rng, rank=3, length=12):
 
 
 def rand_word(rng, rank=3, length=8):
-    return free_reduce(rand_letters(rng, rank, length))
-
-
-def test_reduce_cancels_adjacent_pairs():
-    assert free_reduce([1, -1]).is_identity
-    assert free_reduce([1, 2, -2, 1]).letters == (1, 1)
-    assert free_reduce([]) == Word.identity()
-
-
-def test_reduce_is_idempotent_on_fuzzed_strings():
-    rng = random.Random(20)
-    for _ in range(300):
-        w = rand_word(rng, rank=4, length=20)
-        assert free_reduce(w.letters) == w
+    return Word(oracle_reduce(rand_letters(rng, rank, length)))
 
 
 def test_word_constructor_rejects_unreduced_and_bad_letters():
@@ -39,12 +28,12 @@ def test_word_constructor_rejects_unreduced_and_bad_letters():
     with pytest.raises(ValueError):
         Word((0,))
     with pytest.raises(ValueError):
-        free_reduce([1, 0])
+        Word((1, 2, -2))
 
 
 def test_multiplication_cancels_at_the_seam():
-    a = free_reduce([1, 2])
-    b = free_reduce([-2, -1, 3])
+    a = Word((1, 2))
+    b = Word((-2, -1, 3))
     assert (a * b).letters == (3,)
 
 
@@ -90,32 +79,35 @@ def test_commutator_convention():
 
 
 def test_symbols_and_max_index():
-    assert parse_word("x3 x1^-1").max_index() == 3
+    assert Word((3, -1)).max_index() == 3
     assert Word.identity().max_index() == 0
 
 
 def test_parse_render_round_trip():
+    # render_word writes the token grammar that _parse_letters reads
     rng = random.Random(24)
     for _ in range(200):
         w = rand_word(rng, rank=5, length=10)
-        assert parse_word(render_word(w)) == w
-    assert parse_word("") == Word.identity()
-    assert parse_word("   ") == Word.identity()
+        assert tuple(_parse_letters(render_word(w), "x")) == w.letters
+    assert render_word(Word((2, -1))) == "x2 x1^-1"
     assert render_word(Word.identity()) == ""
-    assert parse_word("x2 x2^-1").is_identity
+    assert _parse_letters("   ", "x") == []
 
 
 def test_parse_rejects_bad_tokens():
+    # parse_braid is the public reader of the token grammar in this module
     for text, pos in [
-        ("x0", 1),
-        ("x1 x0", 2),
-        ("x01", 1),
-        ("y1", 1),
-        ("x1^1", 1),
-        ("x1 ^-1", 2),
-        ("x-1", 1),
-        ("x1^-2", 1),
+        ("s0", 1),
+        ("s1 s0", 2),
+        ("s01", 1),
+        ("x1", 1),
+        ("s1^1", 1),
+        ("s1 ^-1", 2),
+        ("s-1", 1),
+        ("s1^-2", 1),
+        ("s", 1),
+        ("s1 s2 s1,", 3),
     ]:
         with pytest.raises(ParseError) as err:
-            parse_word(text)
+            parse_braid(text, 4)
         assert err.value.position == pos
