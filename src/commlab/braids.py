@@ -10,7 +10,8 @@ braids are equal iff their tuples are.
 
 Letter order convention: words act left to right, so in ``a * b`` the braid
 ``a`` is performed first, and the image of x_k under ``a * b`` is the image
-under ``a`` with each letter replaced by its image under ``b``.
+under ``a`` with each letter replaced by its image under ``b``; so the kernel
+builds the images from the last letter back, each letter rewriting two.
 
 Purity is read off the crossings alone: ``is_pure`` follows the strands
 through the word and checks that each ends where it started.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
-from commlab.words import ParseError, Word, _parse_letters
+from commlab.words import ParseError, Word, _parse_letters, _render_letters, left_normed
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,6 @@ class Braid:
         return f"Braid({self.strands}, {str(self)!r})"
 
 
-def braid_commutator(a: Braid, b: Braid) -> Braid:
-    """[a, b] = a^{-1} b^{-1} a b."""
-    return a.inverse() * b.inverse() * a * b
-
-
 def parse_braid(text: str, strands: int) -> Braid:
     """Parse whitespace-separated tokens ``s<i>`` and ``s<i>^-1``.
 
@@ -118,9 +114,7 @@ def parse_braid(text: str, strands: int) -> Braid:
 
 def render_braid(b: Braid) -> str:
     """Inverse of parse_braid; the identity renders as the empty string."""
-    return " ".join(
-        f"s{abs(c)}" if c > 0 else f"s{abs(c)}^-1" for c in b.letters
-    )
+    return _render_letters(b.letters, "s")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,7 @@ def sample_brun_generators(
     for _ in range(count):
         order = list(range(1, n))
         rng.shuffle(order)
-        value: Braid | None = None
+        args: list[Braid] = []
         for index in order:
             r = gen_t(index, n)
             if rng.random() < 0.5:
@@ -290,10 +284,8 @@ def sample_brun_generators(
             for _ in range(rng.randint(0, conj_depth)):
                 g = rng.choice(pure_gens)
                 conj = conj * (g if rng.random() < 0.5 else g.inverse())
-            r = r.conjugate(conj)
-            value = r if value is None else braid_commutator(value, r)
-        assert value is not None
-        yield value
+            args.append(r.conjugate(conj))
+        yield left_normed(args)
 
 
 # ---------------------------------------------------------------------------

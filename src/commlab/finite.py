@@ -133,8 +133,12 @@ def closure(
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     """Smallest normal subgroup of G containing the seeds."""
     for s in seeds:
-        if s not in G.elements:
-            raise ValueError(f"seed {_seed_text(s)} lies outside the group")
+        try:
+            if bytes(s) in G.elements:
+                continue
+        except ValueError:  # an image past 255 lies in no carrier
+            pass
+        raise ValueError(f"seed {_seed_text(s)} lies outside the group")
     return _grow_normal(G, {G.identity}, (), [bytes(s) for s in seeds])
 
 

@@ -1,4 +1,4 @@
-"""Kernels: free-letter reduction, Artin substitution, permutation sets.
+"""Kernels: free-letter reduction, the Artin action, permutation sets.
 
 The package's inner loops on letter strings and permutations live here, in
 plain Python. Everything here works on plain data:
@@ -65,82 +65,23 @@ def invert_reduced(a: Sequence[int]) -> tuple[int, ...]:
 def artin_images(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]]:
     """Images of the free generators x_1..x_n under a braid word.
 
-    Braid letters are signed ints (+i for sigma_i, -i for its inverse) and are
-    applied left to right: the first letter of the word acts first. Images of
-    generators under any braid automorphism are conjugates u x_k u^{-1}, so
-    the loop tracks the pair (u, k) per strand and only expands at the end.
-    The returned words are freely reduced.
+    Braid letters are signed ints (+i for sigma_i, -i for its inverse) and act
+    left to right, so phi_{s w} = phi_w o phi_s: the loop reads the word from
+    its last letter, keeping the images I_1..I_n of the suffix read so far.
+    sigma_i rewrites (I_i, I_{i+1}) to (I_i I_{i+1} I_i^{-1}, I_i) and
+    sigma_i^{-1} to (I_{i+1}, I_{i+1}^{-1} I_i I_{i+1}); all are freely reduced.
     """
-    us: list[list[int]] = [[] for _ in range(strands)]
-    ks = list(range(1, strands + 1))
-    for lt in letters:
-        i = lt if lt > 0 else -lt
-        ip = i + 1
-        for j in range(strands):
-            u = us[j]
-            new: list[int] = []
-            if lt > 0:
-                # sigma_i: x_i -> x_i x_{i+1} x_i^{-1}, x_{i+1} -> x_i
-                for c in u:
-                    if c == i:
-                        _push(new, i)
-                        _push(new, ip)
-                        _push(new, -i)
-                    elif c == -i:
-                        _push(new, i)
-                        _push(new, -ip)
-                        _push(new, -i)
-                    elif c == ip:
-                        _push(new, i)
-                    elif c == -ip:
-                        _push(new, -i)
-                    else:
-                        _push(new, c)
-                k = ks[j]
-                if k == i:
-                    _push(new, i)
-                    ks[j] = ip
-                elif k == ip:
-                    ks[j] = i
-            else:
-                # sigma_i^{-1}: x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}
-                for c in u:
-                    if c == i:
-                        _push(new, ip)
-                    elif c == -i:
-                        _push(new, -ip)
-                    elif c == ip:
-                        _push(new, -ip)
-                        _push(new, i)
-                        _push(new, ip)
-                    elif c == -ip:
-                        _push(new, -ip)
-                        _push(new, -i)
-                        _push(new, ip)
-                    else:
-                        _push(new, c)
-                k = ks[j]
-                if k == i:
-                    ks[j] = ip
-                elif k == ip:
-                    _push(new, -ip)
-                    ks[j] = i
-            us[j] = new
-    out: list[tuple[int, ...]] = []
-    for u, k in zip(us, ks):
-        w = list(u)
-        _push(w, k)
-        for c in reversed(u):
-            _push(w, -c)
-        out.append(tuple(w))
-    return out
-
-
-def _push(stack: list[int], c: int) -> None:
-    if stack and stack[-1] == -c:
-        stack.pop()
-    else:
-        stack.append(c)
+    images = [(k,) for k in range(1, strands + 1)]
+    for lt in reversed(letters):
+        i = abs(lt) - 1
+        a, b = images[i], images[i + 1]
+        if lt > 0:
+            images[i] = multiply_reduced(multiply_reduced(a, b), invert_reduced(a))
+            images[i + 1] = a
+        else:
+            images[i] = b
+            images[i + 1] = multiply_reduced(multiply_reduced(invert_reduced(b), a), b)
+    return images
 
 
 # ---------------------------------------------------------------------------

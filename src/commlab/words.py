@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence, TypeVar
 
 from commlab import kernels
 
@@ -84,12 +84,20 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-def commutator(a: Word, b: Word) -> Word:
+class _GroupElement(Protocol):  # a Word, a Braid: anything with inverse and *
+    def inverse(self: _G) -> _G: ...
+    def __mul__(self: _G, other: _G) -> _G: ...
+
+
+_G = TypeVar("_G", bound=_GroupElement)
+
+
+def commutator(a: _G, b: _G) -> _G:
     """[a, b] = a^{-1} b^{-1} a b."""
     return a.inverse() * b.inverse() * a * b
 
 
-def left_normed(args: Sequence[Word]) -> Word:
+def left_normed(args: Sequence[_G]) -> _G:
     """[[...[[a1, a2], a3]...], ak]; a single argument is returned as is."""
     if not args:
         raise ValueError("left_normed needs at least one argument")
@@ -104,8 +112,12 @@ def render_word(w: Word) -> str:
 
     The identity renders as the empty string.
     """
+    return _render_letters(w.letters, "x")
+
+
+def _render_letters(letters: Sequence[int], symbol: str) -> str:
     return " ".join(
-        f"x{abs(c)}" if c > 0 else f"x{abs(c)}^-1" for c in w.letters
+        f"{symbol}{c}" if c > 0 else f"{symbol}{-c}^-1" for c in letters
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 from commlab.braids import (
     Braid,
     artin_action,
-    braid_commutator,
     delete_strand,
     dump_corpus,
     gen_a,
@@ -19,7 +18,7 @@ from commlab.braids import (
     render_braid,
     sample_brun_generators,
 )
-from commlab.words import ParseError, Word
+from commlab.words import ParseError, Word, commutator
 
 from _oracles import (
     oracle_artin_images,
@@ -98,7 +97,7 @@ def test_kernel_built_braids_equal_validated_ones():
         b = rand_braid(rng, strands)
         j = rng.randint(1, strands)
         built_by_kernels = (
-            a * b, a.inverse(), braid_commutator(a, b), delete_strand(a, j)
+            a * b, a.inverse(), commutator(a, b), delete_strand(a, j)
         )
         for built in built_by_kernels:
             checked = Braid(built.strands, built.letters)
@@ -259,7 +258,7 @@ def _fuzzed_braids(rng, strands):
     return [
         a,
         rand_pure_braid(rng, strands),
-        braid_commutator(a, b),
+        commutator(a, b),
         sigma.conjugate(u),
         rand_pure_braid(rng, strands).conjugate(u),
     ]
@@ -378,7 +377,7 @@ def test_brunnian_examples():
 
 
 def test_commutator_of_linking_generators_is_brunnian_on_three_strands():
-    b = braid_commutator(gen_t(1, 3), gen_t(2, 3))
+    b = commutator(gen_t(1, 3), gen_t(2, 3))
     assert is_brunnian(b)
     assert not is_trivial(b)
 

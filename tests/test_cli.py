@@ -11,9 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import commlab
-from commlab import finite, homotopy
+from commlab import braids, finite, homotopy
 from commlab.braids import parse_braid, sample_brun_generators
-from commlab.cli import main
+from commlab.cli import BRUNNIAN_MAX_N, main
 
 
 @pytest.fixture
@@ -234,6 +234,28 @@ def test_brunnian_export_to_a_missing_directory_is_a_usage_error(runner, tmp_pat
     assert not (tmp_path / "latest").exists()
 
 
+def test_brunnian_sampling_past_the_strand_cap_is_a_usage_error(
+    runner, tmp_path, monkeypatch
+):
+    def no_sampling(*args):
+        raise AssertionError("a braid was sampled past the strand cap")
+
+    monkeypatch.setattr(braids, "sample_brun_generators", no_sampling)
+    too_many = str(BRUNNIAN_MAX_N + 1)
+    result = invoke(
+        runner, tmp_path,
+        ["brunnian", "--n", too_many, "--samples", "1", "--conj-depth", "0"],
+    )
+    assert result.exit_code == 2
+    assert f"at most {BRUNNIAN_MAX_N}" in result.output
+    assert not (tmp_path / "latest").exists()
+    help_text = runner.invoke(main, ["brunnian", "--help"]).output
+    assert f"at most {BRUNNIAN_MAX_N} when sampling" in help_text
+    # a single --check word is not capped
+    check = invoke(runner, tmp_path, ["brunnian", "--n", too_many, "--check", "s1 s2"])
+    assert check.exit_code == 1
+
+
 def test_report_directory_under_a_regular_file_is_a_usage_error(runner, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -319,6 +341,21 @@ def test_braid_tools_print_usage_errors(runner):
     assert oor.exit_code == 2
     # positional arguments are only meaningful with --print
     assert CliRunner().invoke(main, ["braid-tools", "t", "2", "3"]).exit_code == 2
+
+
+def test_braid_tools_without_a_request_is_a_usage_error(runner, tmp_path):
+    result = invoke(runner, tmp_path, ["braid-tools"])
+    assert result.exit_code == 2
+    assert "--identities" in result.output and "--print" in result.output
+    assert not (tmp_path / "latest").exists()
+    # --print with --identities still prints, then checks the identities
+    both = invoke(
+        runner, tmp_path,
+        ["braid-tools", "--print", "t", "2", "3", "--identities", "--max-n", "3"],
+    )
+    assert both.exit_code == 0
+    assert both.stdout.startswith("s2 s2\n")
+    assert (tmp_path / "latest").exists()
 
 
 def test_braid_tools_identities(runner, tmp_path):

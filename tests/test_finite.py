@@ -123,6 +123,10 @@ def test_normal_closure_examples():
     )
     assert normal_closure(G, [G.identity]).order == 1
     assert normal_closure(G, list(G.gens)).elements == G.elements
+    # a seed may be any byte sequence of images, as for closure()
+    for seed in ([1, 2, 0], bytearray([1, 2, 0])):
+        same = normal_closure(G, [seed])
+        assert same.elements == a3.elements and same.gens == a3.gens
     # seeds must come from the ambient group itself
     outsider = from_cycles(4, (1, 2, 3))
     sub = closure([from_cycles(4, (1, 2))], degree=4)
@@ -136,8 +140,14 @@ def test_normal_closure_examples():
         (from_cycles(3, (1, 2)), "(1 2)"),  # a permutation outside A_3
         (bytes([1, 1, 2]), "[1, 1, 2]"),  # not a permutation
         (from_cycles(4, (2, 3)), "(2 3)"),  # the wrong degree
+        ([1, 0, 2], "(1 2)"),  # a list of images outside A_3
+        (bytearray([1, 0, 2]), "(1 2)"),  # a bytearray outside A_3
+        ([300, 1, 2], "[300, 1, 2]"),  # an image no byte holds
     ],
-    ids=["outside", "not-a-permutation", "wrong-degree"],
+    ids=[
+        "outside", "not-a-permutation", "wrong-degree",
+        "list-outside", "bytearray-outside", "image-past-255",
+    ],
 )
 def test_normal_closure_names_a_seed_outside_the_group(seed, shown):
     a3 = closure([from_cycles(3, (1, 2, 3))])

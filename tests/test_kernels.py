@@ -18,7 +18,13 @@ from _oracles import (
 )
 
 from commlab import kernels
-from commlab.braids import Braid, artin_action
+from commlab.braids import (
+    Braid,
+    artin_action,
+    delete_strand,
+    gen_a,
+    sample_brun_generators,
+)
 from commlab.words import Word
 
 
@@ -110,14 +116,29 @@ def test_letter_kernels_match_the_oracle_on_fuzzed_words():
         assert oracle_reduce(a + inv) == ()
 
 
-def test_artin_images_match_the_substitution_oracle():
+def _artin_oracle_cases():
     rng = random.Random(33)
     for _ in range(300):
         strands = rng.randint(2, 6)
-        word = [
+        yield strands, [
             rng.choice([1, -1]) * rng.randint(1, strands - 1)
             for _ in range(rng.randint(0, 25))
         ]
+    # long 3-strand words, whose images reach 1.6k letters: the
+    # kernel builds them from the last letter, the oracle from the first
+    for _ in range(60):
+        yield 3, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(18, 22))]
+    # the deleted-strand words is_brunnian builds, for Brunnian samples and
+    # for non-Brunnian controls sample * A_{1,2}
+    for strands in (6, 7, 8):
+        for b in sample_brun_generators(strands, 4, strands, 2):
+            for braid in (b, b * gen_a(1, 2, strands)):
+                for j in range(1, strands + 1):
+                    yield strands - 1, list(delete_strand(braid, j).letters)
+
+
+def test_artin_images_match_the_substitution_oracle():
+    for strands, word in _artin_oracle_cases():
         expected = oracle_artin_images(strands, word)
         assert kernels.artin_images(strands, word) == expected
         # artin_action wraps these images in Word without validating them
