@@ -16,6 +16,14 @@ builds the images from the last letter back, each letter rewriting two.
 Purity is read off the crossings alone: ``is_pure`` follows the strands
 through the word and checks that each ends where it started.
 
+All n single-strand deletions come from one pass over the word
+(``kernels.delete_strands``): it follows every strand's position, records per
+letter what each strand's deletion keeps, and freely reduces each strand's
+column. ``delete_strand`` picks one of them. ``is_brunnian`` checks purity,
+then the triviality of each deletion. The kernel stores letters as signed
+bytes, so strand deletion and ``is_brunnian`` take at most 128 strands and
+raise ValueError above that.
+
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
 every letter is in range and that the word is freely reduced. Values made
@@ -147,48 +155,50 @@ def is_pure(b: Braid) -> bool:
     return occupant == list(range(b.strands))
 
 
-def delete_strand(b: Braid, j: int) -> Braid:
-    """Remove the strand that starts at position j and renumber the rest.
+def delete_strands(b: Braid) -> tuple[Braid, ...]:
+    """Every single strand deletion of b, indexed by starting position - 1.
 
-    Follows the strand geometrically through the word, drops every crossing
-    it participates in, shifts the remaining generator indices down by one
-    wherever the deleted strand sits to their left, and freely reduces the
-    result on the output stack in the same pass.
+    Entry j - 1 removes the strand that starts at position j and renumbers
+    the rest: every crossing that strand takes part in is dropped, and the
+    other generator indices shift down by one wherever the deleted strand
+    sits to their left. ``kernels.delete_strands`` makes one pass over the
+    word for all n strands and freely reduces each result; its letters are
+    signed bytes, so b may have at most ``kernels.DELETE_MAX_STRANDS`` (128)
+    strands.
     """
     if b.strands < 2:
         raise ValueError("need at least two strands to delete one")
+    words = kernels.delete_strands(b.strands, b.letters)
+    return tuple(Braid._trusted(b.strands - 1, w) for w in words)
+
+
+def delete_strand(b: Braid, j: int) -> Braid:
+    """Remove the strand that starts at position j and renumber the rest.
+
+    The j-th entry of ``delete_strands(b)``, so b may have at most
+    ``kernels.DELETE_MAX_STRANDS`` (128) strands.
+    """
     if not 1 <= j <= b.strands:
         raise ValueError(f"strand {j} out of range for {b.strands} strands")
-    pos = j
-    out: list[int] = []
-    for c in b.letters:
-        if c > 0:
-            if pos < c:
-                c -= 1
-            elif pos <= c + 1:
-                # the strand crosses at c: it moves to the other side
-                pos = 2 * c + 1 - pos
-                continue
-        else:
-            if pos < -c:
-                c += 1
-            elif pos <= 1 - c:
-                pos = 1 - 2 * c - pos
-                continue
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return Braid._trusted(b.strands - 1, tuple(out))
+    return delete_strands(b)[j - 1]
 
 
 def is_brunnian(b: Braid) -> bool:
-    """True iff b is pure and every single strand deletion is trivial."""
+    """True iff b is pure and every single strand deletion is trivial.
+
+    The deletions come from one ``delete_strands`` pass, so b may have at
+    most ``kernels.DELETE_MAX_STRANDS`` (128) strands; more raise ValueError.
+    """
+    if b.strands > kernels.DELETE_MAX_STRANDS:
+        raise ValueError(
+            f"is_brunnian takes at most {kernels.DELETE_MAX_STRANDS} strands,"
+            f" got {b.strands}"
+        )
     if not is_pure(b):
         return False
     if b.strands == 1:
         return True
-    return all(is_trivial(delete_strand(b, j)) for j in range(1, b.strands + 1))
+    return all(is_trivial(d) for d in delete_strands(b))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from commlab import __version__, braids, finite, reports
+from commlab import __version__, braids, finite, kernels, reports
 from commlab import homotopy as homotopy_mod
 from commlab.words import ParseError
 
@@ -179,7 +179,8 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
 
 @main.command()
 @click.option("--n", default=4, show_default=True, type=click.IntRange(min=2),
-              help=f"strand count (at most {BRUNNIAN_MAX_N} when sampling)")
+              help=f"strand count (at most {BRUNNIAN_MAX_N} when sampling,"
+                   f" {kernels.DELETE_MAX_STRANDS} with --check)")
 @click.option("--samples", default=100, show_default=True, type=click.IntRange(min=0))
 @click.option("--conj-depth", default=4, show_default=True, type=click.IntRange(min=0))
 @click.option("--check", "check_word", default=None, metavar="WORD",
@@ -194,6 +195,10 @@ def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt
         raise click.UsageError("--export needs a sampled corpus; --check samples none")
     if check_word is None and n > BRUNNIAN_MAX_N:
         raise click.UsageError(f"sampling takes --n at most {BRUNNIAN_MAX_N}")
+    if n > kernels.DELETE_MAX_STRANDS:
+        raise click.UsageError(
+            f"--check takes --n at most {kernels.DELETE_MAX_STRANDS}"
+        )
     started = time.perf_counter()
     config = {
         "n": n, "samples": samples, "conj_depth": conj_depth,
@@ -209,12 +214,18 @@ def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt
                              "brunnian": flag}}
         _finish("brunnian", seed, config, results, started, out_dir, fmt, ok=flag)
         return
-    sams = list(braids.sample_brun_generators(n, conj_depth, seed, samples))
-    good = sum(braids.is_brunnian(b) for b in sams)
+    # one braid at a time; only --export keeps them
+    good = max_word_length = 0
+    kept: list[braids.Braid] = []
+    for b in braids.sample_brun_generators(n, conj_depth, seed, samples):
+        good += braids.is_brunnian(b)
+        max_word_length = max(max_word_length, len(b))
+        if export_path is not None:
+            kept.append(b)
     if export_path is not None:
         try:
             reports.atomic_write_text(
-                Path(export_path), braids.dump_corpus(sams, n, seed)
+                Path(export_path), braids.dump_corpus(kept, n, seed)
             )
         except OSError as exc:
             raise click.UsageError(
@@ -222,7 +233,7 @@ def brunnian(n, samples, conj_depth, check_word, export_path, seed, out_dir, fmt
             )
     results = {
         "summary": {"pass": f"{good}/{samples}"},
-        "max_word_length": max((len(b) for b in sams), default=0),
+        "max_word_length": max_word_length,
     }
     _finish("brunnian", seed, config, results, started, out_dir, fmt,
             ok=good == samples)

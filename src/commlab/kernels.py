@@ -1,4 +1,4 @@
-"""Kernels: free-letter reduction, the Artin action, permutation sets.
+"""Kernels: letter reduction, the Artin action, strand deletion, permutation sets.
 
 The package's inner loops on letter strings and permutations live here, in
 plain Python. Everything here works on plain data:
@@ -13,6 +13,12 @@ Permutation composition uses ``bytes.translate`` with a 256-entry table,
 which keeps permutation products at C speed, and ``bytes.maketrans(p, ident)``
 is the inverse of p as such a table; ``invert_perm`` is its first d bytes.
 
+``delete_strands`` uses the same idiom on strand positions: one pass over a
+braid word keeps each strand's position in a ``bytes`` vector and, per letter,
+writes one row of deleted letters and moves the two crossing strands with two
+``translate`` calls; deletion s is column s of those rows, freely reduced.
+The rows hold letters as signed bytes, so it takes at most 128 strands.
+
 ``closure_set`` enumerates a generated group only after an orbit lower bound
 on its order (orbit-stabiliser along a truncated stabiliser chain built from
 Schreier generators, the first step of Sims' method) has failed to prove it
@@ -21,6 +27,7 @@ larger than the cap, so oversized groups are rejected without enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -82,6 +89,76 @@ def artin_images(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]]:
             images[i] = b
             images[i + 1] = multiply_reduced(multiply_reduced(invert_reduced(b), a), b)
     return images
+
+
+# ---------------------------------------------------------------------------
+# strand deletion
+
+# Deleted letters are signed bytes, so the largest generator index is 127.
+DELETE_MAX_STRANDS = 128
+
+
+# one entry per strand count, so the cache holds at most DELETE_MAX_STRANDS
+@functools.lru_cache(maxsize=None)
+def _deletion_tables(strands: int) -> tuple[list[bytes], list[bytes]]:
+    """Per-letter ``translate`` tables over strand positions (0-based).
+
+    Both lists are indexed by the letter itself, so -i lands at 256 - i.
+    ``out[c]`` maps the position of a strand to the letter c leaves once that
+    strand is deleted, as a signed byte: c with its index lowered by one below
+    the crossing, c itself above it, and 0 for the two strands crossing at c.
+    ``swap[c]`` exchanges the two crossing positions.
+    """
+    out = [b""] * 256
+    swap = [b""] * 256
+    for i in range(1, strands):
+        crossed = _IDENT256[: i - 1] + bytes([i, i - 1]) + _IDENT256[i + 1 :]
+        for c in (i, -i):
+            low = c - 1 if c > 0 else c + 1
+            row = [low & 255] * (i - 1) + [0, 0] + [c & 255] * (strands - i - 1)
+            out[c] = bytes(row).ljust(256, b"\0")
+            swap[c] = crossed
+    return out, swap
+
+
+def delete_strands(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]]:
+    """Delete each strand of a braid word in turn, in one pass over the word.
+
+    Entry s of the result is the freely reduced word left by deleting the
+    strand that starts at position s + 1, on strands - 1 strands. The pass
+    keeps every strand's position in one ``bytes`` vector and, per letter,
+    appends the letter each strand's deletion keeps (0 where the strand
+    crosses) as one row of a strands-wide grid; column s of that grid, with
+    its zeros dropped, is deletion s before free reduction. Letters are
+    signed bytes, so at most ``DELETE_MAX_STRANDS`` strands are taken.
+    """
+    if not 1 <= strands <= DELETE_MAX_STRANDS:
+        raise ValueError(
+            f"strand deletion takes 1 to {DELETE_MAX_STRANDS} strands, got {strands}"
+        )
+    out, swap = _deletion_tables(strands)
+    pos = _IDENT256[:strands]
+    grid = bytearray()
+    for c in letters:
+        grid += pos.translate(out[c])
+        pos = pos.translate(swap[c])
+    words = []
+    for s in range(strands):
+        # The reduced word is stack[1:] + [top]. A letter x and its inverse
+        # 256 - x sum to 256; the sentinel 0 under the word sums to 256
+        # with no letter, so it is never popped.
+        stack: list[int] = []
+        push, pop = stack.append, stack.pop
+        top = 0
+        for x in grid[s::strands].translate(None, b"\0"):
+            if top + x != 256:
+                push(top)
+                top = x
+            else:
+                top = pop()
+        push(top)
+        words.append(tuple(memoryview(bytes(stack[1:])).cast("b")))
+    return words
 
 
 # ---------------------------------------------------------------------------

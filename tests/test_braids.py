@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from commlab import kernels
 from commlab.braids import (
     Braid,
     artin_action,
     delete_strand,
+    delete_strands,
     dump_corpus,
     gen_a,
     gen_a0,
@@ -297,15 +299,56 @@ def _oracle_is_brunnian(b):
 
 def test_is_brunnian_matches_oracle_on_sampled_braids():
     seen = {True: 0, False: 0}
-    for n in range(2, 6):
+    for n in range(2, 9):
         for b in sample_brun_generators(n, conj_depth=2, seed=62 + n, count=6):
             for candidate in (b, b * gen_a(1, 2, n)):
                 expected = _oracle_is_brunnian(candidate)
                 assert is_brunnian(candidate) is expected
                 seen[expected] += 1
-    # every pure braid on two strands is Brunnian, so only n = 3..5 give
-    # the 18 non-Brunnian controls
-    assert seen == {True: 30, False: 18}
+    # every pure braid on two strands is Brunnian, so only n = 3..8 give
+    # the 36 non-Brunnian controls
+    assert seen == {True: 48, False: 36}
+
+
+def test_brunnian_check_reaches_the_artin_action(monkeypatch):
+    # Deleting any strand of a sampled braid leaves a freely trivial word, so
+    # is_trivial never needs the Artin action there. The braid relator
+    # s3 s4 s3 s4^-1 s3^-1 s4^-1 is trivial, but free reduction leaves letters
+    # in some of its deletions, which only the action shows to be trivial.
+    cases = []
+    for n in (6, 7, 8):
+        relator = parse_braid("s3 s4 s3 s4^-1 s3^-1 s4^-1", n)
+        for b in sample_brun_generators(n, conj_depth=2, seed=64 + n, count=2):
+            assert not any(delete_strands(b))
+            assert is_brunnian(b * relator)
+            assert any(delete_strands(b * relator))
+            cases.append((b, b * relator))
+    real = kernels.artin_images
+
+    def swap_two_images(strands, letters):
+        images = real(strands, letters)
+        if letters:
+            images[0], images[1] = images[1], images[0]
+        return images
+
+    monkeypatch.setattr(kernels, "artin_images", swap_two_images)
+    for b, with_relator in cases:
+        assert is_brunnian(b)
+        assert not is_brunnian(with_relator)
+
+
+@pytest.mark.parametrize("check", [
+    delete_strands,
+    lambda b: delete_strand(b, 1),
+    is_brunnian,
+], ids=["delete_strands", "delete_strand", "is_brunnian"])
+def test_strand_deletion_takes_at_most_128_strands(check):
+    # deleted letters are signed bytes: generator indices stop at 127
+    check(Braid(128, (127, 127)))
+    with pytest.raises(ValueError, match="128"):
+        check(Braid(129, (128, 128)))
+    with pytest.raises(ValueError, match="128"):
+        check(Braid.identity(129))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,25 @@ def test_brunnian_sampling_past_the_strand_cap_is_a_usage_error(
     assert check.exit_code == 1
 
 
+def test_brunnian_check_past_the_deletion_bound_is_a_usage_error(
+    runner, tmp_path, monkeypatch
+):
+    def no_parsing(*args):
+        raise AssertionError("a word was parsed past the deletion bound")
+
+    monkeypatch.setattr(braids, "parse_braid", no_parsing)
+    result = invoke(runner, tmp_path, ["brunnian", "--n", "129", "--check", "s1"])
+    assert result.exit_code == 2
+    assert "at most 128" in result.output
+    assert not (tmp_path / "latest").exists()
+    help_text = runner.invoke(main, ["brunnian", "--help"]).output
+    assert "128 with --check" in " ".join(help_text.split())
+    monkeypatch.undo()
+    # A_{127,128} on the largest strand count is pure but not Brunnian
+    largest = invoke(runner, tmp_path, ["brunnian", "--n", "128", "--check", "s127 s127"])
+    assert largest.exit_code == 1
+
+
 def test_report_directory_under_a_regular_file_is_a_usage_error(runner, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

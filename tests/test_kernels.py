@@ -13,7 +13,10 @@ from _oracles import (
     o_inv,
     o_mul,
     oracle_artin_images,
+    oracle_delete_strand,
+    oracle_follow_strand,
     oracle_generated,
+    oracle_is_pure,
     oracle_reduce,
 )
 
@@ -23,9 +26,10 @@ from commlab.braids import (
     artin_action,
     delete_strand,
     gen_a,
+    parse_braid,
     sample_brun_generators,
 )
-from commlab.words import Word
+from commlab.words import Word, commutator
 
 
 def test_reduce_letters_examples():
@@ -146,6 +150,68 @@ def test_artin_images_match_the_substitution_oracle():
         assert [img.letters for img in images] == expected
         for img in images:
             assert Word(img.letters) == img
+
+
+def _rand_letters(rng, strands, length, low=1):
+    return [
+        rng.choice([1, -1]) * rng.randint(low, strands - 1)
+        for _ in range(rng.randint(0, length))
+    ]
+
+
+def _deletion_oracle_cases():
+    rng = random.Random(35)
+    # random words on 2-9 strands and pure products of A_{i,j}; commutators
+    # and conjugates put inverse letters on both sides of a strand's
+    # crossings, so their deletions cancel across dropped crossings
+    for _ in range(200):
+        strands = rng.randint(2, 9)
+        a = Braid.from_letters(strands, _rand_letters(rng, strands, 14))
+        u = Braid.from_letters(strands, _rand_letters(rng, strands, 6))
+        pure = Braid.identity(strands)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(1, strands - 1)
+            g = gen_a(i, rng.randint(i + 1, strands), strands)
+            pure = pure * (g if rng.random() < 0.5 else g.inverse())
+        for b in (a, pure, commutator(a, pure), a.conjugate(u), pure.conjugate(u)):
+            yield strands, b.letters
+    # sampled braids, their non-Brunnian controls, and the samples times a
+    # braid relator, whose deletions free reduction does not empty
+    for strands in (6, 7, 8):
+        relator = parse_braid("s3 s4 s3 s4^-1 s3^-1 s4^-1", strands)
+        for b in sample_brun_generators(strands, 2, strands, 1):
+            for braid in (b, b * gen_a(1, 2, strands), b * relator):
+                yield strands, braid.letters
+    # 128 strands, with generator indices up to 127, the largest signed byte
+    a = Braid.from_letters(128, _rand_letters(rng, 128, 150, low=100))
+    b = Braid.from_letters(128, _rand_letters(rng, 128, 150, low=100))
+    yield 128, (a * commutator(a, b) * gen_a(1, 128, 128)).letters
+
+
+def test_delete_strands_matches_the_oracle_at_every_strand():
+    pure = cancelled = 0
+    for strands, letters in _deletion_oracle_cases():
+        got = kernels.delete_strands(strands, letters)
+        assert len(got) == strands
+        pure += oracle_is_pure(strands, letters)
+        for j, word in enumerate(got, start=1):
+            expected = oracle_delete_strand(strands, letters, j)
+            assert word == expected
+            cancelled += len(expected) < len(
+                oracle_follow_strand(strands, letters, j)
+            )
+        if strands == 128:
+            assert max(abs(c) for word in got for c in word) == 126
+    # the cases cover pure braids and cancellation across dropped crossings
+    assert pure > 200
+    assert cancelled > 1000
+
+
+def test_delete_strands_takes_at_most_128_strands():
+    assert kernels.DELETE_MAX_STRANDS == 128
+    assert kernels.delete_strands(128, [127, 127]) == [(126, 126)] * 126 + [(), ()]
+    with pytest.raises(ValueError, match="128"):
+        kernels.delete_strands(129, [128])
 
 
 def test_permutation_kernels_match_the_oracle_on_fuzzed_generators():
