@@ -107,6 +107,9 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
     Runs seeded random finite instances; connectivity of each instance is
     reported for information but never fails the run. A trial that exhausts
     the fat budget is undecided: it neither passes nor fails.
+
+    Fat = symmetric has content only from --n 4: with at most 3 subgroups both
+    sides multiply the same commutators, so it passes whatever those are.
     """
     budget = _fat_budget()
     started = time.perf_counter()
@@ -252,13 +255,13 @@ def homotopy_cmd(pi, trials, samples, conj_depth, seed, out_dir, fmt):
     """Sphere-presentation certificates for the low homotopy groups."""
     started = time.perf_counter()
     if pi == 2:
-        report = homotopy_mod.pi2_check(seed, trials)
+        report = homotopy_mod.pi2_check(seed, trials, conj_depth)
+        config = {"pi": pi, "trials": trials, "conj_depth": conj_depth}
     else:
         report = homotopy_mod.pi3_certificate(seed, samples, conj_depth)
+        config = {"pi": pi, "samples": samples, "conj_depth": conj_depth}
     results = dataclasses.asdict(report)
     results["passed"] = report.passed
-    config = {"pi": pi, "trials": trials, "samples": samples,
-              "conj_depth": conj_depth}
     _finish("homotopy", seed, config, results, started, out_dir, fmt,
             ok=report.passed)
 

@@ -138,7 +138,7 @@ class Pi2Report:
         )
 
 
-def pi2_check(seed: int, trials: int = 1000) -> Pi2Report:
+def pi2_check(seed: int, trials: int = 1000, conj_depth: int = 4) -> Pi2Report:
     """Fuzzed evidence that for m=2 both closures fill the whole group.
 
     Every sampled element must lie in <<x_1>> and in <<x_2>>, and every
@@ -160,7 +160,7 @@ def pi2_check(seed: int, trials: int = 1000) -> Pi2Report:
     )
     trivial = sum(
         g.is_identity
-        for g in symmetric_generators(specs, conj_depth=4, seed=seed, count=trials)
+        for g in symmetric_generators(specs, conj_depth, seed, count=trials)
     )
     return Pi2Report(
         trials=trials,

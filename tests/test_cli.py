@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import platform
@@ -312,6 +313,31 @@ def test_homotopy_certificates(runner, tmp_path):
     results = read_report(pi3, tmp_path)["results"]
     assert results["witness_in_intersection"] is True
     assert results["witness_in_gamma"] is False
+
+
+def test_homotopy_records_only_the_knobs_its_mode_reads(runner, tmp_path):
+    for pi, count in (("2", "trials"), ("3", "samples")):
+        result = invoke(runner, tmp_path, ["homotopy", "--pi", pi, f"--{count}", "3"])
+        assert result.exit_code == 0
+        config = read_report(result, tmp_path)["config"]
+        assert config == {"pi": int(pi), count: 3, "conj_depth": 4}
+
+
+@pytest.mark.parametrize("pi", ["2", "3"])
+def test_homotopy_conj_depth_reaches_the_sampler(runner, tmp_path, monkeypatch, pi):
+    real = homotopy.symmetric_generators
+    depths = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        depths.append(bound.arguments["conj_depth"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "symmetric_generators", recording)
+    args = ["homotopy", "--pi", pi, "--trials", "2", "--samples", "2"]
+    result = invoke(runner, tmp_path, args + ["--conj-depth", "2"])
+    assert result.exit_code == 0
+    assert depths == [2]
 
 
 def test_homotopy_timing_covers_the_certificate(runner, tmp_path, monkeypatch):

@@ -137,11 +137,11 @@ def test_normal_closure_examples():
 @pytest.mark.parametrize(
     "seed, shown",
     [
-        (from_cycles(3, (1, 2)), "(1 2)"),  # a permutation outside A_3
+        (from_cycles(3, (1, 2)), "[1, 0, 2]"),  # a permutation outside A_3
         (bytes([1, 1, 2]), "[1, 1, 2]"),  # not a permutation
-        (from_cycles(4, (2, 3)), "(2 3)"),  # the wrong degree
-        ([1, 0, 2], "(1 2)"),  # a list of images outside A_3
-        (bytearray([1, 0, 2]), "(1 2)"),  # a bytearray outside A_3
+        (from_cycles(4, (2, 3)), "[0, 2, 1, 3]"),  # the wrong degree
+        ([1, 0, 2], "[1, 0, 2]"),  # a list of images outside A_3
+        (bytearray([1, 0, 2]), "[1, 0, 2]"),  # a bytearray outside A_3
         ([300, 1, 2], "[300, 1, 2]"),  # an image no byte holds
     ],
     ids=[
@@ -488,6 +488,26 @@ def test_fat_partitions_equal_the_table_over_all_covers():
         G, Rs = inst.group, inst.subgroups
         covers = finite._mask_table(G, Rs, _all_covers, None)
         assert fat_commutator(G, Rs).subgroup.elements == covers.elements, seed
+
+
+def test_fat_and_symmetric_splits_agree_up_to_three_indices():
+    # so fat = symmetric can only fail from n = 4 on
+    def unordered(pairs):
+        return {frozenset(pair) for pair in pairs}
+
+    for mask in range(1 << 6):
+        if 2 <= mask.bit_count() <= 3:
+            assert unordered(finite._fat_splits(mask)) == unordered(
+                finite._last_slots(mask)
+            ), bin(mask)
+    two_by_two = {
+        frozenset({0b0011, 0b1100}),
+        frozenset({0b0101, 0b1010}),
+        frozenset({0b0110, 0b1001}),
+    }
+    assert unordered(finite._fat_splits(0b1111)) == (
+        unordered(finite._last_slots(0b1111)) | two_by_two
+    )
 
 
 def test_fat_commutator_budget_guard(monkeypatch):
