@@ -2,6 +2,8 @@
 
 Submodules:
 
+* kernels   - letter reduction, Artin action, strand deletion and
+              permutation-set loops on plain data
 * words     - freely reduced words, conjugates, commutators, left-normed
               commutators
 * brackets  - bracket arrangements (binary commutator shapes), read only by
@@ -11,6 +13,7 @@ Submodules:
 * finite    - brute-force subgroup identities in permutation groups
 * braids    - braid words, Artin action, purity, Brunnian checks
 * homotopy  - sphere-group membership, homotopy-group certificates
+* reports   - JSON run reports, written atomically, and their text form
 * cli       - the ``commlab`` command line tool
 """
 

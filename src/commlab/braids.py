@@ -19,10 +19,9 @@ through the word and checks that each ends where it started.
 All n single-strand deletions come from one pass over the word
 (``kernels.delete_strands``): it follows every strand's position, records per
 letter what each strand's deletion keeps, and freely reduces each strand's
-column. ``delete_strand`` picks one of them. ``is_brunnian`` checks purity,
-then the triviality of each deletion. The kernel stores letters as signed
-bytes, so strand deletion and ``is_brunnian`` take at most 128 strands and
-raise ValueError above that.
+column. ``delete_strand`` picks one of them. The kernel stores letters as
+signed bytes, so strand deletion and ``is_brunnian`` take at most 128 strands
+and raise ValueError above that.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
@@ -53,15 +52,13 @@ class Braid:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError(f"need at least one strand, got {self.strands}")
-        prev = 0
         for c in self.letters:
             if not isinstance(c, int) or not 1 <= abs(c) < self.strands:
                 raise ValueError(
                     f"letter {c!r} out of range for {self.strands} strands"
                 )
-            if c == -prev:
-                raise ValueError("braid word is not freely reduced")
-            prev = c
+        if len(kernels.reduce_letters(self.letters)) != len(self.letters):
+            raise ValueError("braid word is not freely reduced")
 
     @classmethod
     def _trusted(cls, strands: int, letters: tuple[int, ...]) -> Braid:
@@ -162,12 +159,9 @@ def delete_strands(b: Braid) -> tuple[Braid, ...]:
     the rest: every crossing that strand takes part in is dropped, and the
     other generator indices shift down by one wherever the deleted strand
     sits to their left. ``kernels.delete_strands`` makes one pass over the
-    word for all n strands and freely reduces each result; its letters are
-    signed bytes, so b may have at most ``kernels.DELETE_MAX_STRANDS`` (128)
-    strands.
+    word for all n strands and freely reduces each result; it needs at least
+    two strands.
     """
-    if b.strands < 2:
-        raise ValueError("need at least two strands to delete one")
     words = kernels.delete_strands(b.strands, b.letters)
     return tuple(Braid._trusted(b.strands - 1, w) for w in words)
 
@@ -175,8 +169,7 @@ def delete_strands(b: Braid) -> tuple[Braid, ...]:
 def delete_strand(b: Braid, j: int) -> Braid:
     """Remove the strand that starts at position j and renumber the rest.
 
-    The j-th entry of ``delete_strands(b)``, so b may have at most
-    ``kernels.DELETE_MAX_STRANDS`` (128) strands.
+    The j-th entry of ``delete_strands(b)``.
     """
     if not 1 <= j <= b.strands:
         raise ValueError(f"strand {j} out of range for {b.strands} strands")
@@ -186,18 +179,14 @@ def delete_strand(b: Braid, j: int) -> Braid:
 def is_brunnian(b: Braid) -> bool:
     """True iff b is pure and every single strand deletion is trivial.
 
-    The deletions come from one ``delete_strands`` pass, so b may have at
-    most ``kernels.DELETE_MAX_STRANDS`` (128) strands; more raise ValueError.
+    On one or two strands every deletion leaves at most one strand and is
+    trivial, so purity alone decides. On three or more strands the deletions
+    alone decide: a braid that is not pure swaps the order of some pair of
+    strands, and deleting a third strand keeps that pair swapped, so that
+    deletion is not pure and hence not trivial.
     """
-    if b.strands > kernels.DELETE_MAX_STRANDS:
-        raise ValueError(
-            f"is_brunnian takes at most {kernels.DELETE_MAX_STRANDS} strands,"
-            f" got {b.strands}"
-        )
-    if not is_pure(b):
-        return False
-    if b.strands == 1:
-        return True
+    if b.strands < 3:
+        return is_pure(b)
     return all(is_trivial(d) for d in delete_strands(b))
 
 

@@ -136,9 +136,10 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
         try:
             if bytes(s) in G.elements:
                 continue
-        except ValueError:  # an image past 255 lies in no carrier
+        except (TypeError, ValueError):  # not byte values: in no carrier
             pass
-        raise ValueError(f"seed {list(s)} lies outside the group")
+        ints = isinstance(s, Iterable) and all(isinstance(x, int) for x in s)
+        raise ValueError(f"seed {list(s) if ints else s!r} lies outside the group")
     return _grow_normal(G, {G.identity}, (), [bytes(s) for s in seeds])
 
 

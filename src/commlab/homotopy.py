@@ -52,7 +52,8 @@ def one_relator_membership(
     Killing those generators leaves the relator s_1 s_2 ... s_k over the
     survivors s_1 < ... < s_k, so the quotient is free on s_2..s_k with
     s_1 = s_k^-1 ... s_2^-1. w is a member iff its killed image, with s_1
-    substituted, reduces to the identity.
+    substituted, reduces to the identity. With no survivor the quotient is
+    trivial and every w is a member.
     """
     killed = frozenset(killed)
     for g in killed:
@@ -60,13 +61,14 @@ def one_relator_membership(
             raise ValueError(f"generator index {g} out of range")
     if w.max_index() > pres.m:
         raise ValueError("word uses generators beyond the presentation")
-    image = kernels.reduce_letters(c for c in w.letters if abs(c) not in killed)
-    if not image:
+    if len(killed) == pres.m:
         return True
     first, *rest = (k for k in range(1, pres.m + 1) if k not in killed)
     repl, repl_inv = kernels.invert_reduced(rest), tuple(rest)
     out: list[int] = []
-    for c in image:
+    for c in w.letters:
+        if abs(c) in killed:
+            continue
         if c == first:
             out.extend(repl)
         elif c == -first:

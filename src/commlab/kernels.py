@@ -129,12 +129,12 @@ def delete_strands(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]
     keeps every strand's position in one ``bytes`` vector and, per letter,
     appends the letter each strand's deletion keeps (0 where the strand
     crosses) as one row of a strands-wide grid; column s of that grid, with
-    its zeros dropped, is deletion s before free reduction. Letters are
-    signed bytes, so at most ``DELETE_MAX_STRANDS`` strands are taken.
+    its zeros dropped, is deletion s before free reduction. It takes 2 to
+    ``DELETE_MAX_STRANDS`` strands: letters are signed bytes.
     """
-    if not 1 <= strands <= DELETE_MAX_STRANDS:
+    if not 2 <= strands <= DELETE_MAX_STRANDS:
         raise ValueError(
-            f"strand deletion takes 1 to {DELETE_MAX_STRANDS} strands, got {strands}"
+            f"strand deletion takes 2 to {DELETE_MAX_STRANDS} strands, got {strands}"
         )
     out, swap = _deletion_tables(strands)
     pos = _IDENT256[:strands]

@@ -74,11 +74,6 @@ class TruncatedSeries:
                     del acc[mono]
         return TruncatedSeries._trusted(cutoff, acc)
 
-    def min_positive_degree(self) -> int | None:
-        """Smallest degree >= 1 carrying a nonzero term, None if there is none."""
-        degrees = [len(m) for m in self.terms if m]
-        return min(degrees) if degrees else None
-
 
 def expand(w: Word, cutoff: int) -> TruncatedSeries:
     """Magnus expansion of a word, truncated beyond degree ``cutoff``."""
@@ -118,5 +113,5 @@ def gamma_membership(w: Word, k: int) -> bool:
     """Whether w lies in gamma_k of the ambient free group (k >= 1)."""
     if k < 1:
         raise ValueError(f"lower central index must be >= 1, got {k}")
-    low = expand(w, k - 1).min_positive_degree()
-    return low is None
+    # the constant term is always 1, so w is a member iff it is the only term
+    return len(expand(w, k - 1).terms) == 1

@@ -38,13 +38,11 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        prev = 0
         for c in self.letters:
             if not isinstance(c, int) or c == 0:
                 raise ValueError(f"invalid letter {c!r}: want a nonzero int")
-            if c == -prev:
-                raise ValueError("word is not freely reduced")
-            prev = c
+        if len(kernels.reduce_letters(self.letters)) != len(self.letters):
+            raise ValueError("word is not freely reduced")
 
     @classmethod
     def _trusted(cls, letters: tuple[int, ...]) -> Word:

@@ -310,6 +310,26 @@ def test_is_brunnian_matches_oracle_on_sampled_braids():
     assert seen == {True: 48, False: 36}
 
 
+def test_is_brunnian_matches_oracle_on_fuzzed_braids():
+    # Most fuzzed braids are not pure; from three strands on, is_brunnian
+    # decides them by their deletions alone, without checking purity.
+    rng = random.Random(63)
+    cases = [Braid.identity(1)]
+    for strands in range(2, 9):
+        for _ in range(20):
+            cases += _fuzzed_braids(rng, strands)
+    seen = {True: 0, False: 0}
+    not_pure = 0
+    for b in cases:
+        expected = _oracle_is_brunnian(b)
+        assert is_brunnian(b) is expected
+        seen[expected] += 1
+        not_pure += b.strands >= 3 and not oracle_is_pure(b.strands, b.letters)
+    # the fuzz covers Brunnian braids, and non-pure ones on 3 or more strands
+    assert seen[True] > 100
+    assert not_pure > 250
+
+
 def test_brunnian_check_reaches_the_artin_action(monkeypatch):
     # Deleting any strand of a sampled braid leaves a freely trivial word, so
     # is_trivial never needs the Artin action there. The braid relator

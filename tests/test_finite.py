@@ -143,10 +143,14 @@ def test_normal_closure_examples():
         ([1, 0, 2], "[1, 0, 2]"),  # a list of images outside A_3
         (bytearray([1, 0, 2]), "[1, 0, 2]"),  # a bytearray outside A_3
         ([300, 1, 2], "[300, 1, 2]"),  # an image no byte holds
+        (5, "5"),  # bytes(5) is five zero bytes
+        ("ab", "'ab'"),  # not byte values
+        (None, "None"),
     ],
     ids=[
         "outside", "not-a-permutation", "wrong-degree",
         "list-outside", "bytearray-outside", "image-past-255",
+        "int", "str", "none",
     ],
 )
 def test_normal_closure_names_a_seed_outside_the_group(seed, shown):

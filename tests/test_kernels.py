@@ -212,6 +212,9 @@ def test_delete_strands_takes_at_most_128_strands():
     assert kernels.delete_strands(128, [127, 127]) == [(126, 126)] * 126 + [(), ()]
     with pytest.raises(ValueError, match="128"):
         kernels.delete_strands(129, [128])
+    # one strand leaves nothing to delete it from
+    with pytest.raises(ValueError, match="2 to 128"):
+        kernels.delete_strands(1, ())
 
 
 def test_permutation_kernels_match_the_oracle_on_fuzzed_generators():
