@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Iterable, Sequence
 
 _IDENT256 = bytes(range(256))
@@ -63,7 +64,7 @@ def multiply_reduced(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def invert_reduced(a: Sequence[int]) -> tuple[int, ...]:
     """Inverse of a reduced letter string (reverse and flip signs)."""
-    return tuple(-c for c in reversed(a))
+    return tuple(map(operator.neg, reversed(a)))
 
 
 # ---------------------------------------------------------------------------

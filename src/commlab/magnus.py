@@ -17,11 +17,17 @@ degree from the constant term up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
 from commlab.words import Word
 
 Monomial = tuple[int, ...]
+
+
+def _check_cutoff(cutoff: int) -> None:
+    if not isinstance(cutoff, int) or cutoff < 0:
+        raise ValueError(f"cutoff must be an int >= 0, got {cutoff!r}")
 
 
 @dataclass(frozen=True)
@@ -32,9 +38,14 @@ class TruncatedSeries:
     terms: Mapping[Monomial, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+        _check_cutoff(self.cutoff)
         for mono, coeff in self.terms.items():
+            if not isinstance(mono, tuple) or not all(
+                isinstance(k, int) and k > 0 for k in mono
+            ):
+                raise ValueError(
+                    f"monomial {mono!r} is not a tuple of generator indices >= 1"
+                )
             if len(mono) > self.cutoff:
                 raise ValueError(f"monomial {mono} exceeds cutoff {self.cutoff}")
             if coeff == 0:
@@ -55,30 +66,37 @@ class TruncatedSeries:
         return cls(cutoff, {(): 1})
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
+        """The product truncated beyond the common cutoff.
+
+        fits[r] lists the right factor's terms of degree at most r, so a left
+        monomial of degree d meets exactly the right terms it can multiply.
+        Coefficients accumulate freely; zeros are dropped once at the end.
+        """
         if self.cutoff != other.cutoff:
             raise ValueError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}"
             )
-        acc: dict[Monomial, int] = {}
         cutoff = self.cutoff
+        by_degree: list[list[tuple[Monomial, int]]] = [
+            [] for _ in range(cutoff + 1)
+        ]
+        for m2, c2 in other.terms.items():
+            by_degree[len(m2)].append((m2, c2))
+        fits = list(accumulate(by_degree))
+        acc: dict[Monomial, int] = {}
+        get = acc.get
         for m1, c1 in self.terms.items():
-            room = cutoff - len(m1)
-            for m2, c2 in other.terms.items():
-                if len(m2) > room:
-                    continue
+            for m2, c2 in fits[cutoff - len(m1)]:
                 mono = m1 + m2
-                val = acc.get(mono, 0) + c1 * c2
-                if val:
-                    acc[mono] = val
-                elif mono in acc:
-                    del acc[mono]
+                acc[mono] = get(mono, 0) + c1 * c2
+        if 0 in acc.values():
+            acc = {mono: coeff for mono, coeff in acc.items() if coeff}
         return TruncatedSeries._trusted(cutoff, acc)
 
 
 def expand(w: Word, cutoff: int) -> TruncatedSeries:
     """Magnus expansion of a word, truncated beyond degree ``cutoff``."""
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    _check_cutoff(cutoff)
     # layers[d] holds the degree-d terms of the running product, no zeros.
     layers: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cutoff)]
     for c in w.letters:

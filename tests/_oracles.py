@@ -349,3 +349,23 @@ def oracle_expand(letters, cutoff: int) -> dict[tuple[int, ...], int]:
                 acc[mono] = acc.get(mono, 0) + c1 * c2
         out = {m: v for m, v in acc.items() if v}
     return out
+
+
+def oracle_series_product(a, b, cutoff: int) -> dict[tuple[int, ...], int]:
+    """Product of two truncated series given as dicts of monomial terms.
+
+    Walks every pair of monomials, skips the pairs whose degrees add up past
+    the cutoff, and drops a coefficient as soon as it sums to zero.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if len(m1) + len(m2) > cutoff:
+                continue
+            mono = m1 + m2
+            val = acc.get(mono, 0) + c1 * c2
+            if val:
+                acc[mono] = val
+            elif mono in acc:
+                del acc[mono]
+    return acc

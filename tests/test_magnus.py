@@ -6,7 +6,7 @@ from commlab.magnus import TruncatedSeries, expand, gamma_membership
 from commlab.sampling import random_reduced_word
 from commlab.words import Word, commutator, left_normed
 
-from _oracles import oracle_expand, oracle_reduce
+from _oracles import oracle_expand, oracle_reduce, oracle_series_product
 
 
 def rand_word(rng, rank=3, length=8):
@@ -83,6 +83,61 @@ def test_series_multiplication_respects_cutoff():
         TruncatedSeries(-1, {})
     with pytest.raises(ValueError):
         TruncatedSeries(2, {(1,): 0})
+
+
+def rand_series(rng, cutoff):
+    """Up to 12 random terms, nonzero coefficients of either sign, ranks 1-3.
+
+    The top degree is drawn below the cutoff too, so some factors have no
+    high-degree terms at all.
+    """
+    rank, top = rng.randint(1, 3), rng.randint(0, cutoff)
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        mono = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, top)))
+        terms[mono] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return TruncatedSeries(cutoff, terms)
+
+
+def test_series_product_matches_the_all_pairs_oracle():
+    rng = random.Random(45)
+    pairs = []
+    for _ in range(2000):
+        cutoff = rng.randint(0, 6)
+        pairs.append((rand_series(rng, cutoff), rand_series(rng, cutoff)))
+    for _ in range(300):
+        # products that cancel down to the constant term
+        cutoff = rng.randint(0, 6)
+        w = random_reduced_word(rng, rng.randint(1, 3), rng.randint(0, 8))
+        a, b = expand(w, cutoff), expand(w.inverse(), cutoff)
+        assert a * b == TruncatedSeries.one(cutoff)
+        pairs.append((a, b))
+    for a, b in pairs:
+        terms = (a * b).terms
+        assert type(terms) is dict
+        assert 0 not in terms.values()
+        assert terms == oracle_series_product(a.terms, b.terms, a.cutoff)
+
+
+@pytest.mark.parametrize(
+    "cutoff, terms",
+    [
+        (2, {"ab": 1}),
+        (2, {(0,): 1}),
+        (2, {(-1,): 1}),
+        (2, {(1.5,): 1}),
+        (2.5, {(): 1}),
+    ],
+    ids=["str", "zero", "negative", "float", "float_cutoff"],
+)
+def test_series_rejects_what_it_cannot_multiply(cutoff, terms):
+    with pytest.raises(ValueError):
+        TruncatedSeries(cutoff, terms)
+
+
+def test_expand_rejects_a_non_int_cutoff():
+    with pytest.raises(ValueError):
+        expand(Word((1,)), 2.5)
 
 
 def test_series_products_equal_validated_series():
