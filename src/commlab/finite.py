@@ -27,12 +27,31 @@ be the whole parent, which is never enumerated twice: by Lagrange a subgroup's
 order divides |G|, so one that passes the cap is G itself, and G's own element
 set is returned. An intersection as large as one of its inputs is that input,
 since it lies inside every input.
+
+Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
+work on a carrier is kept from one trial to the next. ``closure`` registers
+each group it enumerates, keyed by element set, in a registry of the
+``CARRIER_SLOTS`` carriers used last, and recognises a registered carrier
+without enumerating it (see ``closure`` for the proof). A carrier
+(``_Carrier``) holds its element set, its sorted elements, its subgroups'
+interned element sets and two memos that outlive a trial: the normal closure
+of a seed, read by ``normal_closure``, and [A, B] of a pair of element sets,
+read through ``SubgroupCache`` by ``commutator_subgroup``; both are read
+before any Dimino work and rebuilt as subgroups of the caller's own parent.
+The registry is capped because each carrier holds its element sets, up to
+20,000 elements at the largest caps; 16 slots keep the recurring carriers
+of both finite workloads. Memoised gens come from whichever trial computed
+them first, so only element sets and orders, never gens, may reach a
+report. A group built by hand as ``PermGroup(...)`` gets a private carrier
+that never enters the registry, so an element set that is not a group is
+never recognised.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,6 +64,12 @@ DEFAULT_FAT_BUDGET = 10**7
 # the sparsest caps allowed, seeds 0-59 needed about 1200 on average and 5526
 # at most.
 MAX_INSTANCE_DRAWS = 20_000
+# closure() keeps the carriers it built or recognised last, up to this many.
+# With 1 / 4 / 8 / 16 / 32 slots, 3,000 verify_finite ops (workload seed 11)
+# enumerated 2.09M / 1.60M / 1.18M / 0.75M / 0.47M Dimino elements and 1,000
+# subgroup_rules ops 4.19M / 3.25M / 2.36M / 1.71M / 1.63M: past 16 the
+# larger carriers gain little, and each slot may hold 20,000 elements.
+CARRIER_SLOTS = 16
 
 
 class CapExceeded(RuntimeError):
@@ -55,14 +80,75 @@ class BudgetExceeded(RuntimeError):
     """The fat commutator needs more mask pairs than the budget allows."""
 
 
-def _conj(p: bytes, g: bytes) -> bytes:
-    return kernels.compose(kernels.compose(kernels.invert_perm(g), p), g)
-
-
 def _commutator(a: bytes, b: bytes) -> bytes:
     ab = kernels.compose(a, b)
     ba = kernels.compose(b, a)
     return kernels.compose(kernels.invert_perm(ba), ab)
+
+
+# A memoised subgroup: its element set (interned in its carrier) and gens.
+_Memo = tuple[frozenset[bytes], tuple[bytes, ...]]
+
+
+class _Carrier:
+    """One carrier's element set and the subgroup memos that outlive a trial.
+
+    ``sets`` interns the element sets of the carrier's subgroups, so memo keys
+    hash once and compare by identity. ``closures`` maps a seed s to the
+    normal closure of s, and ``commutators`` maps a pair of element sets, in
+    both orders, to [A, B]. Both are bounded by the carrier, not by the
+    number of trials: at most |G| seeds, and pairs of the normal subgroups
+    met. The memoised gens are those of whichever computation came first, so
+    only element sets and orders are reproducible.
+    """
+
+    def __init__(self, elements: frozenset[bytes]) -> None:
+        self.elements = elements
+        self.sets = {elements: elements}
+        self.closures: dict[bytes, _Memo] = {}
+        self.commutators: dict[tuple[frozenset[bytes], frozenset[bytes]], _Memo] = {}
+
+    @cached_property
+    def sorted_elements(self) -> tuple[bytes, ...]:
+        return tuple(sorted(self.elements))
+
+    def intern(self, elements: frozenset[bytes]) -> frozenset[bytes]:
+        return self.sets.setdefault(elements, elements)
+
+
+# The carriers closure() built or recognised, least recently used first.
+_CARRIERS: OrderedDict[frozenset[bytes], _Carrier] = OrderedDict()
+
+
+def _recognise(gens: Sequence[bytes], degree: int, cap: int) -> _Carrier | None:
+    """A registered carrier K equal to <gens>, found without enumeration.
+
+    <gens> <= K when every generator lies in K, and the orbit bound proving
+    |<gens>| > |K| - 1 leaves |<gens>| = |K|, so <gens> = K. Carriers past
+    the cap are skipped: their degree d has d! > cap, so ``closure_set``
+    runs the same bound only up to the cap, which costs less.
+    """
+    for K in reversed(_CARRIERS.values()):
+        order = len(K.elements)
+        if (
+            order <= cap
+            and K.elements.issuperset(gens)
+            and kernels._order_exceeds(gens, degree, order - 1)
+        ):
+            _CARRIERS.move_to_end(K.elements)
+            return K
+    return None
+
+
+def _register(elements: frozenset[bytes]) -> _Carrier:
+    K = _CARRIERS.get(elements)
+    if K is None:
+        K = _CARRIERS[elements] = _Carrier(elements)
+        if len(_CARRIERS) > CARRIER_SLOTS:
+            _CARRIERS.popitem(last=False)
+    else:
+        _CARRIERS.move_to_end(elements)
+    return K
 
 
 @dataclass(frozen=True)
@@ -70,6 +156,13 @@ class PermGroup:
     degree: int
     elements: frozenset[bytes]
     gens: tuple[bytes, ...]
+    # The memos of this group's subgroups: closure() passes the registered
+    # carrier, and a group built by hand gets a private one.
+    carrier: _Carrier = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.carrier is None:
+            object.__setattr__(self, "carrier", _Carrier(self.elements))
 
     @property
     def order(self) -> int:
@@ -79,10 +172,23 @@ class PermGroup:
     def identity(self) -> bytes:
         return bytes(range(self.degree))
 
-    @cached_property
+    @property
     def sorted_elements(self) -> tuple[bytes, ...]:
         """The elements in sorted order: the seed pool of the random draws."""
-        return tuple(sorted(self.elements))
+        return self.carrier.sorted_elements
+
+    @cached_property
+    def conjugators(self) -> tuple[tuple[bytes, bytes], ...]:
+        """(g^-1, translate table of g) for each generator g."""
+        return tuple(
+            (kernels.invert_perm(g), kernels.perm_table(g)) for g in self.gens
+        )
+
+
+def _conjugates(G: PermGroup, p: bytes) -> list[bytes]:
+    """p^g = g^-1 p g for each generator g of G, by G's own tables."""
+    table = kernels.perm_table(p)
+    return [inv.translate(table).translate(g) for inv, g in G.conjugators]
 
 
 @dataclass(frozen=True)
@@ -115,6 +221,17 @@ def closure(
 
     Each generator is checked to be a permutation of the common degree and
     kept as plain bytes, like every other element and generator set here.
+
+    A carrier registered by an earlier call is recognised without
+    enumeration: when every generator lies in it and the orbit bound of
+    ``kernels._order_exceeds`` proves |<gens>| >= |K|, then <gens> <= K has
+    K's order and is K. The group returned shares K's element set and memos
+    (see ``_Carrier``). Only carriers within the cap are tried, so a group
+    past it raises ``CapExceeded`` from the enumeration, as before. A bound
+    that falls short of the order (it is not exact on A_14, for one) only
+    costs an enumeration, never a wrong carrier. Each group enumerated here
+    is registered; the registry keeps the ``CARRIER_SLOTS`` carriers used
+    last.
     """
     gens = [bytes(g) for g in gens]
     if degree is None:
@@ -124,14 +241,22 @@ def closure(
     ident = list(range(degree))
     if any(sorted(g) != ident for g in gens):
         raise ValueError(f"generators must be permutations of 0..{degree - 1}")
-    elems = kernels.closure_set(gens, degree, cap)
-    if elems is None:
-        raise CapExceeded(f"closure exceeds cap of {cap} elements")
-    return PermGroup(degree, frozenset(elems), tuple(gens))
+    K = _recognise(gens, degree, cap)
+    if K is None:
+        elems = kernels.closure_set(gens, degree, cap)
+        if elems is None:
+            raise CapExceeded(f"closure exceeds cap of {cap} elements")
+        K = _register(frozenset(elems))
+    return PermGroup(degree, K.elements, tuple(gens), K)
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
-    """Smallest normal subgroup of G containing the seeds."""
+    """Smallest normal subgroup of G containing the seeds.
+
+    The closure of the last seed is memoised in G's carrier and the other
+    seeds are grown onto it: the steps ``_grow_normal`` takes on the whole
+    list, as it pops the last seed first and closes it before the others.
+    """
     for s in seeds:
         try:
             if bytes(s) in G.elements:
@@ -140,7 +265,15 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
             pass
         ints = isinstance(s, Iterable) and all(isinstance(x, int) for x in s)
         raise ValueError(f"seed {list(s) if ints else s!r} lies outside the group")
-    return _grow_normal(G, {G.identity}, (), [bytes(s) for s in seeds])
+    seeds = [bytes(s) for s in seeds]
+    if not seeds:
+        return NormalSubgroup.trivial(G)
+    last = seeds.pop()
+    hit = G.carrier.closures.get(last)
+    if hit is None:
+        sub = _grow_normal(G, {G.identity}, (), [last])
+        hit = G.carrier.closures[last] = G.carrier.intern(sub.elements), sub.gens
+    return _grow_normal(G, *hit, seeds)
 
 
 def _grow_normal(
@@ -171,7 +304,7 @@ def _grow_normal(
         if grown is None:
             return NormalSubgroup(G, G.elements, tuple(gens))
         elems = grown
-        seeds.extend(_conj(s, g) for g in G.gens)
+        seeds.extend(_conjugates(G, s))
     return NormalSubgroup(G, frozenset(elems), tuple(gens))
 
 
@@ -190,18 +323,18 @@ def _largest_proper_divisor(order: int) -> int:
 
 
 class SubgroupCache:
-    """Interns subgroups by element set and memoises commutator subgroups.
+    """One trial's handle on its carrier's commutator memo.
 
-    Interning keeps one frozenset per subgroup, so memo lookups reuse its
-    cached hash and stop comparing keys at identity; a memo without it ran
-    about 7% slower on verify_finite and subgroup_rules (Python 3.11, 2 cores).
+    ``intern`` keeps one NormalSubgroup per element set, so a trial's tables
+    hold shared objects. The commutator memo itself lives in the parent's
+    carrier (``_Carrier``) and outlives the trial: ``commutator`` reads it
+    and ``store`` writes it, so a hit may come from an earlier trial on the
+    same carrier. A hit is rebuilt as a NormalSubgroup of the caller's own
+    parent unless this trial has interned its element set already.
     """
 
     def __init__(self) -> None:
         self._interned: dict[frozenset[bytes], NormalSubgroup] = {}
-        self._commutators: dict[
-            tuple[frozenset[bytes], frozenset[bytes]], NormalSubgroup
-        ] = {}
 
     def intern(self, sub: NormalSubgroup) -> NormalSubgroup:
         return self._interned.setdefault(sub.elements, sub)
@@ -209,15 +342,21 @@ class SubgroupCache:
     def commutator(
         self, a: NormalSubgroup, b: NormalSubgroup
     ) -> NormalSubgroup | None:
-        return self._commutators.get((a.elements, b.elements))
+        hit = a.parent.carrier.commutators.get((a.elements, b.elements))
+        if hit is None:
+            return None
+        sub = self._interned.get(hit[0])
+        return sub if sub is not None else self.intern(NormalSubgroup(a.parent, *hit))
 
     def store(
         self, a: NormalSubgroup, b: NormalSubgroup, result: NormalSubgroup
     ) -> NormalSubgroup:
         """Memoise [a, b] = [b, a]; returns the interned result."""
         result = self.intern(result)
-        self._commutators[(a.elements, b.elements)] = result
-        self._commutators[(b.elements, a.elements)] = result
+        carrier = a.parent.carrier
+        x, y = carrier.intern(a.elements), carrier.intern(b.elements)
+        hit = carrier.intern(result.elements), result.gens
+        carrier.commutators[x, y] = carrier.commutators[y, x] = hit
         return result
 
 
@@ -227,23 +366,20 @@ def commutator_subgroup(
     """[A, B] for normal subgroups of a common parent.
 
     Equals the normal closure of the pairwise commutators of the generating
-    sets; [A, B] = [B, A] always, so the cache stores both orders.
+    sets; [A, B] = [B, A] always, so the carrier memo stores both orders.
     """
     parent = _same_parent(A, B)
-    if cache is not None:
-        hit = cache.commutator(A, B)
-        if hit is not None:
-            return hit
+    cache = cache or SubgroupCache()
+    hit = cache.commutator(A, B)
+    if hit is not None:
+        return hit
     seeds: set[bytes] = set()
     for a in A.gens:
         for b in B.gens:
             c = _commutator(a, b)
             if c != parent.identity:
                 seeds.add(c)
-    result = normal_closure(parent, sorted(seeds))
-    if cache is not None:
-        result = cache.store(A, B, result)
-    return result
+    return cache.store(A, B, normal_closure(parent, sorted(seeds)))
 
 
 def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:

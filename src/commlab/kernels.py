@@ -165,9 +165,15 @@ def delete_strands(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]
 # ---------------------------------------------------------------------------
 # permutation sets
 
+def perm_table(p: bytes) -> bytes:
+    """The 256-byte ``translate`` table of p: ``x.translate(perm_table(p))``
+    applies x first, then p."""
+    return p + _IDENT256[len(p):]
+
+
 def compose(p: bytes, q: bytes) -> bytes:
     """Apply p first, then q: result[i] = q[p[i]]."""
-    return p.translate(q + _IDENT256[len(q):])
+    return p.translate(perm_table(q))
 
 
 def invert_perm(p: bytes) -> bytes:

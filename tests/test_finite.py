@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from commlab import finite
+from commlab import finite, kernels
 from commlab.finite import (
     BudgetExceeded,
     CapExceeded,
@@ -63,11 +63,17 @@ def s4():
 
 def test_conjugation_convention():
     # normal closures queue the conjugates p^g = g^-1 p g
+    # by each generator, through the group's precomputed tables
     rng = random.Random(60)
-    pool = s4().sorted_elements
+    S4 = s4()
+    pool = S4.sorted_elements
     for _ in range(50):
-        p, g = rng.choice(pool), rng.choice(pool)
-        assert tuple(finite._conj(p, g)) == o_conj(tuple(p), tuple(g))
+        p = rng.choice(pool)
+        gens = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        G = PermGroup(4, S4.elements, gens)
+        assert [tuple(c) for c in finite._conjugates(G, p)] == [
+            o_conj(tuple(p), tuple(g)) for g in gens
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +268,165 @@ def test_subgroup_operations_match_oracles_on_random_instances(
                 proper += 1
     # both the Lagrange exit and full enumeration are exercised
     assert whole >= 40 and proper >= 20
+
+
+# ---------------------------------------------------------------------------
+# the carrier registry
+
+
+def _trial(seed, n, degree_cap, order_cap):
+    """Every order and verdict of one verify-finite trial, as comparable values."""
+    inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
+    G, Rs = inst.group, inst.subgroups
+    cache = SubgroupCache()
+    A, B, C = random_normal_triple(G, seed)
+    return (
+        G.degree,
+        G.order,
+        [R.order for R in Rs],
+        verify_fat_equals_symmetric(G, Rs, cache=cache),
+        verify_first_slot_restriction(G, Rs, cache),
+        (A.order, B.order, C.order),
+        verify_product_rule(A, B, C, cache),
+        verify_hall(A, B, C, cache),
+        verify_connectivity(G, Rs, I=(1, 2), J=tuple(range(3, n + 1))),
+    )
+
+
+# both finite workloads' caps, n = 3 and n = 4
+REGISTRY_CASES = [
+    (n, degree_cap, order_cap, seeds)
+    for degree_cap, order_cap in [(10, 2000), (12, 20000)]
+    for n, seeds in [(3, range(12)), (4, range(6))]
+]
+
+
+@pytest.mark.parametrize("n, degree_cap, order_cap, seeds", REGISTRY_CASES)
+def test_results_do_not_depend_on_the_carrier_registry(
+    n, degree_cap, order_cap, seeds
+):
+    finite._CARRIERS.clear()
+    fresh = [_trial(s, n, degree_cap, order_cap) for s in seeds]
+    finite._CARRIERS.clear()
+    for s in range(500, 530):  # other carriers and memos first
+        _trial(s, 3, degree_cap, order_cap)
+    filled = [_trial(s, n, degree_cap, order_cap) for s in seeds]
+    backwards = [_trial(s, n, degree_cap, order_cap) for s in reversed(seeds)]
+    assert fresh == filled == backwards[::-1]
+
+
+def _standard_gens(degree):
+    """Generators of S_d and A_d, and of C_d and a point stabiliser S_{d-1}."""
+    cycle = from_cycles(degree, tuple(range(1, degree + 1)))
+    short = from_cycles(degree, tuple(range(2, degree + 1)))
+    three = from_cycles(degree, (1, 2, 3))
+    odd_cycle = short if degree % 2 == 0 else cycle
+    return [
+        [from_cycles(degree, (1, 2)), cycle],
+        [three, odd_cycle],
+        [cycle],
+        [from_cycles(degree, (2, 3)), short],
+    ]
+
+
+def test_recognition_matches_enumeration(monkeypatch):
+    # recognise a registered carrier only when it is the generated group, and
+    # reject a group past the cap exactly as kernels.closure_set does
+    rng = random.Random(62)
+    cases = []
+    for degree in range(3, 8):
+        cases += _standard_gens(degree)
+        for _ in range(12):
+            pool = list(range(degree))
+            cases.append(
+                [bytes(rng.sample(pool, degree)) for _ in range(rng.randint(1, 3))]
+            )
+    finite._CARRIERS.clear()
+    for degree in range(3, 8):  # register S_d and A_d first
+        for gens in _standard_gens(degree)[:2]:
+            closure(gens, cap=5040)
+    enumerated = []
+    real = kernels.closure_set
+
+    def counting(gens, degree, cap):
+        enumerated.append(None)
+        return real(gens, degree, cap)
+
+    monkeypatch.setattr(kernels, "closure_set", counting)
+    recognised = 0
+    for gens in cases:
+        degree = len(gens[0])
+        want = real(gens, degree, 5040)
+        enumerated.clear()
+        G = closure(gens, cap=5040)
+        assert G.elements == want and G.gens == tuple(gens)
+        recognised += not enumerated
+        for cap in (len(want) - 1, len(want)):
+            expected = real(gens, degree, cap)
+            if expected is None:
+                with pytest.raises(CapExceeded):
+                    closure(gens, cap=cap)
+            else:
+                assert closure(gens, cap=cap).elements == expected
+    # both paths ran: many sets generate a registered S_d or A_d, and many
+    # generate a proper subgroup of one, which must be enumerated
+    assert recognised >= 30 and len(cases) - recognised >= 30
+
+
+def test_a_hand_built_group_never_enters_the_registry():
+    # six elements of S_4 that are not closed but hold generators of S_3: were
+    # the set registered, the orbit bound (|<gens>| >= 6) would "recognise" it
+    a, b = from_cycles(4, (1, 2)), from_cycles(4, (1, 2, 3))
+    fake = frozenset(
+        [bytes(range(4)), a, b, from_cycles(4, (3, 4)), from_cycles(4, (1, 3))]
+        + [from_cycles(4, (1, 2, 3, 4))]
+    )
+    assert len(fake) == 6 and tuples(fake) != oracle_closure([a, b], 4)
+    finite._CARRIERS.clear()
+    H = PermGroup(4, fake, (a, b))
+    product_subgroup(normal_closure(H, [a]), normal_closure(H, [b]))
+    assert fake not in finite._CARRIERS and not finite._CARRIERS
+    assert tuples(closure([a, b]).elements) == oracle_closure([a, b], 4)
+    assert fake not in finite._CARRIERS
+
+
+def test_the_registry_keeps_the_carriers_used_last():
+    finite._CARRIERS.clear()
+    groups = [closure([bytes([*range(1, d), 0])]) for d in range(3, 53)]
+    assert len(finite._CARRIERS) == finite.CARRIER_SLOTS == 16
+    assert list(finite._CARRIERS) == [G.elements for G in groups[-16:]]
+    # recognising a carrier makes it the most recent one
+    again = closure(groups[-16].gens)
+    assert again.carrier is groups[-16].carrier
+    assert next(reversed(finite._CARRIERS)) is groups[-16].elements
+
+
+def test_carrier_tables_are_bounded_by_the_carrier():
+    # a second pass over the same trials adds nothing to any table, seeds are
+    # single elements (an intersection is not keyed by its element list), and
+    # the commutator memo only holds interned sets
+    finite._CARRIERS.clear()
+    seeds = range(40)
+
+    def sizes():
+        return {
+            (key, name): len(getattr(K, name))
+            for key, K in finite._CARRIERS.items()
+            for name in ("sets", "closures", "commutators")
+        }
+
+    for s in seeds:
+        _trial(s, 3, 10, 2000)
+    before = sizes()
+    for s in seeds:
+        _trial(s, 3, 10, 2000)
+    assert sizes() == before
+    for K in finite._CARRIERS.values():
+        assert len(K.closures) <= len(K.elements)
+        assert all(seed in K.elements for seed in K.closures)
+        assert len(K.commutators) <= len(K.sets) ** 2
+        for a, b in K.commutators:
+            assert K.sets[a] is a and K.sets[b] is b
 
 
 # ---------------------------------------------------------------------------
