@@ -123,7 +123,6 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        cache = finite.SubgroupCache()
         row = {
             "seed": inst.seed,
             "degree": inst.group.degree,
@@ -132,14 +131,12 @@ def verify_finite(trials, n, degree_cap, order_cap, seed, out_dir, fmt):
         }
         try:
             fat = finite.verify_fat_equals_symmetric(
-                inst.group, inst.subgroups, budget=budget, cache=cache
+                inst.group, inst.subgroups, budget=budget
             )
-            restr = finite.verify_first_slot_restriction(
-                inst.group, inst.subgroups, cache
-            )
+            restr = finite.verify_first_slot_restriction(inst.group, inst.subgroups)
             A, B, C = finite.random_normal_triple(inst.group, seed + k)
-            rule = finite.verify_product_rule(A, B, C, cache)
-            hall = finite.verify_hall(A, B, C, cache)
+            rule = finite.verify_product_rule(A, B, C)
+            hall = finite.verify_hall(A, B, C)
         except finite.BudgetExceeded as exc:
             row.update(budget_exceeded=str(exc), undecided=True)
             undecided += 1

@@ -29,22 +29,29 @@ set is returned. An intersection as large as one of its inputs is that input,
 since it lies inside every input.
 
 Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
-work on a carrier is kept from one trial to the next. ``closure`` registers
-each group it enumerates, keyed by element set, in a registry of the
-``CARRIER_SLOTS`` carriers used last, and recognises a registered carrier
-without enumerating it (see ``closure`` for the proof). A carrier
-(``_Carrier``) holds its element set, its sorted elements, its subgroups'
-interned element sets and two memos that outlive a trial: the normal closure
-of a seed, read by ``normal_closure``, and [A, B] of a pair of element sets,
-read through ``SubgroupCache`` by ``commutator_subgroup``; both are read
-before any Dimino work and rebuilt as subgroups of the caller's own parent.
-The registry is capped because each carrier holds its element sets, up to
-20,000 elements at the largest caps; 16 slots keep the recurring carriers
-of both finite workloads. Memoised gens come from whichever trial computed
-them first, so only element sets and orders, never gens, may reach a
-report. A group built by hand as ``PermGroup(...)`` gets a private carrier
-that never enters the registry, so an element set that is not a group is
-never recognised.
+work on a carrier is kept from one trial to the next, on the group itself.
+``closure`` registers each group it enumerates, keyed by element set, in a
+registry of the ``CARRIER_SLOTS`` groups used last, and returns the
+registered group when it recognises one (see ``closure`` for the proof): while
+registered, an element set has one ``PermGroup``, whose subgroups all share
+it as parent. A group holds its sorted elements, its subgroups' interned
+element sets and two memos: the normal closure of a seed, read by
+``normal_closure``, and [A, B] of a pair of element sets, read by
+``commutator_subgroup``; both are read before any Dimino work. The registry
+is capped because each group holds its element sets, up to 20,000 elements
+at the largest caps; 16 slots keep the recurring carriers of both finite
+workloads. A registered group's gens and its memoised gens come from
+whichever trial got there first, so only element sets and orders, never
+gens, may reach a report. A group built by hand as ``PermGroup(...)`` keeps
+private memos and never enters the registry, so an element set that is not a
+group is never recognised, and two such groups are different parents even
+over equal element sets (groups compare by identity).
+
+Memo entries are ``(interned elements, gens)`` and never a ``NormalSubgroup``
+or anything else that points back to the group. Such an entry would close a
+reference cycle, and a group in a cycle is freed only by the cyclic garbage
+collector, not when the registry evicts it. The benchmark worker runs its op
+loop with the collector off, so every evicted carrier would stay in memory.
 """
 
 from __future__ import annotations
@@ -86,47 +93,65 @@ def _commutator(a: bytes, b: bytes) -> bytes:
     return kernels.compose(kernels.invert_perm(ba), ab)
 
 
-# A memoised subgroup: its element set (interned in its carrier) and gens.
-_Memo = tuple[frozenset[bytes], tuple[bytes, ...]]
+@dataclass(frozen=True, eq=False)
+class PermGroup:
+    """A permutation group and the memos of its normal subgroups.
 
-
-class _Carrier:
-    """One carrier's element set and the subgroup memos that outlive a trial.
-
-    ``sets`` interns the element sets of the carrier's subgroups, so memo keys
-    hash once and compare by identity. ``closures`` maps a seed s to the
-    normal closure of s, and ``commutators`` maps a pair of element sets, in
-    both orders, to [A, B]. Both are bounded by the carrier, not by the
-    number of trials: at most |G| seeds, and pairs of the normal subgroups
-    met. The memoised gens are those of whichever computation came first, so
-    only element sets and orders are reproducible.
+    ``closures`` maps a seed s to the normal closure of s, and
+    ``commutators`` maps a pair of element sets, in both orders, to [A, B];
+    each entry is (interned elements, gens). ``sets`` interns the element sets
+    of the subgroups, so memo keys hash once and compare by identity. The
+    memos are bounded by the group, not by the number of trials: at most |G|
+    seeds, and pairs of the normal subgroups met.
     """
 
-    def __init__(self, elements: frozenset[bytes]) -> None:
-        self.elements = elements
-        self.sets = {elements: elements}
-        self.closures: dict[bytes, _Memo] = {}
-        self.commutators: dict[tuple[frozenset[bytes], frozenset[bytes]], _Memo] = {}
+    degree: int
+    elements: frozenset[bytes]
+    gens: tuple[bytes, ...]
+    closures: dict[bytes, tuple] = field(default_factory=dict, init=False, repr=False)
+    commutators: dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def identity(self) -> bytes:
+        return bytes(range(self.degree))
 
     @cached_property
     def sorted_elements(self) -> tuple[bytes, ...]:
+        """The elements in sorted order: the seed pool of the random draws."""
         return tuple(sorted(self.elements))
+
+    @cached_property
+    def sets(self) -> dict[frozenset[bytes], frozenset[bytes]]:
+        return {self.elements: self.elements}
 
     def intern(self, elements: frozenset[bytes]) -> frozenset[bytes]:
         return self.sets.setdefault(elements, elements)
 
+    @cached_property
+    def conjugators(self) -> tuple[tuple[bytes, bytes], ...]:
+        """(g^-1, translate table of g) for each generator g."""
+        return tuple(
+            (kernels.invert_perm(g), kernels.perm_table(g)) for g in self.gens
+        )
 
-# The carriers closure() built or recognised, least recently used first.
-_CARRIERS: OrderedDict[frozenset[bytes], _Carrier] = OrderedDict()
+
+# The groups closure() built or recognised, least recently used first.
+_CARRIERS: OrderedDict[frozenset[bytes], PermGroup] = OrderedDict()
 
 
-def _recognise(gens: Sequence[bytes], degree: int, cap: int) -> _Carrier | None:
-    """A registered carrier K equal to <gens>, found without enumeration.
+def _recognise(gens: Sequence[bytes], degree: int, cap: int) -> PermGroup | None:
+    """A registered group K equal to <gens>, found without enumeration.
 
     <gens> <= K when every generator lies in K, and the orbit bound proving
-    |<gens>| > |K| - 1 leaves |<gens>| = |K|, so <gens> = K. Carriers past
-    the cap are skipped: their degree d has d! > cap, so ``closure_set``
-    runs the same bound only up to the cap, which costs less.
+    |<gens>| > |K| - 1 leaves |<gens>| = |K|, so <gens> = K. Groups past the
+    cap are skipped: their degree d has d! > cap, so ``closure_set`` runs the
+    same bound only up to the cap, which costs less.
     """
     for K in reversed(_CARRIERS.values()):
         order = len(K.elements)
@@ -140,49 +165,13 @@ def _recognise(gens: Sequence[bytes], degree: int, cap: int) -> _Carrier | None:
     return None
 
 
-def _register(elements: frozenset[bytes]) -> _Carrier:
-    K = _CARRIERS.get(elements)
-    if K is None:
-        K = _CARRIERS[elements] = _Carrier(elements)
-        if len(_CARRIERS) > CARRIER_SLOTS:
-            _CARRIERS.popitem(last=False)
-    else:
-        _CARRIERS.move_to_end(elements)
-    return K
-
-
-@dataclass(frozen=True)
-class PermGroup:
-    degree: int
-    elements: frozenset[bytes]
-    gens: tuple[bytes, ...]
-    # The memos of this group's subgroups: closure() passes the registered
-    # carrier, and a group built by hand gets a private one.
-    carrier: _Carrier = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.carrier is None:
-            object.__setattr__(self, "carrier", _Carrier(self.elements))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def identity(self) -> bytes:
-        return bytes(range(self.degree))
-
-    @property
-    def sorted_elements(self) -> tuple[bytes, ...]:
-        """The elements in sorted order: the seed pool of the random draws."""
-        return self.carrier.sorted_elements
-
-    @cached_property
-    def conjugators(self) -> tuple[tuple[bytes, bytes], ...]:
-        """(g^-1, translate table of g) for each generator g."""
-        return tuple(
-            (kernels.invert_perm(g), kernels.perm_table(g)) for g in self.gens
-        )
+def _register(G: PermGroup) -> PermGroup:
+    """The registered group on G's element set, G itself if there was none."""
+    G = _CARRIERS.setdefault(G.elements, G)
+    _CARRIERS.move_to_end(G.elements)
+    if len(_CARRIERS) > CARRIER_SLOTS:
+        _CARRIERS.popitem(last=False)
+    return G
 
 
 def _conjugates(G: PermGroup, p: bytes) -> list[bytes]:
@@ -222,16 +211,17 @@ def closure(
     Each generator is checked to be a permutation of the common degree and
     kept as plain bytes, like every other element and generator set here.
 
-    A carrier registered by an earlier call is recognised without
-    enumeration: when every generator lies in it and the orbit bound of
+    Returns the registered group on the generated element set, with the
+    gens it was registered with, which need not be ``gens``. A group K
+    registered by an earlier call is recognised without enumeration: when
+    every generator lies in it and the orbit bound of
     ``kernels._order_exceeds`` proves |<gens>| >= |K|, then <gens> <= K has
-    K's order and is K. The group returned shares K's element set and memos
-    (see ``_Carrier``). Only carriers within the cap are tried, so a group
-    past it raises ``CapExceeded`` from the enumeration, as before. A bound
-    that falls short of the order (it is not exact on A_14, for one) only
-    costs an enumeration, never a wrong carrier. Each group enumerated here
-    is registered; the registry keeps the ``CARRIER_SLOTS`` carriers used
-    last.
+    K's order and is K. Only groups within the cap are tried, so a group past
+    it raises ``CapExceeded`` from the enumeration. A bound that falls short
+    of the order (it is not exact on A_14, for one) only costs an
+    enumeration, never a wrong group: an enumerated element set that is
+    registered already returns the registered group. Otherwise the new group
+    is registered; the registry keeps the ``CARRIER_SLOTS`` groups used last.
     """
     gens = [bytes(g) for g in gens]
     if degree is None:
@@ -241,19 +231,19 @@ def closure(
     ident = list(range(degree))
     if any(sorted(g) != ident for g in gens):
         raise ValueError(f"generators must be permutations of 0..{degree - 1}")
-    K = _recognise(gens, degree, cap)
-    if K is None:
+    G = _recognise(gens, degree, cap)
+    if G is None:
         elems = kernels.closure_set(gens, degree, cap)
         if elems is None:
             raise CapExceeded(f"closure exceeds cap of {cap} elements")
-        K = _register(frozenset(elems))
-    return PermGroup(degree, K.elements, tuple(gens), K)
+        G = _register(PermGroup(degree, frozenset(elems), tuple(gens)))
+    return G
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     """Smallest normal subgroup of G containing the seeds.
 
-    The closure of the last seed is memoised in G's carrier and the other
+    The closure of the last seed is memoised in G and the other
     seeds are grown onto it: the steps ``_grow_normal`` takes on the whole
     list, as it pops the last seed first and closes it before the others.
     """
@@ -269,10 +259,10 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     if not seeds:
         return NormalSubgroup.trivial(G)
     last = seeds.pop()
-    hit = G.carrier.closures.get(last)
+    hit = G.closures.get(last)
     if hit is None:
         sub = _grow_normal(G, {G.identity}, (), [last])
-        hit = G.carrier.closures[last] = G.carrier.intern(sub.elements), sub.gens
+        hit = G.closures[last] = G.intern(sub.elements), sub.gens
     return _grow_normal(G, *hit, seeds)
 
 
@@ -323,54 +313,29 @@ def _largest_proper_divisor(order: int) -> int:
 
 
 class SubgroupCache:
-    """One trial's handle on its carrier's commutator memo.
+    """The read of the commutator memo that ``commutator_subgroup`` makes.
 
-    ``intern`` keeps one NormalSubgroup per element set, so a trial's tables
-    hold shared objects. The commutator memo itself lives in the parent's
-    carrier (``_Carrier``) and outlives the trial: ``commutator`` reads it
-    and ``store`` writes it, so a hit may come from an earlier trial on the
-    same carrier. A hit is rebuilt as a NormalSubgroup of the caller's own
-    parent unless this trial has interned its element set already.
+    It holds no state: the memo lives on the parent group. The class stays
+    for the benchmark in ``perfbench/``, which builds one per trial, passes
+    it to the four verifiers as their trailing ``cache`` argument (accepted
+    and ignored), and counts memo hits by patching ``commutator``.
     """
-
-    def __init__(self) -> None:
-        self._interned: dict[frozenset[bytes], NormalSubgroup] = {}
-
-    def intern(self, sub: NormalSubgroup) -> NormalSubgroup:
-        return self._interned.setdefault(sub.elements, sub)
 
     def commutator(
         self, a: NormalSubgroup, b: NormalSubgroup
     ) -> NormalSubgroup | None:
-        hit = a.parent.carrier.commutators.get((a.elements, b.elements))
-        if hit is None:
-            return None
-        sub = self._interned.get(hit[0])
-        return sub if sub is not None else self.intern(NormalSubgroup(a.parent, *hit))
-
-    def store(
-        self, a: NormalSubgroup, b: NormalSubgroup, result: NormalSubgroup
-    ) -> NormalSubgroup:
-        """Memoise [a, b] = [b, a]; returns the interned result."""
-        result = self.intern(result)
-        carrier = a.parent.carrier
-        x, y = carrier.intern(a.elements), carrier.intern(b.elements)
-        hit = carrier.intern(result.elements), result.gens
-        carrier.commutators[x, y] = carrier.commutators[y, x] = hit
-        return result
+        hit = a.parent.commutators.get((a.elements, b.elements))
+        return None if hit is None else NormalSubgroup(a.parent, *hit)
 
 
-def commutator_subgroup(
-    A: NormalSubgroup, B: NormalSubgroup, cache: SubgroupCache | None = None
-) -> NormalSubgroup:
+def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     """[A, B] for normal subgroups of a common parent.
 
     Equals the normal closure of the pairwise commutators of the generating
-    sets; [A, B] = [B, A] always, so the carrier memo stores both orders.
+    sets; [A, B] = [B, A] always, so the parent's memo stores both orders.
     """
     parent = _same_parent(A, B)
-    cache = cache or SubgroupCache()
-    hit = cache.commutator(A, B)
+    hit = SubgroupCache().commutator(A, B)
     if hit is not None:
         return hit
     seeds: set[bytes] = set()
@@ -379,7 +344,11 @@ def commutator_subgroup(
             c = _commutator(a, b)
             if c != parent.identity:
                 seeds.add(c)
-    return cache.store(A, B, normal_closure(parent, sorted(seeds)))
+    sub = normal_closure(parent, sorted(seeds))
+    x, y = parent.intern(A.elements), parent.intern(B.elements)
+    hit = parent.intern(sub.elements), sub.gens
+    parent.commutators[x, y] = parent.commutators[y, x] = hit
+    return sub
 
 
 def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
@@ -418,7 +387,6 @@ def _mask_table(
     G: PermGroup,
     Rs: Sequence[NormalSubgroup],
     splits: Callable[[int], Iterable[tuple[int, int]]],
-    cache: SubgroupCache | None,
 ) -> NormalSubgroup:
     """One subgroup per index mask, R_i on {i}; returns the full mask's.
 
@@ -430,11 +398,10 @@ def _mask_table(
         raise ValueError("need at least one subgroup")
     for R in Rs[1:]:
         _same_parent(Rs[0], R)
-    cache = cache or SubgroupCache()
     trivial = NormalSubgroup.trivial(G)
     table = [trivial] * (1 << len(Rs))
     for i, R in enumerate(Rs):
-        table[1 << i] = cache.intern(R)
+        table[1 << i] = R
     for mask in range(3, len(table)):
         if not mask & (mask - 1):
             continue
@@ -445,35 +412,29 @@ def _mask_table(
                 distinct.setdefault((X.elements, Y.elements), (X, Y))
         total = trivial
         for X, Y in distinct.values():
-            total = product_subgroup(total, commutator_subgroup(X, Y, cache))
-        table[mask] = cache.intern(total)
+            total = product_subgroup(total, commutator_subgroup(X, Y))
+        table[mask] = total
     return table[-1]
 
 
-def symmetric_commutator(
-    G: PermGroup,
-    Rs: Sequence[NormalSubgroup],
-    cache: SubgroupCache | None = None,
-) -> NormalSubgroup:
+def symmetric_commutator(G: PermGroup, Rs: Sequence[NormalSubgroup]) -> NormalSubgroup:
     """Product over all orderings of the left-iterated commutator subgroups.
 
     Let S(M) be that product over the orderings of the index mask M. Grouped
     by the last slot i, and by [XY, Z] = [X, Z][Y, Z], S(M) is the product of
     [S(M - {i}), R_i] over i in M.
     """
-    return _mask_table(G, Rs, _last_slots, cache)
+    return _mask_table(G, Rs, _last_slots)
 
 
 def restricted_symmetric_commutator(
-    G: PermGroup,
-    Rs: Sequence[NormalSubgroup],
-    cache: SubgroupCache | None = None,
+    G: PermGroup, Rs: Sequence[NormalSubgroup]
 ) -> NormalSubgroup:
     """Same product but only over orderings that keep R_1 in the first slot.
 
     Masks without index 0 stay trivial, and index 0 is never the last slot.
     """
-    return _mask_table(G, Rs, lambda m: _last_slots(m, 1) if m & 1 else (), cache)
+    return _mask_table(G, Rs, lambda m: _last_slots(m, 1) if m & 1 else ())
 
 
 def _last_slots(mask: int, first: int = 0) -> Iterator[tuple[int, int]]:
@@ -493,7 +454,6 @@ def fat_commutator(
     G: PermGroup,
     Rs: Sequence[NormalSubgroup],
     budget: int = DEFAULT_FAT_BUDGET,
-    cache: SubgroupCache | None = None,
 ) -> FatResult:
     """Subgroup generated by all bracket values, of every weight, in the R_i.
 
@@ -522,7 +482,7 @@ def fat_commutator(
             f"fat computation at n = {n} needs {pairs} mask pairs, "
             f"over the budget of {budget}"
         )
-    return FatResult(_mask_table(G, Rs, _fat_splits, cache), pairs)
+    return FatResult(_mask_table(G, Rs, _fat_splits), pairs)
 
 
 def _fat_splits(mask: int) -> Iterator[tuple[int, int]]:
@@ -551,7 +511,7 @@ def verify_fat_equals_symmetric(
     Rs: Sequence[NormalSubgroup],
     _unused: None = None,
     budget: int = DEFAULT_FAT_BUDGET,
-    cache: SubgroupCache | None = None,
+    cache: SubgroupCache | None = None,  # ignored: see SubgroupCache
 ) -> FatSymReport:
     """Fat subgroup (all weights) vs symmetric product, as element sets.
 
@@ -561,9 +521,8 @@ def verify_fat_equals_symmetric(
     # perfbench/workloads.py passes None in the third slot, once a weight cap
     if _unused is not None:
         raise ValueError("the third argument must be None; there is no weight cap")
-    cache = cache or SubgroupCache()
-    fat = fat_commutator(G, Rs, budget, cache)
-    sym = symmetric_commutator(G, Rs, cache)
+    fat = fat_commutator(G, Rs, budget)
+    sym = symmetric_commutator(G, Rs)
     return FatSymReport(
         fat_order=fat.subgroup.order,
         symmetric_order=sym.order,
@@ -583,12 +542,11 @@ class RestrictionReport:
 def verify_first_slot_restriction(
     G: PermGroup,
     Rs: Sequence[NormalSubgroup],
-    cache: SubgroupCache | None = None,
+    cache: SubgroupCache | None = None,  # ignored: see SubgroupCache
 ) -> RestrictionReport:
     """Full symmetric product vs the product over orderings fixing R_1."""
-    cache = cache or SubgroupCache()
-    sym = symmetric_commutator(G, Rs, cache)
-    restricted = restricted_symmetric_commutator(G, Rs, cache)
+    sym = symmetric_commutator(G, Rs)
+    restricted = restricted_symmetric_commutator(G, Rs)
     return RestrictionReport(
         symmetric_order=sym.order,
         restricted_order=restricted.order,
@@ -607,14 +565,11 @@ def verify_product_rule(
     A: NormalSubgroup,
     B: NormalSubgroup,
     C: NormalSubgroup,
-    cache: SubgroupCache | None = None,
+    cache: SubgroupCache | None = None,  # ignored: see SubgroupCache
 ) -> ProductRuleReport:
     """[AB, C] = [A, C][B, C] as element sets."""
-    cache = cache or SubgroupCache()
-    lhs = commutator_subgroup(product_subgroup(A, B), C, cache)
-    rhs = product_subgroup(
-        commutator_subgroup(A, C, cache), commutator_subgroup(B, C, cache)
-    )
+    lhs = commutator_subgroup(product_subgroup(A, B), C)
+    rhs = product_subgroup(commutator_subgroup(A, C), commutator_subgroup(B, C))
     return ProductRuleReport(lhs.order, rhs.order, lhs.elements == rhs.elements)
 
 
@@ -628,13 +583,12 @@ def verify_hall(
     A: NormalSubgroup,
     B: NormalSubgroup,
     C: NormalSubgroup,
-    cache: SubgroupCache | None = None,
+    cache: SubgroupCache | None = None,  # ignored: see SubgroupCache
 ) -> HallReport:
     """Each of [A,[B,C]], [[A,B],C], [[A,C],B] sits in the others' product."""
-    cache = cache or SubgroupCache()
-    t1 = commutator_subgroup(A, commutator_subgroup(B, C, cache), cache)
-    t2 = commutator_subgroup(commutator_subgroup(A, B, cache), C, cache)
-    t3 = commutator_subgroup(commutator_subgroup(A, C, cache), B, cache)
+    t1 = commutator_subgroup(A, commutator_subgroup(B, C))
+    t2 = commutator_subgroup(commutator_subgroup(A, B), C)
+    t3 = commutator_subgroup(commutator_subgroup(A, C), B)
     checks = (
         t1.elements <= product_subgroup(t2, t3).elements,
         t2.elements <= product_subgroup(t1, t3).elements,

@@ -15,7 +15,6 @@ from itertools import permutations, product
 
 from commlab.finite import (
     NormalSubgroup,
-    SubgroupCache,
     commutator_subgroup,
     product_subgroup,
 )
@@ -121,14 +120,13 @@ def ordered_walk(G, Rs, first_slot_only: bool = False) -> NormalSubgroup:
 
     With ``first_slot_only`` only the orderings that keep R_1 first count.
     """
-    cache = SubgroupCache()
     total = NormalSubgroup.trivial(G)
     for order in permutations(range(len(Rs))):
         if first_slot_only and order[0] != 0:
             continue
         term = Rs[order[0]]
         for i in order[1:]:
-            term = commutator_subgroup(term, Rs[i], cache)
+            term = commutator_subgroup(term, Rs[i])
         total = product_subgroup(total, term)
     return total
 

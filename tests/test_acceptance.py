@@ -48,17 +48,13 @@ def shared_instances():
         inst = finite.random_instance(
             1000 + i, n=2 + (i % 2), degree_cap=10, order_cap=2000
         )
-        cache = finite.SubgroupCache()
         fat_reports.append(
             finite.verify_fat_equals_symmetric(
-                inst.group,
-                inst.subgroups,
-                budget=finite.DEFAULT_FAT_BUDGET,
-                cache=cache,
+                inst.group, inst.subgroups, budget=finite.DEFAULT_FAT_BUDGET
             )
         )
         restriction_reports.append(
-            finite.verify_first_slot_restriction(inst.group, inst.subgroups, cache)
+            finite.verify_first_slot_restriction(inst.group, inst.subgroups)
         )
     return fat_reports, restriction_reports, time.perf_counter() - t0
 
@@ -81,9 +77,8 @@ def test_criterion_3_product_rule_and_hall(announce):
     for i in range(500):
         inst = finite.random_instance(3000 + i, n=2, degree_cap=10, order_cap=2000)
         A, B, C = finite.random_normal_triple(inst.group, 3000 + i)
-        cache = finite.SubgroupCache()
-        rule_good += finite.verify_product_rule(A, B, C, cache).passed
-        hall_good += finite.verify_hall(A, B, C, cache).passed
+        rule_good += finite.verify_product_rule(A, B, C).passed
+        hall_good += finite.verify_hall(A, B, C).passed
     ok = rule_good == 500 and hall_good == 500
     announce(3, ok, f"product rule {rule_good}/500, Hall {hall_good}/500")
 
@@ -182,13 +177,12 @@ def test_criterion_9_fat_equals_symmetric_for_four_and_five(announce):
     fat_good = restricted_good = 0
     for seed, n in cases:
         inst = finite.random_instance(seed, n=n, degree_cap=10, order_cap=2000)
-        cache = finite.SubgroupCache()
         fat = finite.verify_fat_equals_symmetric(
-            inst.group, inst.subgroups, budget=finite.DEFAULT_FAT_BUDGET, cache=cache
+            inst.group, inst.subgroups, budget=finite.DEFAULT_FAT_BUDGET
         )
         fat_good += fat.passed
         restricted_good += finite.verify_first_slot_restriction(
-            inst.group, inst.subgroups, cache
+            inst.group, inst.subgroups
         ).passed
     elapsed = time.perf_counter() - t0
     ok = fat_good == restricted_good == 60

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -10,7 +12,6 @@ from commlab.finite import (
     CapExceeded,
     NormalSubgroup,
     PermGroup,
-    SubgroupCache,
     closure,
     commutator_subgroup,
     fat_commutator,
@@ -278,27 +279,28 @@ def _trial(seed, n, degree_cap, order_cap):
     """Every order and verdict of one verify-finite trial, as comparable values."""
     inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
     G, Rs = inst.group, inst.subgroups
-    cache = SubgroupCache()
     A, B, C = random_normal_triple(G, seed)
     return (
         G.degree,
         G.order,
         [R.order for R in Rs],
-        verify_fat_equals_symmetric(G, Rs, cache=cache),
-        verify_first_slot_restriction(G, Rs, cache),
+        verify_fat_equals_symmetric(G, Rs),
+        verify_first_slot_restriction(G, Rs),
         (A.order, B.order, C.order),
-        verify_product_rule(A, B, C, cache),
-        verify_hall(A, B, C, cache),
+        verify_product_rule(A, B, C),
+        verify_hall(A, B, C),
         verify_connectivity(G, Rs, I=(1, 2), J=tuple(range(3, n + 1))),
     )
 
 
-# both finite workloads' caps, n = 3 and n = 4
+# both finite workloads' caps, n = 3 to 5: fat = symmetric has content from
+# n = 4, and the memos hold the most state at n = 5
+REGISTRY_CAPS = [(10, 2000), (12, 20000)]
 REGISTRY_CASES = [
     (n, degree_cap, order_cap, seeds)
-    for degree_cap, order_cap in [(10, 2000), (12, 20000)]
+    for degree_cap, order_cap in REGISTRY_CAPS
     for n, seeds in [(3, range(12)), (4, range(6))]
-]
+] + [(5, degree_cap, order_cap, range(4)) for degree_cap, order_cap in REGISTRY_CAPS]
 
 
 @pytest.mark.parametrize("n, degree_cap, order_cap, seeds", REGISTRY_CASES)
@@ -330,8 +332,9 @@ def _standard_gens(degree):
 
 
 def test_recognition_matches_enumeration(monkeypatch):
-    # recognise a registered carrier only when it is the generated group, and
-    # reject a group past the cap exactly as kernels.closure_set does
+    # recognise a registered carrier only when it is the generated group,
+    # return the one registered group per element set, and reject a group
+    # past the cap exactly as kernels.closure_set does
     rng = random.Random(62)
     cases = []
     for degree in range(3, 8):
@@ -358,8 +361,13 @@ def test_recognition_matches_enumeration(monkeypatch):
         degree = len(gens[0])
         want = real(gens, degree, 5040)
         enumerated.clear()
+        known = finite._CARRIERS.get(frozenset(want))
         G = closure(gens, cap=5040)
-        assert G.elements == want and G.gens == tuple(gens)
+        assert G.elements == want
+        if known is None:  # enumerated and registered with its own gens
+            assert enumerated and G.gens == tuple(gens)
+        else:
+            assert G is known
         recognised += not enumerated
         for cap in (len(want) - 1, len(want)):
             expected = real(gens, degree, cap)
@@ -397,14 +405,14 @@ def test_the_registry_keeps_the_carriers_used_last():
     assert list(finite._CARRIERS) == [G.elements for G in groups[-16:]]
     # recognising a carrier makes it the most recent one
     again = closure(groups[-16].gens)
-    assert again.carrier is groups[-16].carrier
+    assert again is groups[-16]
     assert next(reversed(finite._CARRIERS)) is groups[-16].elements
 
 
 def test_carrier_tables_are_bounded_by_the_carrier():
-    # a second pass over the same trials adds nothing to any table, seeds are
-    # single elements (an intersection is not keyed by its element list), and
-    # the commutator memo only holds interned sets
+    # a second pass over the same trials adds nothing to any group's table,
+    # seeds are single elements (an intersection is not keyed by its element
+    # list), and the commutator memo only holds interned sets
     finite._CARRIERS.clear()
     seeds = range(40)
 
@@ -427,6 +435,36 @@ def test_carrier_tables_are_bounded_by_the_carrier():
         assert len(K.commutators) <= len(K.sets) ** 2
         for a, b in K.commutators:
             assert K.sets[a] is a and K.sets[b] is b
+
+
+def _used_carrier():
+    """A weak reference to a registered carrier that ran 20 trials' checks."""
+    G = random_instance(0, n=3).group
+    assert G.degree <= 10 and finite._CARRIERS[G.elements] is G
+    for seed in range(20):
+        A, B, C = random_normal_triple(G, seed)
+        verify_fat_equals_symmetric(G, (A, B, C))
+        verify_first_slot_restriction(G, (A, B, C))
+        verify_product_rule(A, B, C)
+        verify_hall(A, B, C)
+    assert G.closures and G.commutators
+    return weakref.ref(G)
+
+
+def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
+    # memo entries never point back to their group (see the module
+    # docstring), so eviction alone frees a carrier; the benchmark worker
+    # runs its op loop with the collector off
+    finite._CARRIERS.clear()
+    gc.disable()
+    try:
+        carrier = _used_carrier()
+        assert carrier() is not None
+        for d in range(11, 11 + finite.CARRIER_SLOTS):  # cycles past degree 10
+            closure([bytes([*range(1, d), 0])])
+        assert carrier() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +496,18 @@ def test_commutator_subgroup_matches_element_level_oracle():
 
 
 def test_commutator_subgroup_cache_symmetry():
-    inst = random_instance(3, n=2, degree_cap=6, order_cap=300)
-    A, B = inst.subgroups
-    cache = SubgroupCache()
-    ab = commutator_subgroup(A, B, cache)
-    ba = commutator_subgroup(B, A, cache)
-    assert ab is ba
+    # one computation of [A, B] fills the memo entry of [B, A] as well
+    inst = random_instance(9, n=2, degree_cap=6, order_cap=300)
+    G, (A, B) = inst.group, inst.subgroups
+    assert A.order == 4 and B.order == 24
+    G.commutators.clear()
+    ab = commutator_subgroup(A, B)
+    assert len(G.commutators) == 2
+    hit = G.commutators[A.elements, B.elements]
+    assert G.commutators[B.elements, A.elements] is hit
+    assert hit == (ab.elements, ab.gens)
+    ba = commutator_subgroup(B, A)
+    assert (ba.elements, ba.gens) == hit and len(G.commutators) == 2
 
 
 def test_mismatched_parents_rejected():
@@ -471,12 +515,18 @@ def test_mismatched_parents_rejected():
     b = random_instance(2, n=1, degree_cap=6, order_cap=100)
     with pytest.raises(ValueError):
         commutator_subgroup(a.subgroups[0], b.subgroups[0])
-    # equal element sets are not enough: subgroups of two closures of the
-    # same generators cannot be mixed
+    # while registered, closing the same generators gives the same group, so
+    # the subgroups of two closures mix
     gens = [from_cycles(4, (1, 2)), from_cycles(4, (1, 2, 3, 4))]
-    G1, G2 = closure(gens), closure(gens)
-    assert G1.elements == G2.elements
-    R1, R2 = (normal_closure(G, [gens[1]]) for G in (G1, G2))
+    G = closure(gens)
+    assert closure(gens) is G
+    R, S = normal_closure(G, [gens[1]]), normal_closure(closure(gens), [gens[0]])
+    assert commutator_subgroup(R, S).order == 12
+    assert product_subgroup(R, S).order == 24
+    # equal element sets are not enough: subgroups of two groups built by
+    # hand cannot be mixed
+    H1, H2 = (PermGroup(4, G.elements, G.gens) for _ in range(2))
+    R1, R2 = (normal_closure(H, [gens[1]]) for H in (H1, H2))
     for op in (commutator_subgroup, product_subgroup):
         with pytest.raises(ValueError):
             op(R1, R2)
@@ -574,8 +624,6 @@ def tree_walk_fat(G, Rs, weight_cap):
     weight n..weight_cap.
     """
     n = len(Rs)
-    cache = SubgroupCache()
-    Rs = [cache.intern(R) for R in Rs]
 
     def value(shape, assignment):
         # shape 0 is a leaf; (k, left, right) puts k leaves on the left
@@ -583,7 +631,7 @@ def tree_walk_fat(G, Rs, weight_cap):
             return Rs[assignment[0]]
         k, left, right = shape
         return commutator_subgroup(
-            value(left, assignment[:k]), value(right, assignment[k:]), cache
+            value(left, assignment[:k]), value(right, assignment[k:])
         )
 
     total = NormalSubgroup.trivial(G)
@@ -655,7 +703,7 @@ def test_fat_partitions_equal_the_table_over_all_covers():
     for seed, n, degree_cap, order_cap in LEMMA_CASES + TREE_WALK_CASES:
         inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
         G, Rs = inst.group, inst.subgroups
-        covers = finite._mask_table(G, Rs, _all_covers, None)
+        covers = finite._mask_table(G, Rs, _all_covers)
         assert fat_commutator(G, Rs).subgroup.elements == covers.elements, seed
 
 
@@ -796,10 +844,10 @@ def test_product_and_intersection():
     # R1 < R2, so the intersection is the second input itself
     assert intersection_of(G, [R2, R1]) is R1
     # no input equals the intersection of two incomparable subgroups
-    V = closure(
-        [from_cycles(4, (1, 2)), from_cycles(4, (3, 4))]
-    )
-    X, Y = (normal_closure(V, [g]) for g in V.gens)
+    # the generators are named: a registered V's gens may be another pair
+    gens = [from_cycles(4, (1, 2)), from_cycles(4, (3, 4))]
+    V = closure(gens)
+    X, Y = (normal_closure(V, [g]) for g in gens)
     meet = intersection_of(V, [X, Y])
     assert meet.order == 1 and meet.gens == ()
 
