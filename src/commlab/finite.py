@@ -32,26 +32,21 @@ Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
 work on a carrier is kept from one trial to the next, on the group itself.
 ``closure`` registers each group it enumerates, keyed by element set, in a
 registry of the ``CARRIER_SLOTS`` groups used last, and returns the
-registered group when it recognises one (see ``closure`` for the proof): while
-registered, an element set has one ``PermGroup``, whose subgroups all share
-it as parent. A group holds its sorted elements, its subgroups' interned
-element sets and two memos: the normal closure of a seed, read by
-``normal_closure``, and [A, B] of a pair of element sets, read by
-``commutator_subgroup``; both are read before any Dimino work. The registry
-is capped because each group holds its element sets, up to 20,000 elements
-at the largest caps; 16 slots keep the recurring carriers of both finite
-workloads. A registered group's gens and its memoised gens come from
-whichever trial got there first, so only element sets and orders, never
-gens, may reach a report. A group built by hand as ``PermGroup(...)`` keeps
-private memos and never enters the registry, so an element set that is not a
-group is never recognised, and two such groups are different parents even
-over equal element sets (groups compare by identity).
-
-Memo entries are ``(interned elements, gens)`` and never a ``NormalSubgroup``
-or anything else that points back to the group. Such an entry would close a
-reference cycle, and a group in a cycle is freed only by the cyclic garbage
-collector, not when the registry evicts it. The benchmark worker runs its op
-loop with the collector off, so every evicted carrier would stay in memory.
+registered group when it recognises one (see ``closure``): while registered,
+an element set has one ``PermGroup``, the parent of all its subgroups. The
+registry is capped because each group holds its element sets, up to 20,000
+elements at the largest caps. Each group memoises the normal closure of a
+seed and [A, B] of a pair of element sets; a memo entry is the
+``NormalSubgroup`` computed, and a hit returns it before any Dimino work.
+An entry points back to its group, a reference cycle, so the registry clears
+an evicted group's memos: eviction alone frees it, as the benchmark worker
+runs its op loop with the cyclic garbage collector off. A group built by
+hand as ``PermGroup(...)`` never enters the registry, and the cyclic
+collector frees its memos. So an element set that is not a group is never
+recognised, and two such groups are different parents even over equal
+element sets (groups compare by identity). Registered and memoised gens come
+from whichever trial got there first, so only element sets and orders, never
+gens, may reach a report.
 """
 
 from __future__ import annotations
@@ -99,17 +94,20 @@ class PermGroup:
 
     ``closures`` maps a seed s to the normal closure of s, and
     ``commutators`` maps a pair of element sets, in both orders, to [A, B];
-    each entry is (interned elements, gens). ``sets`` interns the element sets
-    of the subgroups, so memo keys hash once and compare by identity. The
-    memos are bounded by the group, not by the number of trials: at most |G|
-    seeds, and pairs of the normal subgroups met.
+    each entry is the ``NormalSubgroup`` computed. ``sets`` interns every
+    element set a subgroup is built on, so memo keys compare by identity.
+    The memos are bounded by the group: at most |G| seeds, and pairs of the
+    normal subgroups met. The registry clears an evicted group's memos; a
+    hand-built group's are freed by the cyclic garbage collector.
     """
 
     degree: int
     elements: frozenset[bytes]
     gens: tuple[bytes, ...]
-    closures: dict[bytes, tuple] = field(default_factory=dict, init=False, repr=False)
-    commutators: dict[tuple, tuple] = field(
+    closures: dict[bytes, NormalSubgroup] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    commutators: dict[tuple, NormalSubgroup] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -145,32 +143,30 @@ class PermGroup:
 _CARRIERS: OrderedDict[frozenset[bytes], PermGroup] = OrderedDict()
 
 
-def _recognise(gens: Sequence[bytes], degree: int, cap: int) -> PermGroup | None:
-    """A registered group K equal to <gens>, found without enumeration.
+def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | None:
+    """The registered group K equal to <gens>, given |<gens>| >= bound.
 
-    <gens> <= K when every generator lies in K, and the orbit bound proving
-    |<gens>| > |K| - 1 leaves |<gens>| = |K|, so <gens> = K. Groups past the
-    cap are skipped: their degree d has d! > cap, so ``closure_set`` runs the
-    same bound only up to the cap, which costs less.
+    <gens> <= K when every generator lies in K, and |K| = bound then leaves
+    |<gens>| = |K|, so <gens> = K. K must have the degree too: empty gens
+    have bound 1 and lie in the trivial group of every degree.
     """
     for K in reversed(_CARRIERS.values()):
-        order = len(K.elements)
-        if (
-            order <= cap
-            and K.elements.issuperset(gens)
-            and kernels._order_exceeds(gens, degree, order - 1)
-        ):
+        fits = K.degree == degree and len(K.elements) == bound
+        if fits and K.elements.issuperset(gens):
             _CARRIERS.move_to_end(K.elements)
             return K
     return None
 
 
 def _register(G: PermGroup) -> PermGroup:
-    """The registered group on G's element set, G itself if there was none."""
+    """The registered group on G's element set, G itself if there was none;
+    an evicted group's memos are cleared, which frees it."""
     G = _CARRIERS.setdefault(G.elements, G)
     _CARRIERS.move_to_end(G.elements)
     if len(_CARRIERS) > CARRIER_SLOTS:
-        _CARRIERS.popitem(last=False)
+        _, old = _CARRIERS.popitem(last=False)
+        old.closures.clear()
+        old.commutators.clear()
     return G
 
 
@@ -192,13 +188,14 @@ class NormalSubgroup:
 
     @classmethod
     def trivial(cls, parent: PermGroup) -> NormalSubgroup:
-        return cls(parent, frozenset((parent.identity,)), ())
+        return cls(parent, parent.intern(frozenset((parent.identity,))), ())
 
 
-def _same_parent(a: NormalSubgroup, b: NormalSubgroup) -> PermGroup:
-    if a.parent is not b.parent:
+def _same_parent(G: PermGroup, *subgroups: NormalSubgroup) -> PermGroup:
+    """G, once every subgroup is checked to have G as its parent."""
+    if any(s.parent is not G for s in subgroups):
         raise ValueError("subgroups live in different parent groups")
-    return a.parent
+    return G
 
 
 def closure(
@@ -212,16 +209,15 @@ def closure(
     kept as plain bytes, like every other element and generator set here.
 
     Returns the registered group on the generated element set, with the
-    gens it was registered with, which need not be ``gens``. A group K
-    registered by an earlier call is recognised without enumeration: when
-    every generator lies in it and the orbit bound of
-    ``kernels._order_exceeds`` proves |<gens>| >= |K|, then <gens> <= K has
-    K's order and is K. Only groups within the cap are tried, so a group past
-    it raises ``CapExceeded`` from the enumeration. A bound that falls short
-    of the order (it is not exact on A_14, for one) only costs an
-    enumeration, never a wrong group: an enumerated element set that is
-    registered already returns the registered group. Otherwise the new group
-    is registered; the registry keeps the ``CARRIER_SLOTS`` groups used last.
+    gens it was registered with, which need not be ``gens``. The orbit bound
+    ``kernels._order_bound`` is taken once per call, at every degree (only
+    ``kernels.closure_set`` skips it where d! <= cap), and one past the cap
+    raises ``CapExceeded`` before the registry is read. A registered group
+    of the degree that holds every generator and has the bound as its order
+    is recognised without enumeration (see ``_recognise``). A bound that
+    reads low (on A_14, for one) only costs an enumeration, never a wrong
+    group: an enumerated element set that is registered already returns the
+    registered group, and a new one is registered.
     """
     gens = [bytes(g) for g in gens]
     if degree is None:
@@ -231,9 +227,12 @@ def closure(
     ident = list(range(degree))
     if any(sorted(g) != ident for g in gens):
         raise ValueError(f"generators must be permutations of 0..{degree - 1}")
-    G = _recognise(gens, degree, cap)
+    bound = kernels._order_bound(gens, degree, cap)
+    if bound > max(cap, 1):  # as in closure_set
+        raise CapExceeded(f"closure exceeds cap of {cap} elements")
+    G = _recognise(gens, degree, bound)
     if G is None:
-        elems = kernels.closure_set(gens, degree, cap)
+        elems = kernels.dimino(gens, degree, cap)
         if elems is None:
             raise CapExceeded(f"closure exceeds cap of {cap} elements")
         G = _register(PermGroup(degree, frozenset(elems), tuple(gens)))
@@ -246,6 +245,7 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     The closure of the last seed is memoised in G and the other
     seeds are grown onto it: the steps ``_grow_normal`` takes on the whole
     list, as it pops the last seed first and closes it before the others.
+    With one seed the memoised subgroup itself is returned.
     """
     for s in seeds:
         try:
@@ -261,9 +261,8 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     last = seeds.pop()
     hit = G.closures.get(last)
     if hit is None:
-        sub = _grow_normal(G, {G.identity}, (), [last])
-        hit = G.closures[last] = G.intern(sub.elements), sub.gens
-    return _grow_normal(G, *hit, seeds)
+        hit = G.closures[last] = _grow_normal(G, {G.identity}, (), [last])
+    return _grow_normal(G, hit.elements, hit.gens, seeds) if seeds else hit
 
 
 def _grow_normal(
@@ -295,7 +294,7 @@ def _grow_normal(
             return NormalSubgroup(G, G.elements, tuple(gens))
         elems = grown
         seeds.extend(_conjugates(G, s))
-    return NormalSubgroup(G, frozenset(elems), tuple(gens))
+    return NormalSubgroup(G, G.intern(frozenset(elems)), tuple(gens))
 
 
 def _largest_proper_divisor(order: int) -> int:
@@ -315,17 +314,14 @@ def _largest_proper_divisor(order: int) -> int:
 class SubgroupCache:
     """The read of the commutator memo that ``commutator_subgroup`` makes.
 
-    It holds no state: the memo lives on the parent group. The class stays
-    for the benchmark in ``perfbench/``, which builds one per trial, passes
-    it to the four verifiers as their trailing ``cache`` argument (accepted
-    and ignored), and counts memo hits by patching ``commutator``.
+    It holds no state: a hit is the ``NormalSubgroup`` stored on the parent.
+    The class stays for the benchmark in ``perfbench/``, which builds one per
+    trial, passes it to the four verifiers as their trailing ``cache``
+    argument (accepted and ignored), and counts hits by patching it.
     """
 
-    def commutator(
-        self, a: NormalSubgroup, b: NormalSubgroup
-    ) -> NormalSubgroup | None:
-        hit = a.parent.commutators.get((a.elements, b.elements))
-        return None if hit is None else NormalSubgroup(a.parent, *hit)
+    def commutator(self, a: NormalSubgroup, b: NormalSubgroup) -> NormalSubgroup | None:
+        return a.parent.commutators.get((a.elements, b.elements))
 
 
 def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
@@ -334,7 +330,7 @@ def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     Equals the normal closure of the pairwise commutators of the generating
     sets; [A, B] = [B, A] always, so the parent's memo stores both orders.
     """
-    parent = _same_parent(A, B)
+    parent = _same_parent(A.parent, B)
     hit = SubgroupCache().commutator(A, B)
     if hit is not None:
         return hit
@@ -345,9 +341,8 @@ def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
             if c != parent.identity:
                 seeds.add(c)
     sub = normal_closure(parent, sorted(seeds))
-    x, y = parent.intern(A.elements), parent.intern(B.elements)
-    hit = parent.intern(sub.elements), sub.gens
-    parent.commutators[x, y] = parent.commutators[y, x] = hit
+    x, y = A.elements, B.elements  # interned by the subgroups' builders
+    parent.commutators[x, y] = parent.commutators[y, x] = sub
     return sub
 
 
@@ -357,7 +352,7 @@ def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     Grown from A by B's gens. A*B is normal in the parent, so the normal
     closure of A and B's gens is A*B: the conjugates queued lie in B.
     """
-    parent = _same_parent(A, B)
+    parent = _same_parent(A.parent, B)
     if B.elements <= A.elements:
         return A
     if A.elements <= B.elements:
@@ -376,6 +371,7 @@ def intersection_of(
     """
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
+    _same_parent(parent, *subgroups)
     elems = frozenset.intersection(*(s.elements for s in subgroups))
     for s in subgroups:
         if s.order == len(elems):
@@ -396,8 +392,7 @@ def _mask_table(
     """
     if not Rs:
         raise ValueError("need at least one subgroup")
-    for R in Rs[1:]:
-        _same_parent(Rs[0], R)
+    _same_parent(G, *Rs)
     trivial = NormalSubgroup.trivial(G)
     table = [trivial] * (1 << len(Rs))
     for i, R in enumerate(Rs):

@@ -19,10 +19,10 @@ writes one row of deleted letters and moves the two crossing strands with two
 ``translate`` calls; deletion s is column s of those rows, freely reduced.
 The rows hold letters as signed bytes, so it takes at most 128 strands.
 
-``closure_set`` enumerates a generated group only after an orbit lower bound
-on its order (orbit-stabiliser along a truncated stabiliser chain built from
-Schreier generators, the first step of Sims' method) has failed to prove it
-larger than the cap, so oversized groups are rejected without enumeration.
+``closure_set`` enumerates a generated group (``dimino``) only after an
+orbit lower bound on its order (``_order_bound``, the first step of Sims'
+method) has failed to prove it larger than the cap, so oversized groups are
+rejected without enumeration.
 """
 
 from __future__ import annotations
@@ -217,26 +217,25 @@ def closure_set(
 ) -> set[bytes] | None:
     """Element set of the subgroup generated by ``gens``, or None past cap.
 
-    A lower bound on |<gens>| is checked first, and a group it puts above
-    ``cap`` is rejected without enumeration. The bound walks a truncated
-    stabiliser chain: at base point b of H = <S>, the orbit b^H has
-    |H| = |b^H| * |H_b| (orbit-stabiliser), and each Schreier generator
-    u_x g u_{x^g}^{-1} (u_y the transversal element taking b to y) fixes b,
-    so it lies in H_b. Recursing on the first few of them gives a subgroup
-    K <= H_b, and by Lagrange the product of the orbit lengths divides |H|.
-    Only the Dimino enumeration below decides a group within the cap; the
-    bound rejects nothing that the enumeration would accept. It is skipped
-    when d! <= cap, as no group of degree d can then pass the cap.
+    A group that ``_order_bound`` puts above ``cap`` is rejected without
+    enumeration; only ``dimino`` decides a group within the cap. Like the
+    enumeration, the bound never rejects the trivial group, even at cap 0. It
+    is skipped when d! <= cap, as no group of degree d can then pass the cap.
     """
-    if math.factorial(degree) > cap and _order_exceeds(gens, degree, cap):
-        return None
+    if math.factorial(degree) > cap:
+        if _order_bound(gens, degree, cap) > max(cap, 1):
+            return None
+    return dimino(gens, degree, cap)
+
+
+def dimino(gens: Sequence[bytes], degree: int, cap: int) -> set[bytes] | None:
+    """Element set of <gens> by one Dimino extension per generator, or None
+    past cap; it runs no bound first."""
     elems: set[bytes] | None = {_IDENT256[:degree]}
-    done: list[bytes] = []
-    for g in gens:
-        elems = extend_subgroup(elems, done, g, cap)
+    for i, g in enumerate(gens):
+        elems = extend_subgroup(elems, gens[:i], g, cap)
         if elems is None:
             return None
-        done.append(g)
     return elems
 
 
@@ -246,13 +245,18 @@ def closure_set(
 _SCHREIER_GENS = 10
 
 
-def _order_exceeds(gens: Sequence[bytes], degree: int, cap: int) -> bool:
-    """True when an orbit lower bound proves |<gens>| > cap.
+def _order_bound(gens: Sequence[bytes], degree: int, cap: int) -> int:
+    """A lower bound on |<gens>|, returned as soon as it passes ``cap``.
 
-    Stops as soon as the running bound times the partial orbit passes cap, so
-    it makes O(cap) compositions per generator at most. Generators are kept in
-    lists and insertion-ordered dicts, never in a set of bytes, whose order
-    would follow the hash seed.
+    It walks a truncated stabiliser chain: at base point b of H = <S>, the
+    orbit b^H has |H| = |b^H| * |H_b| (orbit-stabiliser), and each Schreier
+    generator u_x g u_{x^g}^{-1} (u_y the transversal element taking b to y)
+    fixes b, so it lies in H_b. Recursing on the first few of them gives a
+    subgroup K <= H_b, and by Lagrange the product of the orbit lengths
+    divides |H|. A partial orbit is shorter still, so the walk stops once the
+    running bound times one passes cap: O(cap) compositions per generator at
+    most. Generators are kept in lists and insertion-ordered dicts, never in
+    a set of bytes, whose order would follow the hash seed.
     """
     ident = _IDENT256[:degree]
     level = [g for g in dict.fromkeys(gens) if g != ident]
@@ -274,11 +278,11 @@ def _order_exceeds(gens: Sequence[bytes], degree: int, cap: int) -> bool:
                     transversal[x] = v
                     reps.append(v)
                     if bound * len(reps) > cap:
-                        return True
+                        return bound * len(reps)
                 elif len(schreier) < _SCHREIER_GENS:
                     s = v.translate(bytes.maketrans(w, ident))
                     if s != ident:
                         schreier[s] = None
         bound *= len(reps)
         level = list(schreier)
-    return False
+    return bound

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 import weakref
 
@@ -334,7 +335,8 @@ def _standard_gens(degree):
 def test_recognition_matches_enumeration(monkeypatch):
     # recognise a registered carrier only when it is the generated group,
     # return the one registered group per element set, and reject a group
-    # past the cap exactly as kernels.closure_set does
+    # past the cap exactly as kernels.closure_set does, taking the orbit bound
+    # once per call; closure enumerates with kernels.dimino
     rng = random.Random(62)
     cases = []
     for degree in range(3, 8):
@@ -348,22 +350,28 @@ def test_recognition_matches_enumeration(monkeypatch):
     for degree in range(3, 8):  # register S_d and A_d first
         for gens in _standard_gens(degree)[:2]:
             closure(gens, cap=5040)
-    enumerated = []
-    real = kernels.closure_set
+    enumerated, bounds = [], []
+    real, dimino, bound = kernels.closure_set, kernels.dimino, kernels._order_bound
 
     def counting(gens, degree, cap):
         enumerated.append(None)
-        return real(gens, degree, cap)
+        return dimino(gens, degree, cap)
 
-    monkeypatch.setattr(kernels, "closure_set", counting)
+    def counted_bound(*args):
+        bounds.append(None)
+        return bound(*args)
+
+    monkeypatch.setattr(kernels, "dimino", counting)
+    monkeypatch.setattr(kernels, "_order_bound", counted_bound)
     recognised = 0
     for gens in cases:
         degree = len(gens[0])
-        want = real(gens, degree, 5040)
+        want = dimino(gens, degree, 5040)
         enumerated.clear()
+        bounds.clear()
         known = finite._CARRIERS.get(frozenset(want))
         G = closure(gens, cap=5040)
-        assert G.elements == want
+        assert G.elements == want and len(bounds) == 1
         if known is None:  # enumerated and registered with its own gens
             assert enumerated and G.gens == tuple(gens)
         else:
@@ -379,6 +387,27 @@ def test_recognition_matches_enumeration(monkeypatch):
     # both paths ran: many sets generate a registered S_d or A_d, and many
     # generate a proper subgroup of one, which must be enumerated
     assert recognised >= 30 and len(cases) - recognised >= 30
+
+
+def test_a_draw_past_the_cap_is_rejected_before_the_registry_is_read(monkeypatch):
+    def recognise(*args):
+        raise AssertionError("the registry was read for a draw past the cap")
+
+    finite._CARRIERS.clear()
+    for degree in range(5, 9):
+        closure(_standard_gens(degree)[0], cap=math.factorial(degree))
+    monkeypatch.setattr(finite, "_recognise", recognise)
+    for degree in range(5, 9):
+        for gens in _standard_gens(degree)[:2]:
+            with pytest.raises(CapExceeded):
+                closure(gens, cap=math.factorial(degree) // 2 - 1)
+
+
+def test_recognition_keeps_the_degree_of_empty_gens():
+    # empty gens generate the trivial group of any degree, with bound 1
+    assert closure([], degree=3).degree == 3
+    assert closure([], degree=4).degree == 4
+    assert closure([], degree=3).elements == {bytes(range(3))}
 
 
 def test_a_hand_built_group_never_enters_the_registry():
@@ -435,10 +464,15 @@ def test_carrier_tables_are_bounded_by_the_carrier():
         assert len(K.commutators) <= len(K.sets) ** 2
         for a, b in K.commutators:
             assert K.sets[a] is a and K.sets[b] is b
+        # memo entries are the subgroups computed, on interned element sets
+        for sub in [*K.closures.values(), *K.commutators.values()]:
+            assert isinstance(sub, NormalSubgroup) and sub.parent is K
+            assert K.sets[sub.elements] is sub.elements
 
 
 def _used_carrier():
-    """A weak reference to a registered carrier that ran 20 trials' checks."""
+    """A weak reference to a registered carrier that ran 20 trials' checks,
+    and its two memos."""
     G = random_instance(0, n=3).group
     assert G.degree <= 10 and finite._CARRIERS[G.elements] is G
     for seed in range(20):
@@ -448,23 +482,34 @@ def _used_carrier():
         verify_product_rule(A, B, C)
         verify_hall(A, B, C)
     assert G.closures and G.commutators
-    return weakref.ref(G)
+    return weakref.ref(G), (G.closures, G.commutators)
 
 
 def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
-    # memo entries never point back to their group (see the module
-    # docstring), so eviction alone frees a carrier; the benchmark worker
-    # runs its op loop with the collector off
+    # memo entries point back to their group, and eviction clears them (see
+    # the module docstring), so eviction alone frees a carrier; the benchmark
+    # worker runs its op loop with the collector off
     finite._CARRIERS.clear()
     gc.disable()
     try:
-        carrier = _used_carrier()
-        assert carrier() is not None
+        carrier, memos = _used_carrier()
+        assert carrier() is not None and all(memos)
         for d in range(11, 11 + finite.CARRIER_SLOTS):  # cycles past degree 10
             closure([bytes([*range(1, d), 0])])
-        assert carrier() is None
+        assert carrier() is None and not any(memos)
     finally:
         gc.enable()
+
+
+def test_a_hand_built_group_is_freed_by_the_cyclic_collector():
+    a, b = from_cycles(4, (1, 2)), from_cycles(4, (1, 2, 3, 4))
+    H = PermGroup(4, closure([a, b]).elements, (a, b))
+    commutator_subgroup(normal_closure(H, [a]), normal_closure(H, [b]))
+    assert H.closures and H.commutators
+    group = weakref.ref(H)
+    del H
+    gc.collect()
+    assert group() is None
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +548,9 @@ def test_commutator_subgroup_cache_symmetry():
     G.commutators.clear()
     ab = commutator_subgroup(A, B)
     assert len(G.commutators) == 2
-    hit = G.commutators[A.elements, B.elements]
-    assert G.commutators[B.elements, A.elements] is hit
-    assert hit == (ab.elements, ab.gens)
-    ba = commutator_subgroup(B, A)
-    assert (ba.elements, ba.gens) == hit and len(G.commutators) == 2
+    assert G.commutators[A.elements, B.elements] is ab
+    assert G.commutators[B.elements, A.elements] is ab
+    assert commutator_subgroup(B, A) is ab and len(G.commutators) == 2
 
 
 def test_mismatched_parents_rejected():
@@ -515,6 +558,20 @@ def test_mismatched_parents_rejected():
     b = random_instance(2, n=1, degree_cap=6, order_cap=100)
     with pytest.raises(ValueError):
         commutator_subgroup(a.subgroups[0], b.subgroups[0])
+    # the group given must be the subgroups' parent as well
+    A = random_instance(1, n=2, degree_cap=5, order_cap=100)
+    B = random_instance(2, n=2, degree_cap=6, order_cap=100)
+    with pytest.raises(ValueError, match="different parent"):
+        intersection_of(A.group, [B.subgroups[0]])
+    for table in (symmetric_commutator, restricted_symmetric_commutator):
+        with pytest.raises(ValueError, match="different parent"):
+            table(A.group, [B.subgroups[0]])
+    with pytest.raises(ValueError, match="different parent"):
+        fat_commutator(A.group, B.subgroups)
+    with pytest.raises(ValueError, match="different parent"):
+        verify_connectivity(
+            A.group, B.subgroups + (B.subgroups[0],), I=(1, 2), J=(3,)
+        )
     # while registered, closing the same generators gives the same group, so
     # the subgroups of two closures mix
     gens = [from_cycles(4, (1, 2)), from_cycles(4, (1, 2, 3, 4))]

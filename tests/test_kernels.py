@@ -20,7 +20,7 @@ from _oracles import (
     oracle_reduce,
 )
 
-from commlab import kernels
+from commlab import finite, kernels
 from commlab.braids import (
     Braid,
     artin_action,
@@ -313,10 +313,37 @@ def test_symmetric_and_alternating_groups_at_their_order(degree, monkeypatch):
             assert {tuple(p) for p in got} == perms
         else:
             # too large to enumerate: the bound alone must let it through
-            assert not kernels._order_exceeds(gens, degree, order)
+            assert kernels._order_bound(gens, degree, order) == order
         with monkeypatch.context() as m:
             _forbid_enumeration(m)
             assert kernels.closure_set(gens, degree, order - 1) is None
+
+
+@pytest.mark.parametrize("degree", range(3, 14))
+def test_the_bound_is_exact_on_symmetric_and_alternating_groups(degree):
+    # closure recognises a registered carrier only on an exact bound
+    order = math.factorial(degree)
+    for gens, want in (_symmetric(degree), order), (_alternating(degree), order // 2):
+        assert kernels._order_bound(gens, degree, order) == want
+        # below the order it stops early, past the cap but still a lower bound
+        assert want - 1 < kernels._order_bound(gens, degree, want - 1) <= want
+    assert kernels._order_bound([], degree, 1) == 1
+
+
+def test_a_bound_that_reads_low_only_costs_an_enumeration(monkeypatch):
+    finite._CARRIERS.clear()
+    S5 = finite.closure(_symmetric(5))
+    enumerated = []
+    dimino = kernels.dimino
+
+    def counting(*args):
+        enumerated.append(None)
+        return dimino(*args)
+
+    monkeypatch.setattr(kernels, "_order_bound", lambda *args: 1)
+    monkeypatch.setattr(kernels, "dimino", counting)
+    assert finite.closure(_alternating(5) + _symmetric(5)) is S5
+    assert enumerated and len(finite._CARRIERS) == 1
 
 
 def test_closure_set_skips_the_bound_where_no_group_passes_the_cap(monkeypatch):
@@ -324,7 +351,7 @@ def test_closure_set_skips_the_bound_where_no_group_passes_the_cap(monkeypatch):
     def bound_ran(*args):
         raise AssertionError("the order bound ran although d! <= cap")
 
-    monkeypatch.setattr(kernels, "_order_exceeds", bound_ran)
+    monkeypatch.setattr(kernels, "_order_bound", bound_ran)
     rng = random.Random(36)
     for degree in range(3, 7):
         sets = [_symmetric(degree), _alternating(degree)]
