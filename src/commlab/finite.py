@@ -35,18 +35,21 @@ registry of the ``CARRIER_SLOTS`` groups used last, and returns the
 registered group when it recognises one (see ``closure``): while registered,
 an element set has one ``PermGroup``, the parent of all its subgroups. The
 registry is capped because each group holds its element sets, up to 20,000
-elements at the largest caps. Each group memoises the normal closure of a
-seed and [A, B] of a pair of element sets; a memo entry is the
-``NormalSubgroup`` computed, and a hit returns it before any Dimino work.
-An entry points back to its group, a reference cycle, so the registry clears
-an evicted group's memos: eviction alone frees it, as the benchmark worker
-runs its op loop with the cyclic garbage collector off. A group built by
-hand as ``PermGroup(...)`` never enters the registry, and the cyclic
-collector frees its memos. So an element set that is not a group is never
-recognised, and two such groups are different parents even over equal
-element sets (groups compare by identity). Registered and memoised gens come
-from whichever trial got there first, so only element sets and orders, never
-gens, may reach a report.
+elements at the largest caps. Each group keeps three memos, each entry the
+``NormalSubgroup`` computed, and a hit returns it before any Dimino work:
+the normal closure of one seed, stored under every conjugate of the seed, as
+<<s>> depends only on the conjugacy class of s; and A*B and [A, B] of a pair
+of element sets, stored in both orders. The closure of several seeds is the
+product of theirs. An entry points back to its group, a reference cycle, so
+the registry clears all three memos of an evicted group: eviction alone
+frees it, as the benchmark worker runs its op loop with the cyclic garbage
+collector off. A group built by hand as ``PermGroup(...)`` never enters the
+registry, and the cyclic collector frees its memos. So an element set that
+is not a group is never recognised, and two such groups are different
+parents even over equal element sets (groups compare by identity).
+Registered and memoised gens come from whichever trial got there first, or
+from a conjugate of the seed asked for, so only element sets and orders,
+never gens, may reach a report.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ DEFAULT_FAT_BUDGET = 10**7
 MAX_INSTANCE_DRAWS = 20_000
 # closure() keeps the carriers it built or recognised last, up to this many.
 # With 1 / 4 / 8 / 16 / 32 slots, 3,000 verify_finite ops (workload seed 11)
-# enumerated 2.09M / 1.60M / 1.18M / 0.75M / 0.47M Dimino elements and 1,000
-# subgroup_rules ops 4.19M / 3.25M / 2.36M / 1.71M / 1.63M: past 16 the
-# larger carriers gain little, and each slot may hold 20,000 elements.
+# enumerated 1.46M / 0.95M / 0.51M / 0.26M / 0.22M Dimino elements and 1,000
+# subgroup_rules ops 3.05M / 2.06M / 1.06M / 0.34M / 0.29M: past 16 the
+# gain is small, and each slot may hold 20,000 elements and its memos.
 CARRIER_SLOTS = 16
 
 
@@ -92,13 +95,15 @@ def _commutator(a: bytes, b: bytes) -> bytes:
 class PermGroup:
     """A permutation group and the memos of its normal subgroups.
 
-    ``closures`` maps a seed s to the normal closure of s, and
-    ``commutators`` maps a pair of element sets, in both orders, to [A, B];
-    each entry is the ``NormalSubgroup`` computed. ``sets`` interns every
-    element set a subgroup is built on, so memo keys compare by identity.
-    The memos are bounded by the group: at most |G| seeds, and pairs of the
-    normal subgroups met. The registry clears an evicted group's memos; a
-    hand-built group's are freed by the cyclic garbage collector.
+    ``closures`` maps each element s of a conjugacy class met to the normal
+    closure of s, one entry for the whole class. ``products`` and
+    ``commutators`` map a pair of element sets, in both orders, to A*B and
+    [A, B]. Each entry is the ``NormalSubgroup`` computed. ``sets`` interns
+    every element set a subgroup is built on, so memo keys compare by
+    identity. The memos are bounded by the group: at most |G| seeds, and
+    pairs of the normal subgroups met. The registry clears an evicted
+    group's three memos; a hand-built group's are freed by the cyclic
+    garbage collector.
     """
 
     degree: int
@@ -108,6 +113,9 @@ class PermGroup:
         default_factory=dict, init=False, repr=False
     )
     commutators: dict[tuple, NormalSubgroup] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    products: dict[tuple, NormalSubgroup] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -160,13 +168,14 @@ def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | No
 
 def _register(G: PermGroup) -> PermGroup:
     """The registered group on G's element set, G itself if there was none;
-    an evicted group's memos are cleared, which frees it."""
+    an evicted group's three memos are cleared, which frees it."""
     G = _CARRIERS.setdefault(G.elements, G)
     _CARRIERS.move_to_end(G.elements)
     if len(_CARRIERS) > CARRIER_SLOTS:
         _, old = _CARRIERS.popitem(last=False)
         old.closures.clear()
         old.commutators.clear()
+        old.products.clear()
     return G
 
 
@@ -242,9 +251,11 @@ def closure(
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     """Smallest normal subgroup of G containing the seeds.
 
-    The closure of the last seed is memoised in G and the other
-    seeds are grown onto it: the steps ``_grow_normal`` takes on the whole
-    list, as it pops the last seed first and closes it before the others.
+    The closure of one seed s is memoised in G under every conjugate of s,
+    as <<s>> depends only on the conjugacy class: a miss grows it and walks
+    the class (see ``_memoise_class``). The closure of several seeds is the
+    product of theirs: a seed already in the running subgroup is skipped,
+    and each other seed's closure is multiplied in by ``product_subgroup``.
     With one seed the memoised subgroup itself is returned.
     """
     for s in seeds:
@@ -255,14 +266,34 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
             pass
         ints = isinstance(s, Iterable) and all(isinstance(x, int) for x in s)
         raise ValueError(f"seed {list(s) if ints else s!r} lies outside the group")
-    seeds = [bytes(s) for s in seeds]
-    if not seeds:
-        return NormalSubgroup.trivial(G)
-    last = seeds.pop()
-    hit = G.closures.get(last)
-    if hit is None:
-        hit = G.closures[last] = _grow_normal(G, {G.identity}, (), [last])
-    return _grow_normal(G, hit.elements, hit.gens, seeds) if seeds else hit
+    total = None
+    for s in map(bytes, seeds):
+        if total is not None and s in total.elements:
+            continue
+        hit = G.closures.get(s)
+        if hit is None:
+            hit = _memoise_class(G, s, _grow_normal(G, {G.identity}, (), [s]))
+        total = hit if total is None else product_subgroup(total, hit)
+    return NormalSubgroup.trivial(G) if total is None else total
+
+
+def _memoise_class(G: PermGroup, s: bytes, N: NormalSubgroup) -> NormalSubgroup:
+    """Store N = <<s>> under s and every conjugate of s; returns N.
+
+    The class is walked by G's generators, which generate G. The memo only
+    ever gains whole classes, so a miss on s is a miss on its whole class
+    and the walk stops only at conjugates it stored itself. Keys are
+    elements of G, so the memo holds at most |G| entries.
+    """
+    closures = G.closures
+    closures[s] = N
+    todo = [s]
+    while todo:
+        for c in _conjugates(G, todo.pop()):
+            if c not in closures:
+                closures[c] = N
+                todo.append(c)
+    return N
 
 
 def _grow_normal(
@@ -350,14 +381,21 @@ def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     """A*B = {a b}; a subgroup since both factors are normal.
 
     Grown from A by B's gens. A*B is normal in the parent, so the normal
-    closure of A and B's gens is A*B: the conjugates queued lie in B.
+    closure of A and B's gens is A*B: the conjugates queued lie in B. A*B
+    = B*A, so the parent's memo stores both orders, as for commutators.
     """
     parent = _same_parent(A.parent, B)
-    if B.elements <= A.elements:
-        return A
-    if A.elements <= B.elements:
-        return B
-    return _grow_normal(parent, A.elements, A.gens, list(B.gens))
+    x, y = A.elements, B.elements  # interned by the subgroups' builders
+    hit = parent.products.get((x, y))
+    if hit is None:
+        if y <= x:
+            hit = A
+        elif x <= y:
+            hit = B
+        else:
+            hit = _grow_normal(parent, x, A.gens, list(B.gens))
+        parent.products[x, y] = parent.products[y, x] = hit
+    return hit
 
 
 def intersection_of(

@@ -37,6 +37,7 @@ from _oracles import (
     oracle_closure,
     oracle_commutator_of_normal,
     oracle_commutator_subgroup,
+    oracle_conjugates,
     oracle_fat,
     oracle_is_normal,
     oracle_normal_closure,
@@ -226,12 +227,16 @@ def test_closure_equal_to_the_group_shares_its_element_set():
     ).elements == G.elements
 
 
-@pytest.mark.parametrize("degree_cap, order_cap", [(8, 500), (10, 2000)])
+@pytest.mark.parametrize(
+    "degree_cap, order_cap", [(8, 500), (10, 2000), (12, 20000)]
+)
 def test_subgroup_operations_match_oracles_on_random_instances(
     degree_cap, order_cap
 ):
     # normal_closure, product_subgroup, intersection_of and commutator_subgroup
-    # against oracles that generate from conjugates, never from the results
+    # against oracles that generate from conjugates, never from the results;
+    # a closure of several seeds and an intersection are products of one-seed
+    # closures, so three seeds and three subgroups reach the product path
     whole = proper = 0
     for seed in range(40):
         inst = random_instance(seed, n=1, degree_cap=degree_cap, order_cap=order_cap)
@@ -239,25 +244,28 @@ def test_subgroup_operations_match_oracles_on_random_instances(
         rng = random.Random(seed)
         pool = sorted(G.elements)
         subs = []
-        for _ in range(2):
-            seeds = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+        for k in (rng.randint(1, 2), rng.randint(1, 2), 3):
+            seeds = [rng.choice(pool) for _ in range(k)]
             N = normal_closure(G, seeds)
             assert tuples(N.elements) == oracle_normal_closure_by_conjugates(
                 G.gens, seeds, d
             )
             subs.append(N)
-        A, B = subs
+        A, B, C = subs
         results = [
             *subs,
             product_subgroup(A, B),
             intersection_of(G, [A, B]),
+            intersection_of(G, [A, B, C]),
             commutator_subgroup(A, B),
         ]
         wants = [
             tuples(A.elements),
             tuples(B.elements),
+            tuples(C.elements),
             oracle_span(A.elements | B.elements, d)[1],
             tuples(A.elements) & tuples(B.elements),
+            tuples(A.elements) & tuples(B.elements) & tuples(C.elements),
             oracle_commutator_of_normal(G.gens, A.elements, B.elements, d),
         ]
         for R, want in zip(results, wants):
@@ -270,6 +278,34 @@ def test_subgroup_operations_match_oracles_on_random_instances(
                 proper += 1
     # both the Lagrange exit and full enumeration are exercised
     assert whole >= 40 and proper >= 20
+
+
+@pytest.mark.parametrize("make", ["s5", "registered"])
+def test_closures_are_memoised_by_conjugacy_class(make):
+    # <<g>> depends only on the class of g: a miss stores the closure under
+    # every conjugate, so each conjugate's closure is the same object, and
+    # the memo's keys are elements of G, one per element at most
+    finite._CARRIERS.clear()
+    if make == "s5":
+        G = closure([from_cycles(5, (1, 2)), from_cycles(5, (1, 2, 3, 4, 5))])
+    else:  # PGL(2, 7) on 8 points
+        G = random_instance(35, n=1, degree_cap=12, order_cap=20000).group
+        assert (G.degree, G.order) == (8, 336)
+    assert finite._CARRIERS[G.elements] is G
+    classes = set()
+    for g in G.sorted_elements:
+        N = normal_closure(G, [g])
+        assert tuples(N.elements) == oracle_normal_closure_by_conjugates(
+            G.gens, [g], G.degree
+        )
+        for h in G.gens:
+            assert normal_closure(G, [bytes(o_conj(tuple(g), tuple(h)))]) is N
+        classes.add(frozenset(oracle_conjugates(G.gens, [g])))
+    # keys lie in G, one per element (every element was asked for), and
+    # each class was grown once
+    assert all(key in G.elements for key in G.closures)
+    assert len(G.closures) == G.order
+    assert len({id(N) for N in G.closures.values()}) == len(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +477,7 @@ def test_the_registry_keeps_the_carriers_used_last():
 def test_carrier_tables_are_bounded_by_the_carrier():
     # a second pass over the same trials adds nothing to any group's table,
     # seeds are single elements (an intersection is not keyed by its element
-    # list), and the commutator memo only holds interned sets
+    # list), and the commutator and product memos only hold interned sets
     finite._CARRIERS.clear()
     seeds = range(40)
 
@@ -449,7 +485,7 @@ def test_carrier_tables_are_bounded_by_the_carrier():
         return {
             (key, name): len(getattr(K, name))
             for key, K in finite._CARRIERS.items()
-            for name in ("sets", "closures", "commutators")
+            for name in ("sets", "closures", "commutators", "products")
         }
 
     for s in seeds:
@@ -461,18 +497,21 @@ def test_carrier_tables_are_bounded_by_the_carrier():
     for K in finite._CARRIERS.values():
         assert len(K.closures) <= len(K.elements)
         assert all(seed in K.elements for seed in K.closures)
-        assert len(K.commutators) <= len(K.sets) ** 2
-        for a, b in K.commutators:
-            assert K.sets[a] is a and K.sets[b] is b
+        for memo in (K.commutators, K.products):
+            assert len(memo) <= len(K.sets) ** 2
+            for a, b in memo:
+                assert K.sets[a] is a and K.sets[b] is b
+                assert memo[b, a] is memo[a, b]
         # memo entries are the subgroups computed, on interned element sets
-        for sub in [*K.closures.values(), *K.commutators.values()]:
+        memos = (K.closures, K.commutators, K.products)
+        for sub in [v for memo in memos for v in memo.values()]:
             assert isinstance(sub, NormalSubgroup) and sub.parent is K
             assert K.sets[sub.elements] is sub.elements
 
 
 def _used_carrier():
     """A weak reference to a registered carrier that ran 20 trials' checks,
-    and its two memos."""
+    and its three memos."""
     G = random_instance(0, n=3).group
     assert G.degree <= 10 and finite._CARRIERS[G.elements] is G
     for seed in range(20):
@@ -481,8 +520,8 @@ def _used_carrier():
         verify_first_slot_restriction(G, (A, B, C))
         verify_product_rule(A, B, C)
         verify_hall(A, B, C)
-    assert G.closures and G.commutators
-    return weakref.ref(G), (G.closures, G.commutators)
+    assert G.closures and G.commutators and G.products
+    return weakref.ref(G), (G.closures, G.commutators, G.products)
 
 
 def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
@@ -504,10 +543,12 @@ def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
 def test_a_hand_built_group_is_freed_by_the_cyclic_collector():
     a, b = from_cycles(4, (1, 2)), from_cycles(4, (1, 2, 3, 4))
     H = PermGroup(4, closure([a, b]).elements, (a, b))
-    commutator_subgroup(normal_closure(H, [a]), normal_closure(H, [b]))
-    assert H.closures and H.commutators
+    A, B = normal_closure(H, [a]), normal_closure(H, [from_cycles(4, (1, 2), (3, 4))])
+    commutator_subgroup(A, B)
+    assert product_subgroup(A, B) is product_subgroup(B, A)
+    assert H.closures and H.commutators and H.products
     group = weakref.ref(H)
-    del H
+    del H, A, B
     gc.collect()
     assert group() is None
 
@@ -896,6 +937,10 @@ def test_product_and_intersection():
     R2 = normal_closure(G, [from_cycles(4, (1, 2, 3))])
     prod = product_subgroup(R1, R2)
     assert R1.elements <= prod.elements and R2.elements <= prod.elements
+    # one computation of R1 R2 fills the memo entry of R2 R1 as well
+    assert product_subgroup(R2, R1) is prod
+    assert G.products[R1.elements, R2.elements] is prod
+    assert G.products[R2.elements, R1.elements] is prod
     assert prod.order * intersection_of(G, [R1, R2]).order == R1.order * R2.order
     assert intersection_of(G, [R1, R1]).elements == R1.elements
     # R1 < R2, so the intersection is the second input itself
