@@ -16,12 +16,21 @@ builds the images from the last letter back, each letter rewriting two.
 Purity is read off the crossings alone: ``is_pure`` follows the strands
 through the word and checks that each ends where it started.
 
-All n single-strand deletions come from one pass over the word
-(``kernels.delete_strands``): it follows every strand's position, records per
-letter what each strand's deletion keeps, and freely reduces each strand's
-column. ``delete_strand`` picks one of them. The kernel stores letters as
-signed bytes, so strand deletion and ``is_brunnian`` take at most 128 strands
-and raise ValueError above that.
+A braid keeps its n single-strand deletions once they are known, with where
+each strand ends; they are not part of its value, so equality, hashing and
+rendering ignore them. They come from one pass over the word
+(``kernels.strand_deletions``) the first time they are asked for: it follows
+every strand's position, records per letter what each strand's deletion
+keeps, and freely reduces each strand's column. A product or inverse of
+braids of which one knows them derives its own instead of reading its
+letters: deletion s of ``a * b`` is deletion s of ``a`` joined to the
+deletion of ``b`` at the position where a's strand s ends
+(``kernels.join_signed``). This is exact, as deleting a strand commutes with
+free reduction and a word's free reduction is unique. The sampler's
+generators know theirs, so every sample carries its own and ``is_brunnian``
+reads them without a pass over the sample. ``delete_strand`` picks one of
+them. Deletions are words of signed bytes, so strand deletion and
+``is_brunnian`` take at most 128 strands and raise ValueError above that.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
@@ -35,7 +44,7 @@ reduced from the same kernels and are built with ``Word._trusted``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
@@ -48,12 +57,21 @@ class Braid:
 
     strands: int
     letters: tuple[int, ...] = ()
+    # Once known: where each strand ends and its deletions as signed bytes,
+    # as ``kernels.strand_deletions`` returns them. Not part of the value.
+    _deletions: tuple[bytes, tuple[bytes, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError(f"need at least one strand, got {self.strands}")
         for c in self.letters:
-            if not isinstance(c, int) or not 1 <= abs(c) < self.strands:
+            if (
+                not isinstance(c, int)
+                or isinstance(c, bool)
+                or not 1 <= abs(c) < self.strands
+            ):
                 raise ValueError(
                     f"letter {c!r} out of range for {self.strands} strands"
                 )
@@ -61,12 +79,25 @@ class Braid:
             raise ValueError("braid word is not freely reduced")
 
     @classmethod
-    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> Braid:
+    def _trusted(
+        cls,
+        strands: int,
+        letters: tuple[int, ...],
+        deletions: tuple[bytes, tuple[bytes, ...]] | None = None,
+    ) -> Braid:
         """Build without validation, for kernel output from valid braids."""
         b = object.__new__(cls)
         object.__setattr__(b, "strands", strands)
         object.__setattr__(b, "letters", letters)
+        object.__setattr__(b, "_deletions", deletions)
         return b
+
+    def _strand_deletions(self) -> tuple[bytes, tuple[bytes, ...]]:
+        """Where each strand ends and its deletions; the kernel runs once."""
+        if self._deletions is None:
+            deletions = kernels.strand_deletions(self.strands, self.letters)
+            object.__setattr__(self, "_deletions", deletions)
+        return self._deletions
 
     @classmethod
     def identity(cls, strands: int) -> Braid:
@@ -81,12 +112,29 @@ class Braid:
             raise ValueError(
                 f"strand mismatch: {self.strands} vs {other.strands}"
             )
-        return Braid._trusted(
-            self.strands, kernels.multiply_reduced(self.letters, other.letters)
+        letters = kernels.multiply_reduced(self.letters, other.letters)
+        if self._deletions is None and other._deletions is None:
+            return Braid._trusted(self.strands, letters)
+        # Strand s of self continues as the strand that starts where it ends.
+        ends, words = self._strand_deletions()
+        other_ends, other_words = other._strand_deletions()
+        deletions = (
+            kernels.compose(ends, other_ends),
+            tuple(map(kernels.join_signed, words, map(other_words.__getitem__, ends))),
         )
+        return Braid._trusted(self.strands, letters, deletions)
 
     def inverse(self) -> Braid:
-        return Braid._trusted(self.strands, kernels.invert_reduced(self.letters))
+        letters = kernels.invert_reduced(self.letters)
+        if self._deletions is None:
+            return Braid._trusted(self.strands, letters)
+        # Strand s of the inverse is the strand of self that ends at s.
+        ends, words = self._deletions
+        starts = kernels.invert_perm(ends)
+        deletions = (
+            starts, tuple(map(kernels.invert_signed, map(words.__getitem__, starts)))
+        )
+        return Braid._trusted(self.strands, letters, deletions)
 
     def conjugate(self, by: Braid) -> Braid:
         """self^by = by^{-1} * self * by."""
@@ -158,12 +206,16 @@ def delete_strands(b: Braid) -> tuple[Braid, ...]:
     Entry j - 1 removes the strand that starts at position j and renumbers
     the rest: every crossing that strand takes part in is dropped, and the
     other generator indices shift down by one wherever the deleted strand
-    sits to their left. ``kernels.delete_strands`` makes one pass over the
-    word for all n strands and freely reduces each result; it needs at least
-    two strands.
+    sits to their left. A braid built as a product or inverse of braids that
+    know their deletions carries its own; any other braid gets them from one
+    pass of ``kernels.strand_deletions`` over its word, the first time they
+    are asked for, and keeps them. Either way each is freely reduced, and it
+    needs at least two strands.
     """
-    words = kernels.delete_strands(b.strands, b.letters)
-    return tuple(Braid._trusted(b.strands - 1, w) for w in words)
+    _, words = b._strand_deletions()
+    return tuple(
+        Braid._trusted(b.strands - 1, kernels.unpack_signed(w)) for w in words
+    )
 
 
 def delete_strand(b: Braid, j: int) -> Braid:
@@ -183,11 +235,16 @@ def is_brunnian(b: Braid) -> bool:
     trivial, so purity alone decides. On three or more strands the deletions
     alone decide: a braid that is not pure swaps the order of some pair of
     strands, and deleting a third strand keeps that pair swapped, so that
-    deletion is not pure and hence not trivial.
+    deletion is not pure and hence not trivial. An empty deletion is
+    trivial; only the others go through ``is_trivial``.
     """
     if b.strands < 3:
         return is_pure(b)
-    return all(is_trivial(d) for d in delete_strands(b))
+    _, words = b._strand_deletions()
+    return all(
+        not w or is_trivial(Braid._trusted(b.strands - 1, kernels.unpack_signed(w)))
+        for w in words
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +317,10 @@ def sample_brun_generators(
     arguments visit t_1..t_{n-1} in a shuffled order, each inverted half the
     time and conjugated by a short pure braid (a word of up to conj_depth
     letters in the A_{i,j} generators). Every emitted braid is Brunnian.
+
+    The t_i, the identity and the A_{i,j} are built once per stream and,
+    on at most ``kernels.DELETE_MAX_STRANDS`` strands, know their strand
+    deletions, so every sample carries its own through the products.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -271,15 +332,20 @@ def sample_brun_generators(
     pure_gens = [
         gen_a(i, j, n) for i in range(1, n) for j in range(i + 1, n + 1)
     ]
+    linking = [gen_t(i, n) for i in range(1, n)]
+    identity = Braid.identity(n)
+    if n <= kernels.DELETE_MAX_STRANDS:
+        for b in (identity, *linking, *pure_gens):
+            b._strand_deletions()
     for _ in range(count):
         order = list(range(1, n))
         rng.shuffle(order)
         args: list[Braid] = []
         for index in order:
-            r = gen_t(index, n)
+            r = linking[index - 1]
             if rng.random() < 0.5:
                 r = r.inverse()
-            conj = Braid.identity(n)
+            conj = identity
             for _ in range(rng.randint(0, conj_depth)):
                 g = rng.choice(pure_gens)
                 conj = conj * (g if rng.random() < 0.5 else g.inverse())

@@ -13,11 +13,15 @@ Permutation composition uses ``bytes.translate`` with a 256-entry table,
 which keeps permutation products at C speed, and ``bytes.maketrans(p, ident)``
 is the inverse of p as such a table; ``invert_perm`` is its first d bytes.
 
-``delete_strands`` uses the same idiom on strand positions: one pass over a
-braid word keeps each strand's position in a ``bytes`` vector and, per letter,
-writes one row of deleted letters and moves the two crossing strands with two
-``translate`` calls; deletion s is column s of those rows, freely reduced.
-The rows hold letters as signed bytes, so it takes at most 128 strands.
+``strand_deletions`` uses the same idiom on strand positions: one pass over
+a braid word keeps each strand's position in a ``bytes`` vector and, per
+letter, writes one row of deleted letters and moves the two crossing strands
+with two ``translate`` calls; deletion s is column s of those rows, freely
+reduced. It returns the final positions and the deletions as words of signed
+bytes, so it takes at most 128 strands; ``delete_strands`` gives the same
+words as tuples of ints. ``join_signed`` multiplies two such words with the
+cancellation at the seam found by slice comparisons, which is how a braid
+product derives its deletions from its factors'.
 
 ``closure_set`` enumerates a generated group (``dimino``) only after an
 orbit lower bound on its order (``_order_bound``, the first step of Sims'
@@ -126,12 +130,25 @@ def delete_strands(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]
     """Delete each strand of a braid word in turn, in one pass over the word.
 
     Entry s of the result is the freely reduced word left by deleting the
-    strand that starts at position s + 1, on strands - 1 strands. The pass
-    keeps every strand's position in one ``bytes`` vector and, per letter,
-    appends the letter each strand's deletion keeps (0 where the strand
-    crosses) as one row of a strands-wide grid; column s of that grid, with
-    its zeros dropped, is deletion s before free reduction. It takes 2 to
-    ``DELETE_MAX_STRANDS`` strands: letters are signed bytes.
+    strand that starts at position s + 1, on strands - 1 strands: the letters
+    of ``strand_deletions``, which makes the pass.
+    """
+    return [unpack_signed(w) for w in strand_deletions(strands, letters)[1]]
+
+
+def strand_deletions(
+    strands: int, letters: Sequence[int]
+) -> tuple[bytes, tuple[bytes, ...]]:
+    """Where each strand of a braid word ends, and every strand's deletion.
+
+    Returns the final positions as ``bytes`` (entry s is where the strand
+    that starts at position s ends, 0-based: a permutation) and deletion s as
+    a freely reduced word of signed bytes. The pass keeps every strand's
+    position in one ``bytes`` vector and, per letter, appends the letter each
+    strand's deletion keeps (0 where the strand crosses) as one row of a
+    strands-wide grid; column s of that grid, with its zeros dropped, is
+    deletion s before free reduction. It takes 2 to ``DELETE_MAX_STRANDS``
+    strands: letters are signed bytes.
     """
     if not 2 <= strands <= DELETE_MAX_STRANDS:
         raise ValueError(
@@ -158,8 +175,50 @@ def delete_strands(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]
             else:
                 top = pop()
         push(top)
-        words.append(tuple(memoryview(bytes(stack[1:])).cast("b")))
-    return words
+        words.append(bytes(stack[1:]))
+    return pos, tuple(words)
+
+
+# x -> -x on signed bytes: 0 stays, x goes to 256 - x
+_NEGATE = _IDENT256[:1] + _IDENT256[:0:-1]
+
+
+def unpack_signed(w: bytes) -> tuple[int, ...]:
+    """The letters of a word of signed bytes, as a tuple of ints."""
+    return tuple(memoryview(w).cast("b"))
+
+
+def invert_signed(w: bytes) -> bytes:
+    """Inverse of a reduced word of signed bytes (reverse and negate)."""
+    return w[::-1].translate(_NEGATE)
+
+
+def join_signed(a: bytes, b: bytes) -> bytes:
+    """Concatenate two reduced words of signed bytes, cancelling at the seam.
+
+    The seam cancels the longest suffix of a that is the inverse of a prefix
+    of b. If k letters cancel, so do fewer, so k is found by doubling a
+    trial length while it cancels and then bisecting between the last length
+    that cancels and the first that does not; each trial is one slice
+    comparison. The result is reduced, like ``multiply_reduced``'s.
+    """
+    if not a or not b or a[-1] + b[0] != 256:
+        return a + b
+    end = len(a)
+    m = min(end, len(b))
+    # k letters cancel iff a[end - k:] == inv[m - k:]
+    inv = invert_signed(b[:m])
+    lo, hi = 1, 2  # lo letters cancel; hi letters do not, once hi <= m
+    while hi <= m and a[end - hi:] == inv[m - hi:]:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, m + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[end - mid:] == inv[m - mid:]:
+            lo = mid
+        else:
+            hi = mid
+    return a[: end - lo] + b[lo:]
 
 
 # ---------------------------------------------------------------------------

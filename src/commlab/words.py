@@ -39,7 +39,7 @@ class Word:
 
     def __post_init__(self) -> None:
         for c in self.letters:
-            if not isinstance(c, int) or c == 0:
+            if not isinstance(c, int) or isinstance(c, bool) or c == 0:
                 raise ValueError(f"invalid letter {c!r}: want a nonzero int")
         if len(kernels.reduce_letters(self.letters)) != len(self.letters):
             raise ValueError("word is not freely reduced")

@@ -107,6 +107,20 @@ def test_kernel_built_braids_equal_validated_ones():
             assert hash(built) == hash(checked)
 
 
+def test_braid_and_word_reject_bool_letters():
+    # bool is an int subclass, so True would pass as the letter 1
+    with pytest.raises(ValueError, match="True"):
+        Braid(3, (True,))
+    with pytest.raises(ValueError, match="False"):
+        Braid(3, (1, False))
+    with pytest.raises(ValueError, match="True"):
+        Braid.from_letters(3, [True])
+    with pytest.raises(ValueError, match="True"):
+        Word((True,))
+    with pytest.raises(ValueError, match="False"):
+        Word((2, False))
+
+
 def test_parse_and_render_round_trip():
     rng = random.Random(40)
     for _ in range(200):
@@ -283,6 +297,129 @@ def test_delete_strand_matches_oracle_at_every_strand():
     # the fuzz covers pure braids and cancellation across dropped crossings
     assert pure > 200
     assert cancelled > 500
+
+
+def _forget(b):
+    """The same braid, knowing no strand deletions."""
+    return Braid(b.strands, b.letters)
+
+
+def _know(b):
+    """The same braid, knowing its strand deletions."""
+    b = _forget(b)
+    delete_strands(b)
+    return b
+
+
+def _derived_braids(rng, strands):
+    """Products, inverses, conjugates and commutators of random pure and
+    non-pure braids, with the deletions known on neither factor, on one, or
+    on both; yields each with whether it should carry them."""
+    factors = [
+        rand_braid(rng, strands, length=20),
+        rand_pure_braid(rng, strands, factors=6),
+        rand_braid(rng, strands, length=6),
+    ]
+    a, b = rng.sample(factors, 2)
+    for known_a, known_b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        x = _know(a) if known_a else _forget(a)
+        y = _know(b) if known_b else _forget(b)
+        # an inverse knows what its braid knows, and a product knows once a
+        # factor does; the other factor then gets its own from the kernel
+        yield x.inverse(), bool(known_a)
+        either = bool(known_a or known_b)
+        yield x * y, either
+        yield y * x, either
+        yield x.conjugate(y), either
+        yield commutator(x, y), either
+        yield commutator(x * y, x.inverse()).conjugate(y * y), either
+        yield x * x.inverse(), either
+
+
+def test_carried_deletions_match_the_kernel_and_the_oracle():
+    rng = random.Random(70)
+    carried = cancelled = 0
+    for _ in range(200):
+        strands = rng.randint(2, 8)
+        for b, knows in _derived_braids(rng, strands):
+            assert (b._deletions is not None) is knows
+            carried += knows
+            got = [d.letters for d in delete_strands(b)]
+            assert got == kernels.delete_strands(strands, b.letters)
+            for j, word in enumerate(got, start=1):
+                follow = oracle_follow_strand(strands, b.letters, j)
+                assert word == oracle_delete_strand(strands, b.letters, j)
+                cancelled += len(word) < len(follow)
+            assert is_pure(b) is (b._deletions[0] == bytes(range(strands)))
+    # 20 of the 28 braids per round carry their deletions
+    assert carried == 200 * 20
+    assert cancelled > 3000
+
+
+def test_carried_deletions_on_128_strands():
+    # generator indices up to 127, whose inverses are the signed byte -127
+    rng = random.Random(71)
+
+    def far_braid():
+        letters = [
+            rng.choice([1, -1]) * rng.randint(100, 127) for _ in range(150)
+        ]
+        return Braid.from_letters(128, letters)
+
+    a, b = _know(far_braid()), far_braid()
+    for product in (a * b, commutator(a, b) * gen_a(1, 128, 128)):
+        assert product._deletions is not None
+        got = [d.letters for d in delete_strands(product)]
+        assert got == kernels.delete_strands(128, product.letters)
+        assert max(abs(c) for word in got for c in word) == 126
+
+
+def test_known_deletions_are_not_part_of_the_value():
+    rng = random.Random(72)
+    samples = list(sample_brun_generators(5, 3, seed=73, count=4))
+    fuzzed = [rand_braid(rng, 5, length=30) for _ in range(4)]
+    for b in samples + fuzzed:
+        plain, known = _forget(b), _know(b)
+        assert plain._deletions is None and known._deletions is not None
+        for other in (b, known):
+            assert other == plain
+            assert hash(other) == hash(plain)
+            assert repr(other) == repr(plain)
+        assert dump_corpus([b, known], 5, 73) == dump_corpus([plain, plain], 5, 73)
+    assert all(b._deletions is not None for b in samples)
+    assert dump_corpus(samples, 5, 73) == dump_corpus(
+        [_forget(b) for b in samples], 5, 73
+    )
+
+
+def test_the_deletion_kernel_runs_once_per_braid(monkeypatch):
+    calls = []
+    real = kernels.strand_deletions
+
+    def counted(strands, letters):
+        calls.append(strands)
+        return real(strands, letters)
+
+    monkeypatch.setattr(kernels, "strand_deletions", counted)
+    b = rand_braid(random.Random(74), 7, length=40)
+    for j in range(1, 8):
+        delete_strand(b, j)
+    delete_strands(b)
+    is_brunnian(b)
+    assert calls == [7]
+    # a sampler asks once for each of its t_i, A_{i,j} and the identity;
+    # its samples, and their products with braids that know their
+    # deletions, carry their own
+    calls.clear()
+    stream = sample_brun_generators(6, 3, seed=75, count=5)
+    first = next(stream)
+    assert calls == [6] * (1 + 5 + 15)
+    control = gen_a0(2, 6)[0]  # pure, not Brunnian, built knowing none
+    for b in (first, *stream):
+        assert is_brunnian(b)
+        assert not is_brunnian(b * control)
+        delete_strand(b.inverse(), 3)
+    assert len(calls) == 21 + 1
 
 
 def _oracle_is_brunnian(b):

@@ -217,6 +217,81 @@ def test_delete_strands_takes_at_most_128_strands():
         kernels.delete_strands(1, ())
 
 
+def _signed(letters):
+    return bytes(c & 255 for c in letters)
+
+
+def _join_cases():
+    rng = random.Random(36)
+
+    def reduced(length, rank, after=0):
+        """A reduced word of exactly length letters; the first letter does
+        not cancel against ``after``."""
+        out = []
+        prev = after
+        for _ in range(length):
+            c = prev
+            while c == -prev or c == 0:
+                c = rng.choice([1, -1]) * rng.randint(1, rank)
+            out.append(c)
+            prev = c
+        return out
+
+    # random reduced words over small and large alphabets, so that some
+    # seams cancel and generator indices reach 127
+    for _ in range(400):
+        rank = rng.choice([2, 3, 127])
+        a, b = reduced(rng.randint(0, 40), rank), reduced(rng.randint(0, 40), rank)
+        yield a, b
+        yield a, list(kernels.invert_reduced(a))  # full cancellation
+        yield a, list(oracle_reduce(
+            list(kernels.invert_reduced(a[len(a) // 2:])) + b
+        ))
+    yield [], []
+    yield [5], []
+    yield [], [-127, 3]
+    # seams of exactly k letters, at and around powers of two
+    for k in sorted({1} | {2 ** e + d for e in range(1, 9) for d in (-1, 0, 1)}):
+        seam = reduced(k, 4)
+        left = list(kernels.invert_reduced(reduced(20, 4, after=-seam[0])))
+        inverse = list(kernels.invert_reduced(seam))
+        right = reduced(20, 4, after=seam[-1])
+        while right[0] == -left[-1]:
+            right = reduced(20, 4, after=seam[-1])
+        yield left + seam, inverse + right
+        yield seam, inverse + right  # the seam takes all of a
+        yield left + seam, inverse  # and all of b
+
+
+def test_join_signed_matches_multiply_reduced_and_the_oracle():
+    seams = set()
+    for a, b in _join_cases():
+        got = kernels.join_signed(_signed(a), _signed(b))
+        assert isinstance(got, bytes)
+        expected = oracle_reduce(a + b)
+        assert kernels.unpack_signed(got) == expected
+        assert kernels.multiply_reduced(a, b) == expected
+        seams.add((len(a) + len(b) - len(expected)) // 2)
+    assert {1, 3, 4, 5, 127, 128, 129, 255, 256, 257} <= seams
+
+
+def test_invert_signed_and_unpack_signed():
+    assert kernels.unpack_signed(_signed([1, -127, 127, -3])) == (1, -127, 127, -3)
+    assert kernels.invert_signed(_signed([1, -127, 5])) == _signed([-5, 127, -1])
+    assert kernels.invert_signed(b"") == b""
+    assert kernels.unpack_signed(b"") == ()
+
+
+def test_strand_deletions_gives_the_end_positions_and_the_signed_words():
+    # sigma_1 sigma_2 on three strands moves strand 1 to position 3
+    ends, words = kernels.strand_deletions(3, [1, 2])
+    assert ends == bytes([2, 0, 1])
+    # strand 1 takes part in both crossings; deleting strand 2 or 3 leaves
+    # the other crossing as sigma_1
+    assert tuple(map(kernels.unpack_signed, words)) == ((), (1,), (1,))
+    assert kernels.strand_deletions(4, [])[0] == bytes(range(4))
+
+
 def test_permutation_kernels_match_the_oracle_on_fuzzed_generators():
     rng = random.Random(34)
     for _ in range(120):
