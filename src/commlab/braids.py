@@ -1,12 +1,18 @@
 """Braid words, pure-braid generators, strand deletion, and Brunnian sampling.
 
 A braid on n strands is a freely reduced word in the Artin generators
-sigma_1..sigma_{n-1}, stored like a free-group word: +i for sigma_i, -i for
-its inverse. Only free cancellation is applied in storage; braid relations
-are never rewritten. Equality of braids as group elements is decided through
-the induced automorphism of the free group, which is faithful:
-``artin_action`` returns the images of x_1..x_n as a tuple of words, so two
-braids are equal iff their tuples are.
+sigma_1..sigma_{n-1}, stored as signed bytes: +i for sigma_i, -i (the byte
+256 - i) for its inverse. ``letters`` unpacks the word as a tuple of ints.
+So a braid takes 1 to ``kernels.DELETE_MAX_STRANDS`` = 128 strands, the one
+strand limit of the type. A product joins the two words with the
+cancellation at the seam found by slice comparisons
+(``kernels.join_signed``) and an inverse reverses and negates its word
+(``kernels.invert_signed``), both at C speed. Value, hash and length are
+those of ``(strands, word)``. Only free cancellation is applied in storage;
+braid relations are never rewritten. Equality of braids as group elements
+is decided through the induced automorphism of the free group, which is
+faithful: ``artin_action`` returns the images of x_1..x_n as a tuple of
+words, so two braids are equal iff their tuples are.
 
 Letter order convention: words act left to right, so in ``a * b`` the braid
 ``a`` is performed first, and the image of x_k under ``a * b`` is the image
@@ -29,16 +35,17 @@ deletion of ``b`` at the position where a's strand s ends
 free reduction and a word's free reduction is unique. The sampler's
 generators know theirs, so every sample carries its own and ``is_brunnian``
 reads them without a pass over the sample. ``delete_strand`` picks one of
-them. Deletions are words of signed bytes, so strand deletion and
-``is_brunnian`` take at most 128 strands and raise ValueError above that.
+them. Deletions are signed-byte words like the braid's own, and a
+deletion braid is built straight from one.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
-every letter is in range and that the word is freely reduced. Values made
-from already-valid braids by the letter kernels (products, inverses, strand
-deletions) are reduced and in range by construction, so they are built with
-the unchecked ``Braid._trusted``; the image words of ``artin_action`` come
-reduced from the same kernels and are built with ``Word._trusted``.
+the strand count and every letter are in range and that the word is freely
+reduced. Values made from already-valid braids by the signed-byte kernels
+(products, inverses, strand deletions) are reduced and in range by
+construction, so they are built with the unchecked ``Braid._trusted``; the
+image words of ``artin_action`` come reduced from the tuple kernels and are
+built with ``Word._trusted``.
 """
 
 from __future__ import annotations
@@ -51,51 +58,66 @@ from commlab import kernels
 from commlab.words import ParseError, Word, _parse_letters, _render_letters, left_normed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Braid:
-    """A braid on ``strands`` strands as a reduced word in the sigmas."""
+    """A braid on ``strands`` strands as a reduced word in the sigmas.
+
+    ``word`` holds the letters as signed bytes; ``letters`` unpacks them.
+    """
 
     strands: int
-    letters: tuple[int, ...] = ()
+    word: bytes
     # Once known: where each strand ends and its deletions as signed bytes,
     # as ``kernels.strand_deletions`` returns them. Not part of the value.
     _deletions: tuple[bytes, tuple[bytes, ...]] | None = field(
-        default=None, init=False, compare=False, repr=False
+        compare=False, repr=False
     )
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise ValueError(f"need at least one strand, got {self.strands}")
-        for c in self.letters:
+    def __init__(self, strands: int, letters: Iterable[int] = ()) -> None:
+        if strands < 1:
+            raise ValueError(f"need at least one strand, got {strands}")
+        if strands > kernels.DELETE_MAX_STRANDS:
+            raise ValueError(
+                f"a braid takes at most {kernels.DELETE_MAX_STRANDS} strands,"
+                f" got {strands}"
+            )
+        letters = tuple(letters)
+        for c in letters:
             if (
                 not isinstance(c, int)
                 or isinstance(c, bool)
-                or not 1 <= abs(c) < self.strands
+                or not 1 <= abs(c) < strands
             ):
-                raise ValueError(
-                    f"letter {c!r} out of range for {self.strands} strands"
-                )
-        if len(kernels.reduce_letters(self.letters)) != len(self.letters):
+                raise ValueError(f"letter {c!r} out of range for {strands} strands")
+        if len(kernels.reduce_letters(letters)) != len(letters):
             raise ValueError("braid word is not freely reduced")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", kernels.pack_signed(letters))
+        object.__setattr__(self, "_deletions", None)
 
     @classmethod
     def _trusted(
         cls,
         strands: int,
-        letters: tuple[int, ...],
+        word: bytes,
         deletions: tuple[bytes, tuple[bytes, ...]] | None = None,
     ) -> Braid:
         """Build without validation, for kernel output from valid braids."""
         b = object.__new__(cls)
         object.__setattr__(b, "strands", strands)
-        object.__setattr__(b, "letters", letters)
+        object.__setattr__(b, "word", word)
         object.__setattr__(b, "_deletions", deletions)
         return b
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The word as signed ints: +i for sigma_i, -i for its inverse."""
+        return kernels.unpack_signed(self.word)
 
     def _strand_deletions(self) -> tuple[bytes, tuple[bytes, ...]]:
         """Where each strand ends and its deletions; the kernel runs once."""
         if self._deletions is None:
-            deletions = kernels.strand_deletions(self.strands, self.letters)
+            deletions = kernels.strand_deletions(self.strands, self.word)
             object.__setattr__(self, "_deletions", deletions)
         return self._deletions
 
@@ -112,9 +134,9 @@ class Braid:
             raise ValueError(
                 f"strand mismatch: {self.strands} vs {other.strands}"
             )
-        letters = kernels.multiply_reduced(self.letters, other.letters)
+        word = kernels.join_signed(self.word, other.word)
         if self._deletions is None and other._deletions is None:
-            return Braid._trusted(self.strands, letters)
+            return Braid._trusted(self.strands, word)
         # Strand s of self continues as the strand that starts where it ends.
         ends, words = self._strand_deletions()
         other_ends, other_words = other._strand_deletions()
@@ -122,26 +144,26 @@ class Braid:
             kernels.compose(ends, other_ends),
             tuple(map(kernels.join_signed, words, map(other_words.__getitem__, ends))),
         )
-        return Braid._trusted(self.strands, letters, deletions)
+        return Braid._trusted(self.strands, word, deletions)
 
     def inverse(self) -> Braid:
-        letters = kernels.invert_reduced(self.letters)
+        word = kernels.invert_signed(self.word)
         if self._deletions is None:
-            return Braid._trusted(self.strands, letters)
+            return Braid._trusted(self.strands, word)
         # Strand s of the inverse is the strand of self that ends at s.
         ends, words = self._deletions
         starts = kernels.invert_perm(ends)
         deletions = (
             starts, tuple(map(kernels.invert_signed, map(words.__getitem__, starts)))
         )
-        return Braid._trusted(self.strands, letters, deletions)
+        return Braid._trusted(self.strands, word, deletions)
 
     def conjugate(self, by: Braid) -> Braid:
         """self^by = by^{-1} * self * by."""
         return by.inverse() * self * by
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.word)
 
     def __str__(self) -> str:
         return render_braid(self)
@@ -213,9 +235,7 @@ def delete_strands(b: Braid) -> tuple[Braid, ...]:
     needs at least two strands.
     """
     _, words = b._strand_deletions()
-    return tuple(
-        Braid._trusted(b.strands - 1, kernels.unpack_signed(w)) for w in words
-    )
+    return tuple(Braid._trusted(b.strands - 1, w) for w in words)
 
 
 def delete_strand(b: Braid, j: int) -> Braid:
@@ -241,10 +261,7 @@ def is_brunnian(b: Braid) -> bool:
     if b.strands < 3:
         return is_pure(b)
     _, words = b._strand_deletions()
-    return all(
-        not w or is_trivial(Braid._trusted(b.strands - 1, kernels.unpack_signed(w)))
-        for w in words
-    )
+    return all(not w or is_trivial(Braid._trusted(b.strands - 1, w)) for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +335,10 @@ def sample_brun_generators(
     time and conjugated by a short pure braid (a word of up to conj_depth
     letters in the A_{i,j} generators). Every emitted braid is Brunnian.
 
-    The t_i, the identity and the A_{i,j} are built once per stream and,
-    on at most ``kernels.DELETE_MAX_STRANDS`` strands, know their strand
-    deletions, so every sample carries its own through the products.
+    The t_i, the A_{i,j} and their inverses are built once per stream
+    and know their strand deletions, so every sample carries its own
+    through the products. A conjugator starts at its first factor, and an
+    argument with no factors is not conjugated.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -333,23 +351,24 @@ def sample_brun_generators(
         gen_a(i, j, n) for i in range(1, n) for j in range(i + 1, n + 1)
     ]
     linking = [gen_t(i, n) for i in range(1, n)]
-    identity = Braid.identity(n)
-    if n <= kernels.DELETE_MAX_STRANDS:
-        for b in (identity, *linking, *pure_gens):
-            b._strand_deletions()
+    for b in (*linking, *pure_gens):
+        b._strand_deletions()
+    # each generator with its inverse, which carries its deletions
+    pure_pairs = [(g, g.inverse()) for g in pure_gens]
+    linking_pairs = [(t, t.inverse()) for t in linking]
     for _ in range(count):
         order = list(range(1, n))
         rng.shuffle(order)
         args: list[Braid] = []
         for index in order:
-            r = linking[index - 1]
-            if rng.random() < 0.5:
-                r = r.inverse()
-            conj = identity
+            t, t_inv = linking_pairs[index - 1]
+            r = t_inv if rng.random() < 0.5 else t
+            conj: Braid | None = None
             for _ in range(rng.randint(0, conj_depth)):
-                g = rng.choice(pure_gens)
-                conj = conj * (g if rng.random() < 0.5 else g.inverse())
-            args.append(r.conjugate(conj))
+                g, g_inv = rng.choice(pure_pairs)
+                factor = g if rng.random() < 0.5 else g_inv
+                conj = factor if conj is None else conj * factor
+            args.append(r if conj is None else r.conjugate(conj))
         yield left_normed(args)
 
 

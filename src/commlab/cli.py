@@ -266,7 +266,9 @@ def homotopy_cmd(pi, trials, samples, conj_depth, seed, out_dir, fmt):
 @main.command("braid-tools")
 @click.option("--identities", is_flag=True,
               help="verify the generator identities up to --max-n strands")
-@click.option("--max-n", default=6, show_default=True, type=click.IntRange(min=2))
+@click.option("--max-n", default=6, show_default=True,
+              type=click.IntRange(2, kernels.DELETE_MAX_STRANDS - 1),
+              help="largest strand count; the relations also run on one more")
 @click.option("--print", "print_request", is_flag=True,
               help="print a generator word: --print A i j n | A0 j n | t i n")
 @click.argument("args", nargs=-1)

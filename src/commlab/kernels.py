@@ -4,8 +4,16 @@ The package's inner loops on letter strings and permutations live here, in
 plain Python. Everything here works on plain data:
 
 * freely reduced letter strings are tuples of nonzero ints, ``+k`` for the
-  k-th generator and ``-k`` for its inverse (the same encoding serves words
-  in a free group and braid words in the sigma generators);
+  k-th generator and ``-k`` for its inverse. ``reduce_letters``,
+  ``multiply_reduced`` and ``invert_reduced`` work on them; they serve
+  ``Word``, ``homotopy``, ``artin_images`` (whose images are words) and the
+  validation of letters given to ``Braid``;
+* braid words, and the words of their strand deletions, are the same
+  letters as signed bytes: ``+k`` is the byte k and ``-k`` the byte
+  256 - k, so generator indices stop at 127 and a braid takes at most
+  ``DELETE_MAX_STRANDS`` = 128 strands. ``join_signed``, ``invert_signed``
+  and ``strand_deletions`` work on them and serve ``Braid``;
+  ``pack_signed`` and ``unpack_signed`` convert between the two forms;
 * permutations of degree d are ``bytes`` of length d mapping position i to
   ``p[i]`` (0-based), so sets of permutations are sets of small bytes objects.
 
@@ -21,7 +29,7 @@ reduced. It returns the final positions and the deletions as words of signed
 bytes, so it takes at most 128 strands; ``delete_strands`` gives the same
 words as tuples of ints. ``join_signed`` multiplies two such words with the
 cancellation at the seam found by slice comparisons, which is how a braid
-product derives its deletions from its factors'.
+product joins its factors' words and derives its deletions from theirs.
 
 ``closure_set`` enumerates a generated group (``dimino``) only after an
 orbit lower bound on its order (``_order_bound``, the first step of Sims'
@@ -31,6 +39,7 @@ rejected without enumeration.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import operator
@@ -99,7 +108,8 @@ def artin_images(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # strand deletion
 
-# Deleted letters are signed bytes, so the largest generator index is 127.
+# Braid words and their deletions are signed bytes, so the largest
+# generator index is 127; this is the strand limit of every braid.
 DELETE_MAX_STRANDS = 128
 
 
@@ -148,7 +158,8 @@ def strand_deletions(
     strand's deletion keeps (0 where the strand crosses) as one row of a
     strands-wide grid; column s of that grid, with its zeros dropped, is
     deletion s before free reduction. It takes 2 to ``DELETE_MAX_STRANDS``
-    strands: letters are signed bytes.
+    strands: letters are signed bytes. The word may be given as ints or as
+    signed bytes, since the tables put -i and the byte 256 - i in one slot.
     """
     if not 2 <= strands <= DELETE_MAX_STRANDS:
         raise ValueError(
@@ -181,6 +192,12 @@ def strand_deletions(
 
 # x -> -x on signed bytes: 0 stays, x goes to 256 - x
 _NEGATE = _IDENT256[:1] + _IDENT256[:0:-1]
+
+
+def pack_signed(letters: Iterable[int]) -> bytes:
+    """A word of signed bytes from letters in -128..127; ``unpack_signed``
+    reverses it."""
+    return array.array("b", letters).tobytes()
 
 
 def unpack_signed(w: bytes) -> tuple[int, ...]:

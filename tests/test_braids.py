@@ -76,6 +76,16 @@ def test_braid_constructor_reduces_and_validates():
         Braid(1, (1,))
     with pytest.raises(ValueError):
         Braid(0, ())
+    # letters are signed bytes, so generator indices stop at 127
+    assert Braid(128, (127, 1, -127)).letters == (127, 1, -127)
+    for build in (
+        lambda: Braid(129, (1,)),
+        lambda: Braid.identity(129),
+        lambda: Braid.from_letters(129, [128, -128]),
+        lambda: parse_braid("s1 s128", 129),
+    ):
+        with pytest.raises(ValueError, match="at most 128 strands"):
+            build()
 
 
 def test_braid_algebra():
@@ -105,6 +115,68 @@ def test_kernel_built_braids_equal_validated_ones():
             checked = Braid(built.strands, built.letters)
             assert built == checked
             assert hash(built) == hash(checked)
+            assert len(built) == len(built.letters)
+
+
+def _reduced_letters(rng, strands, length, low=1):
+    """A reduced word of exactly length letters, with indices from low up."""
+    out = []
+    while len(out) < length:
+        c = rng.choice([1, -1]) * rng.randint(low, strands - 1)
+        if not out or c != -out[-1]:
+            out.append(c)
+    return out
+
+
+def _flip(letters):
+    """The inverse of a letter tuple: reversed, signs flipped."""
+    return tuple(-c for c in reversed(letters))
+
+
+def test_signed_byte_words_match_the_tuple_oracle():
+    # products whose seam cancels every length from none to all of either
+    # factor, on 2 to 128 strands; letters reach +-127 on 128 strands
+    rng = random.Random(80)
+    seams = set()
+    extremes = set()
+    for case in range(240):
+        strands = 128 if case % 4 == 0 else rng.randint(2, 128)
+        low = 100 if strands == 128 else 1
+        w = _reduced_letters(rng, strands, rng.randint(1, 24), low)
+        for k in range(len(w) + 1):
+            # b undoes the last k letters of w, then goes on with t
+            undo = list(_flip(w[len(w) - k:]))
+            t = _reduced_letters(rng, strands, rng.choice([0, 1, 5]), low)
+            a = Braid(strands, w)
+            b = Braid.from_letters(strands, undo + t)
+            product = a * b
+            assert product.letters == oracle_reduce(a.letters + b.letters)
+            seams.add((len(a) + len(b) - len(product)) // 2)
+            for built in (
+                product,
+                b * a,
+                a.inverse(),
+                a.conjugate(b),
+                commutator(a, b),
+                a * a.inverse(),
+            ):
+                assert built.strands == strands
+                checked = Braid(strands, built.letters)
+                assert built == checked and hash(built) == hash(checked)
+                assert len(built) == len(built.letters)
+                extremes.update(c for c in built.letters if abs(c) == 127)
+            x, y = a.letters, b.letters
+            assert a.inverse().letters == _flip(x)
+            assert a.conjugate(b).letters == oracle_reduce(_flip(y) + x + y)
+            assert commutator(a, b).letters == oracle_reduce(
+                _flip(x) + _flip(y) + x + y
+            )
+            assert a * a.inverse() == Braid.identity(strands)
+            assert kernels.strand_deletions(strands, product.word) == (
+                kernels.strand_deletions(strands, product.letters)
+            )
+    assert seams >= set(range(25))
+    assert extremes == {127, -127}
 
 
 def test_braid_and_word_reject_bool_letters():
@@ -407,19 +479,19 @@ def test_the_deletion_kernel_runs_once_per_braid(monkeypatch):
     delete_strands(b)
     is_brunnian(b)
     assert calls == [7]
-    # a sampler asks once for each of its t_i, A_{i,j} and the identity;
+    # a sampler asks once for each of its t_i and A_{i,j}; their inverses,
     # its samples, and their products with braids that know their
     # deletions, carry their own
     calls.clear()
     stream = sample_brun_generators(6, 3, seed=75, count=5)
     first = next(stream)
-    assert calls == [6] * (1 + 5 + 15)
+    assert calls == [6] * (5 + 15)
     control = gen_a0(2, 6)[0]  # pure, not Brunnian, built knowing none
     for b in (first, *stream):
         assert is_brunnian(b)
         assert not is_brunnian(b * control)
         delete_strand(b.inverse(), 3)
-    assert len(calls) == 21 + 1
+    assert len(calls) == 20 + 1
 
 
 def _oracle_is_brunnian(b):

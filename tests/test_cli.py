@@ -384,6 +384,10 @@ def test_braid_tools_print_usage_errors(runner):
     # out-of-range indices surface the underlying message as a usage error
     oor = CliRunner().invoke(main, ["braid-tools", "--print", "t", "5", "3"])
     assert oor.exit_code == 2
+    # so does a generator on more strands than a braid takes
+    wide = CliRunner().invoke(main, ["braid-tools", "--print", "A", "1", "2", "129"])
+    assert wide.exit_code == 2
+    assert "at most 128 strands" in wide.output
     # positional arguments are only meaningful with --print
     assert CliRunner().invoke(main, ["braid-tools", "t", "2", "3"]).exit_code == 2
 
@@ -411,6 +415,10 @@ def test_braid_tools_identities(runner, tmp_path):
     identities = read_report(result, tmp_path)["results"]["identities"]
     assert identities["linking_vs_a"] == "6/6"
     assert identities["closing_forms"] == "6/6"
+    # the relations also run on max_n + 1 strands, and a braid takes at most 128
+    past = invoke(runner, tmp_path, ["braid-tools", "--identities", "--max-n", "128"])
+    assert past.exit_code == 2
+    assert "127" in past.output
 
 
 def test_reports_accumulate_and_latest_moves(runner, tmp_path):

@@ -280,6 +280,8 @@ def test_invert_signed_and_unpack_signed():
     assert kernels.invert_signed(_signed([1, -127, 5])) == _signed([-5, 127, -1])
     assert kernels.invert_signed(b"") == b""
     assert kernels.unpack_signed(b"") == ()
+    assert kernels.pack_signed([1, -127, 127, -3]) == _signed([1, -127, 127, -3])
+    assert kernels.pack_signed(()) == b""
 
 
 def test_strand_deletions_gives_the_end_positions_and_the_signed_words():
