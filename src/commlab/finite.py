@@ -35,18 +35,21 @@ registry of the ``CARRIER_SLOTS`` groups used last, and returns the
 registered group when it recognises one (see ``closure``): while registered,
 an element set has one ``PermGroup``, the parent of all its subgroups. The
 registry is capped because each group holds its element sets, up to 20,000
-elements at the largest caps. Each group keeps three memos, each entry the
+elements at the largest caps. Each group keeps four memos, each entry the
 ``NormalSubgroup`` computed, and a hit returns it before any Dimino work:
 the normal closure of one seed, stored under every conjugate of the seed, as
-<<s>> depends only on the conjugacy class of s; and A*B and [A, B] of a pair
-of element sets, stored in both orders. The closure of several seeds is the
-product of theirs. An entry points back to its group, a reference cycle, so
-the registry clears all three memos of an evicted group: eviction alone
-frees it, as the benchmark worker runs its op loop with the cyclic garbage
-collector off. A group built by hand as ``PermGroup(...)`` never enters the
-registry, and the cyclic collector frees its memos. So an element set that
-is not a group is never recognised, and two such groups are different
-parents even over equal element sets (groups compare by identity).
+<<s>> depends only on the conjugacy class of s; A*B and [A, B] of a pair of
+element sets, stored in both orders; and the result of each mask table
+(symmetric, first-slot restricted, fat) and each intersection, keyed by its
+inputs' element sets, so a trial that repeats an earlier one's subgroups
+builds no table. The closure of several seeds is the product of theirs. An
+entry points back to its group, a reference cycle, so the registry clears
+all four memos of an evicted group: eviction alone frees it, at once,
+without waiting for a collection of the cyclic garbage collector. A group
+built by hand as ``PermGroup(...)`` never enters the registry, and the
+cyclic collector frees its memos. So an element set that is not a group is
+never recognised, and two such groups are different parents even over
+equal element sets (groups compare by identity).
 Registered and memoised gens come from whichever trial got there first, or
 from a conjugate of the seed asked for, so only element sets and orders,
 never gens, may reach a report.
@@ -98,12 +101,14 @@ class PermGroup:
     ``closures`` maps each element s of a conjugacy class met to the normal
     closure of s, one entry for the whole class. ``products`` and
     ``commutators`` map a pair of element sets, in both orders, to A*B and
-    [A, B]. Each entry is the ``NormalSubgroup`` computed. ``sets`` interns
-    every element set a subgroup is built on, so memo keys compare by
-    identity. The memos are bounded by the group: at most |G| seeds, and
-    pairs of the normal subgroups met. The registry clears an evicted
-    group's three memos; a hand-built group's are freed by the cyclic
-    garbage collector.
+    [A, B]. ``tables`` maps ``(splits, R_1, ..., R_n)`` to the full-mask
+    entry of the mask table those splits build on those element sets, and
+    a tuple of element sets to their intersection. Each entry is the
+    ``NormalSubgroup`` computed. ``sets`` interns every element set a
+    subgroup is built on, so memo keys compare by identity. The memos are
+    bounded by the group: at most |G| seeds, and pairs and tuples of the
+    normal subgroups met. The registry clears an evicted group's memos; a
+    hand-built group's are freed by the cyclic garbage collector.
     """
 
     degree: int
@@ -118,10 +123,17 @@ class PermGroup:
     products: dict[tuple, NormalSubgroup] = field(
         default_factory=dict, init=False, repr=False
     )
+    tables: dict[tuple, NormalSubgroup] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def memos(self) -> tuple[dict, ...]:
+        return self.closures, self.commutators, self.products, self.tables
 
     @cached_property
     def identity(self) -> bytes:
@@ -168,14 +180,13 @@ def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | No
 
 def _register(G: PermGroup) -> PermGroup:
     """The registered group on G's element set, G itself if there was none;
-    an evicted group's three memos are cleared, which frees it."""
+    an evicted group's memos are cleared, which frees it."""
     G = _CARRIERS.setdefault(G.elements, G)
     _CARRIERS.move_to_end(G.elements)
     if len(_CARRIERS) > CARRIER_SLOTS:
         _, old = _CARRIERS.popitem(last=False)
-        old.closures.clear()
-        old.commutators.clear()
-        old.products.clear()
+        for memo in old.memos:
+            memo.clear()
     return G
 
 
@@ -270,11 +281,17 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     for s in map(bytes, seeds):
         if total is not None and s in total.elements:
             continue
-        hit = G.closures.get(s)
-        if hit is None:
-            hit = _memoise_class(G, s, _grow_normal(G, {G.identity}, (), [s]))
+        hit = _class_closure(G, s)
         total = hit if total is None else product_subgroup(total, hit)
     return NormalSubgroup.trivial(G) if total is None else total
+
+
+def _class_closure(G: PermGroup, s: bytes) -> NormalSubgroup:
+    """<<s>> for an element s of G, from the memo or grown and memoised."""
+    hit = G.closures.get(s)
+    if hit is None:
+        hit = _memoise_class(G, s, _grow_normal(G, {G.identity}, (), [s]))
+    return hit
 
 
 def _memoise_class(G: PermGroup, s: bytes, N: NormalSubgroup) -> NormalSubgroup:
@@ -401,20 +418,34 @@ def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
 def intersection_of(
     parent: PermGroup, subgroups: Sequence[NormalSubgroup]
 ) -> NormalSubgroup:
-    """Common elements of the subgroups.
+    """Common elements of the subgroups, memoised on the parent by the tuple
+    of the inputs' element sets.
 
     The intersection lies in every input, so an input of the same order has
     the same elements and is returned as it is. Otherwise it is a proper
-    normal subgroup of the parent, its own normal closure.
+    normal subgroup of the parent, its own normal closure, built as
+    ``normal_closure`` builds it from the sorted elements: the least element
+    not yet in the running product has its class closure multiplied in,
+    until none is left. No element list is sorted; the set work runs at C
+    speed.
     """
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
     _same_parent(parent, *subgroups)
-    elems = frozenset.intersection(*(s.elements for s in subgroups))
-    for s in subgroups:
-        if s.order == len(elems):
-            return s
-    return normal_closure(parent, sorted(elems))
+    key = tuple(s.elements for s in subgroups)
+    meet = parent.tables.get(key)
+    if meet is not None:
+        return meet
+    elems = frozenset.intersection(*key)
+    meet = next((s for s in subgroups if s.order == len(elems)), None)
+    if meet is None:
+        meet = _class_closure(parent, min(elems))
+        rest = elems - meet.elements
+        while rest:
+            meet = product_subgroup(meet, _class_closure(parent, min(rest)))
+            rest -= meet.elements
+    parent.tables[key] = meet
+    return meet
 
 
 def _mask_table(
@@ -427,10 +458,17 @@ def _mask_table(
     Masks run in increasing order, so each proper submask of M is filled
     first. ``table[M]`` is the product of ``[table[a], table[b]]`` over the
     pairs ``splits(M)`` yields, each distinct pair of subgroups taken once.
+    The result is memoised on G under ``(splits, R_1, ..., R_n)``, the R_i
+    as element sets; the split functions live at module level, so a repeated
+    call finds its entry.
     """
     if not Rs:
         raise ValueError("need at least one subgroup")
     _same_parent(G, *Rs)
+    key = (splits, *(R.elements for R in Rs))
+    hit = G.tables.get(key)
+    if hit is not None:
+        return hit
     trivial = NormalSubgroup.trivial(G)
     table = [trivial] * (1 << len(Rs))
     for i, R in enumerate(Rs):
@@ -447,6 +485,7 @@ def _mask_table(
         for X, Y in distinct.values():
             total = product_subgroup(total, commutator_subgroup(X, Y))
         table[mask] = total
+    G.tables[key] = table[-1]
     return table[-1]
 
 
@@ -467,7 +506,7 @@ def restricted_symmetric_commutator(
 
     Masks without index 0 stay trivial, and index 0 is never the last slot.
     """
-    return _mask_table(G, Rs, lambda m: _last_slots(m, 1) if m & 1 else ())
+    return _mask_table(G, Rs, _first_slot_splits)
 
 
 def _last_slots(mask: int, first: int = 0) -> Iterator[tuple[int, int]]:
@@ -475,6 +514,11 @@ def _last_slots(mask: int, first: int = 0) -> Iterator[tuple[int, int]]:
     for i in range(first, mask.bit_length()):
         if mask >> i & 1:
             yield mask ^ 1 << i, 1 << i
+
+
+def _first_slot_splits(mask: int) -> Iterator[tuple[int, int]]:
+    """The last-slot splits of a mask holding index 0, other than {0} last."""
+    return _last_slots(mask, 1) if mask & 1 else iter(())
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ a braid word keeps each strand's position in a ``bytes`` vector and, per
 letter, writes one row of deleted letters and moves the two crossing strands
 with two ``translate`` calls; deletion s is column s of those rows, freely
 reduced. It returns the final positions and the deletions as words of signed
-bytes, so it takes at most 128 strands; ``delete_strands`` gives the same
-words as tuples of ints. ``join_signed`` multiplies two such words with the
+bytes, so it takes at most 128 strands; ``unpack_signed`` turns a deletion
+into a tuple of ints. ``join_signed`` multiplies two such words with the
 cancellation at the seam found by slice comparisons, which is how a braid
 product joins its factors' words and derives its deletions from theirs.
 
@@ -134,16 +134,6 @@ def _deletion_tables(strands: int) -> tuple[list[bytes], list[bytes]]:
             out[c] = bytes(row).ljust(256, b"\0")
             swap[c] = crossed
     return out, swap
-
-
-def delete_strands(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]]:
-    """Delete each strand of a braid word in turn, in one pass over the word.
-
-    Entry s of the result is the freely reduced word left by deleting the
-    strand that starts at position s + 1, on strands - 1 strands: the letters
-    of ``strand_deletions``, which makes the pass.
-    """
-    return [unpack_signed(w) for w in strand_deletions(strands, letters)[1]]
 
 
 def strand_deletions(

@@ -103,11 +103,16 @@ def oracle_set_product(A, B) -> set[tuple[int, ...]]:
     return {o_mul(a, b) for a in A for b in B}
 
 
-def oracle_symmetric(Rs) -> set[tuple[int, ...]]:
-    """Product over all orderings of iterated element-level commutators."""
+def oracle_symmetric(Rs, first_slot_only: bool = False) -> set[tuple[int, ...]]:
+    """Product over all orderings of iterated element-level commutators.
+
+    With ``first_slot_only`` only the orderings that keep R_1 first count.
+    """
     degree = len(next(iter(Rs[0])))
     total = {tuple(range(degree))}
     for order in permutations(range(len(Rs))):
+        if first_slot_only and order[0] != 0:
+            continue
         term = set(Rs[order[0]])
         for i in order[1:]:
             term = oracle_commutator_subgroup(term, Rs[i])

@@ -477,15 +477,17 @@ def test_the_registry_keeps_the_carriers_used_last():
 def test_carrier_tables_are_bounded_by_the_carrier():
     # a second pass over the same trials adds nothing to any group's table,
     # seeds are single elements (an intersection is not keyed by its element
-    # list), and the commutator and product memos only hold interned sets
+    # list), and the commutator, product and table memos only hold interned
+    # sets
     finite._CARRIERS.clear()
     seeds = range(40)
+    splits = {finite._last_slots, finite._first_slot_splits, finite._fat_splits}
 
     def sizes():
         return {
             (key, name): len(getattr(K, name))
             for key, K in finite._CARRIERS.items()
-            for name in ("sets", "closures", "commutators", "products")
+            for name in ("sets", "closures", "commutators", "products", "tables")
         }
 
     for s in seeds:
@@ -502,16 +504,21 @@ def test_carrier_tables_are_bounded_by_the_carrier():
             for a, b in memo:
                 assert K.sets[a] is a and K.sets[b] is b
                 assert memo[b, a] is memo[a, b]
+        # a table is keyed by its splits and n >= 1 element sets, an
+        # intersection by its inputs' element sets
+        for key in K.tables:
+            sets = key[1:] if key[0] in splits else key
+            assert sets and all(K.sets[x] is x for x in sets)
+        assert {key[0] for key in K.tables} & splits
         # memo entries are the subgroups computed, on interned element sets
-        memos = (K.closures, K.commutators, K.products)
-        for sub in [v for memo in memos for v in memo.values()]:
+        for sub in [v for memo in K.memos for v in memo.values()]:
             assert isinstance(sub, NormalSubgroup) and sub.parent is K
             assert K.sets[sub.elements] is sub.elements
 
 
 def _used_carrier():
     """A weak reference to a registered carrier that ran 20 trials' checks,
-    and its three memos."""
+    and its four memos."""
     G = random_instance(0, n=3).group
     assert G.degree <= 10 and finite._CARRIERS[G.elements] is G
     for seed in range(20):
@@ -520,14 +527,15 @@ def _used_carrier():
         verify_first_slot_restriction(G, (A, B, C))
         verify_product_rule(A, B, C)
         verify_hall(A, B, C)
-    assert G.closures and G.commutators and G.products
-    return weakref.ref(G), (G.closures, G.commutators, G.products)
+        verify_connectivity(G, (A, B, C), I=(1, 2), J=(3,))
+    assert all(G.memos)
+    return weakref.ref(G), G.memos
 
 
 def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
     # memo entries point back to their group, and eviction clears them (see
-    # the module docstring), so eviction alone frees a carrier; the benchmark
-    # worker runs its op loop with the collector off
+    # the module docstring), so eviction alone frees a carrier at once; with
+    # the collector off, a memo left uncleared would keep it alive
     finite._CARRIERS.clear()
     gc.disable()
     try:
@@ -546,11 +554,94 @@ def test_a_hand_built_group_is_freed_by_the_cyclic_collector():
     A, B = normal_closure(H, [a]), normal_closure(H, [from_cycles(4, (1, 2), (3, 4))])
     commutator_subgroup(A, B)
     assert product_subgroup(A, B) is product_subgroup(B, A)
-    assert H.closures and H.commutators and H.products
+    symmetric_commutator(H, [A, B])
+    assert all(H.memos)
     group = weakref.ref(H)
     del H, A, B
     gc.collect()
     assert group() is None
+
+
+def _tables(G, Rs):
+    """Each table memoised on G for one trial: symmetric, first-slot
+    restricted and fat, and the intersections of R_1, R_2 and of every R_i."""
+    return (
+        symmetric_commutator(G, Rs),
+        restricted_symmetric_commutator(G, Rs),
+        fat_commutator(G, Rs).subgroup,
+        intersection_of(G, Rs[:2]),
+        intersection_of(G, Rs),
+    )
+
+
+# seeds whose tables are proper subgroups and some of whose intersections are
+# built, not an input returned (rare on random carriers: 3 of seeds 0-299 at
+# n = 3 and default caps): S_4, D_4 and S_3 x S_3, and orders 8 to 1152
+TABLE_CASES = {"tiny_caps": (4, 24), "default_caps": (10, 2000)}
+TABLE_SEEDS = {
+    "tiny_caps": (0, 25, 45),
+    "hand_built": (0, 3, 6),
+    "default_caps": (17, 24, 44, 152),
+}
+
+
+def _table_case(make, n, seed):
+    if make == "hand_built":  # S_3 x S_3, richer in normal subgroups than S_n
+        gens = [from_cycles(6, c) for c in [(1, 2), (1, 2, 3), (4, 5), (4, 5, 6)]]
+        G = PermGroup(6, closure(gens).elements, tuple(gens))
+        rng = random.Random(seed)
+        pool = G.sorted_elements
+        return G, [
+            normal_closure(G, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
+            for _ in range(n)
+        ]
+    degree_cap, order_cap = TABLE_CASES[make]
+    inst = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap)
+    return inst.group, list(inst.subgroups)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("make", ["tiny_caps", "hand_built", "default_caps"])
+def test_memoised_tables_equal_cold_tables_and_the_oracles(make, n):
+    # a table or intersection is memoised by its inputs' element sets: a
+    # repeated call, or one with other subgroup objects on the same element
+    # sets, returns the stored subgroup; a rebuild from cold memos and one
+    # from the warm closure, product and commutator memos give the same sets
+    built = 0
+    for seed in TABLE_SEEDS[make]:
+        G, Rs = _table_case(make, n, seed)
+        for memo in G.memos:
+            memo.clear()
+        cold = _tables(G, Rs)
+        elems = [R.elements for R in Rs]
+        splits = (finite._last_slots, finite._first_slot_splits, finite._fat_splits)
+        keys = {(f, *elems) for f in splits} | {tuple(elems[:2]), tuple(elems)}
+        assert set(G.tables) == keys
+        assert all(x is y for x, y in zip(_tables(G, Rs), cold))
+        others = [NormalSubgroup(G, R.elements, R.gens[::-1]) for R in Rs]
+        assert all(x is y for x, y in zip(_tables(G, others), cold))
+        G.tables.clear()
+        warm = _tables(G, Rs)
+        assert [x.elements for x in warm] == [x.elements for x in cold]
+        assert all(x.parent is G for x in warm)
+        sym, restricted, fat, meet_two, meet = cold
+        built += all(meet is not R for R in Rs)
+        sets = [tuples(R.elements) for R in Rs]
+        assert tuples(meet_two.elements) == sets[0] & sets[1]
+        assert tuples(meet.elements) == set.intersection(*sets)
+        # fat = symmetric is the theorem under test; the bracket oracles
+        # check fat itself (test_fat_commutator_matches_tuple_enumeration_oracle)
+        assert fat.elements == sym.elements
+        if make == "default_caps":  # too large for the element-level oracles
+            assert sym.elements == ordered_walk(G, Rs).elements
+            walk = ordered_walk(G, Rs, first_slot_only=True)
+            assert restricted.elements == walk.elements
+        else:
+            assert tuples(sym.elements) == oracle_symmetric(sets)
+            assert tuples(restricted.elements) == oracle_symmetric(
+                sets, first_slot_only=True
+            )
+    assert built
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +921,8 @@ def test_fat_commutator_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceeded):
         fat_commutator(inst.group, inst.subgroups, budget=5)
 
-    # the pair count is checked before any commutator is computed
+    # the pair count is checked before any commutator is computed; each
+    # carrier starts with empty memos, so no earlier test's table is a hit
     calls = []
     real = finite.commutator_subgroup
 
@@ -840,13 +932,20 @@ def test_fat_commutator_budget_guard(monkeypatch):
 
     monkeypatch.setattr(finite, "commutator_subgroup", counting)
     for n, pairs in [(2, 1), (3, 6), (4, 25), (5, 90)]:
+        finite._CARRIERS.clear()
         inst = random_instance(300 + n, n=n)
+        for memo in inst.group.memos:
+            memo.clear()
         calls.clear()
         with pytest.raises(BudgetExceeded, match=f"n = {n} needs {pairs} "):
             fat_commutator(inst.group, inst.subgroups, budget=pairs - 1)
         assert not calls, n
         out = fat_commutator(inst.group, inst.subgroups, budget=pairs)
         assert out.evaluations == pairs and calls, n
+        # the table is memoised: a repeated call computes no commutator
+        computed = len(calls)
+        again = fat_commutator(inst.group, inst.subgroups, budget=pairs)
+        assert again.subgroup is out.subgroup and len(calls) == computed, n
 
 
 # ---------------------------------------------------------------------------

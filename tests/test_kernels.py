@@ -188,10 +188,16 @@ def _deletion_oracle_cases():
     yield 128, (a * commutator(a, b) * gen_a(1, 128, 128)).letters
 
 
-def test_delete_strands_matches_the_oracle_at_every_strand():
+def _deletions(strands, letters):
+    """Every strand's deletion by the kernel, as a tuple of ints."""
+    _, words = kernels.strand_deletions(strands, letters)
+    return [kernels.unpack_signed(w) for w in words]
+
+
+def test_strand_deletions_match_the_oracle_at_every_strand():
     pure = cancelled = 0
     for strands, letters in _deletion_oracle_cases():
-        got = kernels.delete_strands(strands, letters)
+        got = _deletions(strands, letters)
         assert len(got) == strands
         pure += oracle_is_pure(strands, letters)
         for j, word in enumerate(got, start=1):
@@ -207,14 +213,14 @@ def test_delete_strands_matches_the_oracle_at_every_strand():
     assert cancelled > 1000
 
 
-def test_delete_strands_takes_at_most_128_strands():
+def test_strand_deletions_take_at_most_128_strands():
     assert kernels.DELETE_MAX_STRANDS == 128
-    assert kernels.delete_strands(128, [127, 127]) == [(126, 126)] * 126 + [(), ()]
+    assert _deletions(128, [127, 127]) == [(126, 126)] * 126 + [(), ()]
     with pytest.raises(ValueError, match="128"):
-        kernels.delete_strands(129, [128])
+        kernels.strand_deletions(129, [128])
     # one strand leaves nothing to delete it from
     with pytest.raises(ValueError, match="2 to 128"):
-        kernels.delete_strands(1, ())
+        kernels.strand_deletions(1, ())
 
 
 def _signed(letters):
