@@ -1,13 +1,16 @@
 import gc
 import hashlib
 import itertools
+import json
 import math
 import random
 import weakref
 
 import pytest
+from click.testing import CliRunner
 
 from commlab import finite, kernels
+from commlab.cli import main
 from commlab.finite import (
     BudgetExceeded,
     CapExceeded,
@@ -1123,3 +1126,28 @@ def test_random_instance_stream_is_frozen(degree_cap, order_cap):
         orders = tuple(R.order for R in inst.subgroups)
         digest.update(repr((inst.group.degree, inst.group.order, orders)).encode())
     assert digest.hexdigest() == FROZEN_CARRIER_STREAMS[degree_cap, order_cap]
+
+
+# SHA-256 of json.dumps(results, sort_keys=True) of verify-finite reports,
+# keyed by the run's arguments: every order and verdict of each trial, so a
+# rebuild of how finite makes its subgroups is checked against the same
+# results and not only against the carrier stream above.
+FROZEN_VERIFY_FINITE_RESULTS = {
+    "--trials 200 --n 3 --seed 7":
+        "09195316dc4a7170e62de5af544ff709e7e299a4f9f6162c037f801319698630",
+    "--trials 40 --n 5 --seed 3":
+        "463ec5e9df6d8c05e3f5da2812abf2f1392cd3265a1f77543f97a8019bd40f1d",
+    "--trials 100 --n 4 --degree-cap 12 --order-cap 20000":
+        "3e340d100f94bd716aff4796334f89b6892047ed8eb908f25015b36df7380a29",
+}
+
+
+@pytest.mark.parametrize("args", list(FROZEN_VERIFY_FINITE_RESULTS))
+def test_verify_finite_results_are_frozen(args, tmp_path):
+    run = CliRunner().invoke(
+        main, ["verify-finite", *args.split(), "--out", str(tmp_path)]
+    )
+    assert run.exit_code == 0, run.output
+    results = json.loads(run.stdout)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode())
+    assert digest.hexdigest() == FROZEN_VERIFY_FINITE_RESULTS[args]
