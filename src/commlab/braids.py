@@ -130,6 +130,8 @@ class Braid:
         return cls(strands, kernels.reduce_letters(letters))
 
     def __mul__(self, other: Braid) -> Braid:
+        if not isinstance(other, Braid):
+            return NotImplemented
         if self.strands != other.strands:
             raise ValueError(
                 f"strand mismatch: {self.strands} vs {other.strands}"

@@ -20,36 +20,38 @@ subgroups make that exact: [XY, Z] = [X, Z][Y, Z], and [X, Z] <= X. The fat
 entry of a mask needs only its two-block partitions {A, M - A}: every other
 cover's commutator lies in one of theirs (see ``fat_commutator``).
 
-Normal closures, products and intersections inside a parent G are built by
-one growth loop: Dimino extensions by seeds and their conjugates, each capped
-at |G|/p, p the least prime dividing |G|. Most of these subgroups turn out to
-be the whole parent, which is never enumerated twice: by Lagrange a subgroup's
-order divides |G|, so one that passes the cap is G itself, and G's own element
-set is returned. An intersection as large as one of its inputs is that input,
-since it lies inside every input.
+Every normal subgroup of a parent G comes from two primitives. The growth
+step builds the class closure <<s>> of an element and the product A*B of two
+normal subgroups, by Dimino extensions by seeds and their conjugates, each
+capped at |G|/p, p the least prime dividing |G|. Most of these subgroups turn
+out to be the whole parent, which is never enumerated twice: by Lagrange a
+subgroup's order divides |G|, so one that passes the cap is G itself, and G's
+own element set is returned. The fold builds the normal subgroup generated by
+a set of elements as the product of their class closures (see
+``_generated``): normal closures, commutator subgroups and intersections all
+go through it. An intersection as large as one of its inputs is that input.
 
 Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
 work on a carrier is kept from one trial to the next, on the group itself.
 ``closure`` registers each group it enumerates, keyed by element set, in a
-registry of the ``CARRIER_SLOTS`` groups used last, and returns the
-registered group when it recognises one (see ``closure``): while registered,
-an element set has one ``PermGroup``, the parent of all its subgroups. The
-registry is capped because each group holds its element sets, up to 20,000
-elements at the largest caps. Each group keeps four memos, each entry the
-``NormalSubgroup`` computed, and a hit returns it before any Dimino work:
-the normal closure of one seed, stored under every conjugate of the seed, as
-<<s>> depends only on the conjugacy class of s; A*B and [A, B] of a pair of
-element sets, stored in both orders; and the result of each mask table
-(symmetric, first-slot restricted, fat) and each intersection, keyed by its
-inputs' element sets, so a trial that repeats an earlier one's subgroups
-builds no table. The closure of several seeds is the product of theirs. An
-entry points back to its group, a reference cycle, so the registry clears
-all four memos of an evicted group: eviction alone frees it, at once,
-without waiting for a collection of the cyclic garbage collector. A group
-built by hand as ``PermGroup(...)`` never enters the registry, and the
-cyclic collector frees its memos. So an element set that is not a group is
-never recognised, and two such groups are different parents even over
-equal element sets (groups compare by identity).
+registry of the ``CARRIER_SLOTS`` groups used last, and returns the registered
+group when it recognises one (see ``closure``): while registered, an element
+set has one ``PermGroup``, the parent of all its subgroups. The registry is
+capped because each group holds its element sets, up to 20,000 elements at the
+largest caps. Each group keeps four memos, each entry the ``NormalSubgroup``
+computed, and a hit returns it before any Dimino work: the class closure <<s>>
+of one element, stored under every conjugate of s, as it depends only on the
+conjugacy class of s; A*B and [A, B] of a pair of element sets, stored in both
+orders; and the result of each mask table (symmetric, first-slot restricted,
+fat) and each intersection, keyed by its inputs' element sets, so a trial that
+repeats an earlier one's subgroups builds no table. An entry points back to
+its group, a reference cycle, so the registry clears all four memos of an
+evicted group: eviction alone frees it, at once, without waiting for a
+collection of the cyclic garbage collector. A group built by hand as
+``PermGroup(...)`` never enters the registry, and the cyclic collector frees
+its memos. So an element set that is not a group is never recognised, and two
+such groups are different parents even over equal element sets (groups compare
+by identity).
 Registered and memoised gens come from whichever trial got there first, or
 from a conjugate of the seed asked for, so only element sets and orders,
 never gens, may reach a report.
@@ -262,12 +264,9 @@ def closure(
 def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     """Smallest normal subgroup of G containing the seeds.
 
-    The closure of one seed s is memoised in G under every conjugate of s,
-    as <<s>> depends only on the conjugacy class: a miss grows it and walks
-    the class (see ``_memoise_class``). The closure of several seeds is the
-    product of theirs: a seed already in the running subgroup is skipped,
-    and each other seed's closure is multiplied in by ``product_subgroup``.
-    With one seed the memoised subgroup itself is returned.
+    The seeds come from the caller, so each is checked to lie in G; their
+    set is folded by ``_generated``. With one seed the memoised class
+    closure itself is returned, the identity's included.
     """
     for s in seeds:
         try:
@@ -277,39 +276,48 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
             pass
         ints = isinstance(s, Iterable) and all(isinstance(x, int) for x in s)
         raise ValueError(f"seed {list(s) if ints else s!r} lies outside the group")
-    total = None
-    for s in map(bytes, seeds):
-        if total is not None and s in total.elements:
-            continue
-        hit = _class_closure(G, s)
-        total = hit if total is None else product_subgroup(total, hit)
-    return NormalSubgroup.trivial(G) if total is None else total
+    return _generated(G, set(map(bytes, seeds)))
+
+
+def _generated(
+    G: PermGroup, elements: set[bytes] | frozenset[bytes]
+) -> NormalSubgroup:
+    """The normal subgroup of G generated by a set of its elements.
+
+    It is the product of their class closures: the class closure of the
+    least element not yet in the running product is multiplied in until no
+    element is left. The order comes from ``min``, never from set iteration,
+    so the gens built do not depend on the hash seed.
+    """
+    if not elements:
+        return NormalSubgroup.trivial(G)
+    total = _class_closure(G, min(elements))
+    rest = elements - total.elements
+    while rest:
+        total = product_subgroup(total, _class_closure(G, min(rest)))
+        rest -= total.elements
+    return total
 
 
 def _class_closure(G: PermGroup, s: bytes) -> NormalSubgroup:
-    """<<s>> for an element s of G, from the memo or grown and memoised."""
-    hit = G.closures.get(s)
-    if hit is None:
-        hit = _memoise_class(G, s, _grow_normal(G, {G.identity}, (), [s]))
-    return hit
+    """<<s>> for an element s of G, memoised under s and every conjugate.
 
-
-def _memoise_class(G: PermGroup, s: bytes, N: NormalSubgroup) -> NormalSubgroup:
-    """Store N = <<s>> under s and every conjugate of s; returns N.
-
-    The class is walked by G's generators, which generate G. The memo only
-    ever gains whole classes, so a miss on s is a miss on its whole class
-    and the walk stops only at conjugates it stored itself. Keys are
-    elements of G, so the memo holds at most |G| entries.
+    <<s>> depends only on the conjugacy class of s. A miss grows it and
+    walks the class by G's generators, which generate G. The memo only ever
+    gains whole classes, so a miss on s is a miss on its whole class and the
+    walk stops only at conjugates it stored itself. Keys are elements of G,
+    so the memo holds at most |G| entries.
     """
     closures = G.closures
-    closures[s] = N
-    todo = [s]
-    while todo:
-        for c in _conjugates(G, todo.pop()):
-            if c not in closures:
-                closures[c] = N
-                todo.append(c)
+    N = closures.get(s)
+    if N is None:
+        N = closures[s] = _grow_normal(G, {G.identity}, (), [s])
+        todo = [s]
+        while todo:
+            for c in _conjugates(G, todo.pop()):
+                if c not in closures:
+                    closures[c] = N
+                    todo.append(c)
     return N
 
 
@@ -375,20 +383,17 @@ class SubgroupCache:
 def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     """[A, B] for normal subgroups of a common parent.
 
-    Equals the normal closure of the pairwise commutators of the generating
-    sets; [A, B] = [B, A] always, so the parent's memo stores both orders.
+    Equals the normal subgroup generated by the nontrivial commutators of
+    the generating sets, built by ``_generated``; [A, B] = [B, A] always, so
+    the parent's memo stores both orders.
     """
     parent = _same_parent(A.parent, B)
     hit = SubgroupCache().commutator(A, B)
     if hit is not None:
         return hit
-    seeds: set[bytes] = set()
-    for a in A.gens:
-        for b in B.gens:
-            c = _commutator(a, b)
-            if c != parent.identity:
-                seeds.add(c)
-    sub = normal_closure(parent, sorted(seeds))
+    seeds = {_commutator(a, b) for a in A.gens for b in B.gens}
+    seeds.discard(parent.identity)
+    sub = _generated(parent, seeds)
     x, y = A.elements, B.elements  # interned by the subgroups' builders
     parent.commutators[x, y] = parent.commutators[y, x] = sub
     return sub
@@ -422,12 +427,9 @@ def intersection_of(
     of the inputs' element sets.
 
     The intersection lies in every input, so an input of the same order has
-    the same elements and is returned as it is. Otherwise it is a proper
-    normal subgroup of the parent, its own normal closure, built as
-    ``normal_closure`` builds it from the sorted elements: the least element
-    not yet in the running product has its class closure multiplied in,
-    until none is left. No element list is sorted; the set work runs at C
-    speed.
+    the same elements and is returned as it is. Otherwise it is a normal
+    subgroup of the parent generated by its own elements, and their set is
+    folded by ``_generated``.
     """
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
@@ -439,11 +441,7 @@ def intersection_of(
     elems = frozenset.intersection(*key)
     meet = next((s for s in subgroups if s.order == len(elems)), None)
     if meet is None:
-        meet = _class_closure(parent, min(elems))
-        rest = elems - meet.elements
-        while rest:
-            meet = product_subgroup(meet, _class_closure(parent, min(rest)))
-            rest -= meet.elements
+        meet = _generated(parent, elems)
     parent.tables[key] = meet
     return meet
 
@@ -689,14 +687,15 @@ def verify_connectivity(
 ) -> ConnectivityReport:
     """(cap_I R_i) * prod_J R_j vs cap_I (R_i * prod_J R_j); may fail honestly.
 
-    I and J are 1-based index sets into Rs with |I| >= 2 and |J| >= 1.
+    I and J are 1-based int index sets into Rs with |I| >= 2 and |J| >= 1.
     """
+    for k in (*I, *J):
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= len(Rs):
+            raise ValueError(f"index {k!r} does not point into the subgroup list")
     I = tuple(sorted(set(I)))
     J = tuple(sorted(set(J)))
     if len(I) < 2 or len(J) < 1:
         raise ValueError("need |I| >= 2 and |J| >= 1")
-    if any(not 1 <= k <= len(Rs) for k in (*I, *J)):
-        raise ValueError("index sets must point into the subgroup list")
     prod_j = reduce(product_subgroup, (Rs[j - 1] for j in J))
     lhs = product_subgroup(intersection_of(G, [Rs[i - 1] for i in I]), prod_j)
     rhs = intersection_of(G, [product_subgroup(Rs[i - 1], prod_j) for i in I])
@@ -727,8 +726,8 @@ def random_instance(
     1-2 random elements. Raises ValueError on caps that admit no carrier and
     when MAX_INSTANCE_DRAWS draws find none.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 subgroups, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"need n >= 1 subgroups, got {n!r}")
     if not 3 <= degree_cap <= 255:
         raise ValueError(f"degree_cap must be in 3..255, got {degree_cap}")
     if order_cap < 2:

@@ -55,10 +55,11 @@ def one_relator_membership(
     substituted, reduces to the identity. With no survivor the quotient is
     trivial and every w is a member.
     """
-    killed = frozenset(killed)
+    killed = tuple(killed)
     for g in killed:
-        if not 1 <= g <= pres.m:
-            raise ValueError(f"generator index {g} out of range")
+        if not isinstance(g, int) or isinstance(g, bool) or not 1 <= g <= pres.m:
+            raise ValueError(f"generator index {g!r} out of range")
+    killed = frozenset(killed)
     if w.max_index() > pres.m:
         raise ValueError("word uses generators beyond the presentation")
     if len(killed) == pres.m:

@@ -25,8 +25,13 @@ from commlab.words import Word
 Monomial = tuple[int, ...]
 
 
+def _is_int(x: object) -> bool:
+    """Whether x is an int and not a bool (an int subclass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_cutoff(cutoff: int) -> None:
-    if not isinstance(cutoff, int) or cutoff < 0:
+    if not _is_int(cutoff) or cutoff < 0:
         raise ValueError(f"cutoff must be an int >= 0, got {cutoff!r}")
 
 
@@ -41,7 +46,7 @@ class TruncatedSeries:
         _check_cutoff(self.cutoff)
         for mono, coeff in self.terms.items():
             if not isinstance(mono, tuple) or not all(
-                isinstance(k, int) and k > 0 for k in mono
+                _is_int(k) and k > 0 for k in mono
             ):
                 raise ValueError(
                     f"monomial {mono!r} is not a tuple of generator indices >= 1"
@@ -129,7 +134,7 @@ def expand(w: Word, cutoff: int) -> TruncatedSeries:
 
 def gamma_membership(w: Word, k: int) -> bool:
     """Whether w lies in gamma_k of the ambient free group (k >= 1)."""
-    if k < 1:
-        raise ValueError(f"lower central index must be >= 1, got {k}")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"lower central index must be an int >= 1, got {k!r}")
     # the constant term is always 1, so w is a member iff it is the only term
     return len(expand(w, k - 1).terms) == 1

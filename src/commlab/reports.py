@@ -2,11 +2,13 @@
 
 Reports are append-only files named `<subcommand>-<seed>-<timestamp>.json`;
 a `latest` pointer file in the same directory is rewritten to hold the
-newest report's filename. Writes go through a temp file and os.replace, so
-readers never observe a partial report. Two runs with identical config and
-seed produce identical payloads except for meta.timestamp and the timing
-block, which is why those live in separate fields. meta also names what ran:
-the commlab version and the Python version.
+newest report's filename. Writes go through a temp file, so readers never
+observe a partial report: a report is hard-linked to its name, which claims
+the name only if it is free, and the pointer is moved in by os.replace. Two
+runs with identical config and seed produce identical payloads except for
+meta.timestamp and the timing block, which is why those live in separate
+fields. meta also names what ran: the commlab version and the Python
+version.
 """
 
 from __future__ import annotations
@@ -47,17 +49,31 @@ def build_payload(
 
 
 def write_report(out_dir: str | Path, payload: Mapping[str, Any]) -> Path:
-    """Persist a payload from build_payload; returns the report path."""
+    """Persist a payload from build_payload; returns the report path.
+
+    The name is claimed atomically by linking the written temp file to it,
+    which fails if the name is taken, by an earlier run or by a concurrent
+    one with the same subcommand, seed and second; the next serial
+    ``<stem>-<k>.json`` is tried then, so no report is ever overwritten.
+    """
     meta = payload["meta"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{meta['subcommand']}-{meta['seed']}-{meta['timestamp']}"
-    path = out_dir / f"{stem}.json"
-    serial = 1
-    while path.exists():  # append-only: never clobber an earlier run
-        serial += 1
-        path = out_dir / f"{stem}-{serial}.json"
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    tmp = _write_temp(out_dir, stem, text)
+    try:
+        path = out_dir / f"{stem}.json"
+        serial = 1
+        while True:
+            try:
+                os.link(tmp, path)
+                break
+            except FileExistsError:
+                serial += 1
+                path = out_dir / f"{stem}-{serial}.json"
+    finally:
+        os.unlink(tmp)
     atomic_write_text(out_dir / "latest", path.name + "\n")
     return path
 
@@ -83,11 +99,21 @@ def _flatten(prefix: str, node: Any) -> Iterator[tuple[str, str]]:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = _write_temp(path.parent, path.name, text)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_temp(directory: Path, prefix: str, text: str) -> str:
+    """A new temp file in the directory holding text; returns its path."""
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp

@@ -56,6 +56,8 @@ class Word:
         return cls(())
 
     def __mul__(self, other: Word) -> Word:
+        if not isinstance(other, Word):
+            return NotImplemented
         return Word._trusted(
             kernels.multiply_reduced(self.letters, other.letters)
         )

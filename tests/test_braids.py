@@ -191,6 +191,11 @@ def test_braid_and_word_reject_bool_letters():
         Word((True,))
     with pytest.raises(ValueError, match="False"):
         Word((2, False))
+    # nor does a braid pass as a word, or a word as a braid, in a product
+    with pytest.raises(TypeError):
+        Word((1,)) * Braid(3, [1])
+    with pytest.raises(TypeError):
+        Braid(3, [1]) * Word((1,))
 
 
 def test_parse_and_render_round_trip():

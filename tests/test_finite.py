@@ -442,6 +442,32 @@ def test_a_draw_past_the_cap_is_rejected_before_the_registry_is_read(monkeypatch
                 closure(gens, cap=math.factorial(degree) // 2 - 1)
 
 
+def test_a_bound_that_reads_low_meets_the_dimino_cap(monkeypatch):
+    # these generate S_8, of order 40,320, but their orbit bound reads only
+    # 20,160: it passes a cap of 30,000, and the enumeration must stop there
+    gens = [bytes([3, 7, 5, 0, 2, 4, 6, 1]), bytes([2, 6, 5, 1, 4, 0, 7, 3])]
+    assert kernels._order_bound(gens, 8, 40320) == 20160
+    enumerated = []
+    real_dimino = kernels.dimino
+
+    def dimino(*args):
+        enumerated.append(real_dimino(*args))
+        return enumerated[-1]
+
+    monkeypatch.setattr(kernels, "dimino", dimino)
+    finite._CARRIERS.clear()
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=30000)
+    assert enumerated == [None]
+    # with S_8 registered, the low bound is not its order, so the draw is
+    # enumerated, and the enumerated element set returns the registered group
+    s8 = closure([from_cycles(8, (1, 2)), from_cycles(8, tuple(range(1, 9)))], 40320)
+    assert s8.order == 40320 and len(enumerated) == 2
+    assert closure(gens, cap=40320) is s8
+    assert len(enumerated) == 3 and enumerated[-1] == s8.elements
+    finite._CARRIERS.clear()
+
+
 def test_recognition_keeps_the_degree_of_empty_gens():
     # empty gens generate the trivial group of any degree, with bound 1
     assert closure([], degree=3).degree == 3
@@ -1017,6 +1043,10 @@ def test_verify_connectivity_trivial_cases_and_report_shape():
         verify_connectivity(G, [R, R, R], I=(1,), J=(2,))
     with pytest.raises(ValueError):
         verify_connectivity(G, [R, R], I=(1, 2), J=(5,))
+    # bool is an int subclass, and a set would merge True with a real 1
+    for I, J in (((1, True, 2), (3,)), ((1, 2), (True,)), ((1, 2), (3.0,))):
+        with pytest.raises(ValueError):
+            verify_connectivity(G, [R, R, R], I=I, J=J)
 
 
 def test_connectivity_reports_both_sides_on_random_instances():
@@ -1092,6 +1122,8 @@ def test_random_instance_rejects_caps_without_carriers():
     ):
         with pytest.raises(ValueError):
             random_instance(0, n=2, **bad)
+    with pytest.raises(ValueError):
+        random_instance(0, n=True)
 
 
 def test_random_instance_gives_up_after_a_fixed_number_of_draws(monkeypatch):

@@ -87,6 +87,10 @@ def test_membership_validation():
         one_relator_membership(pres, Word((1,)), {4})
     with pytest.raises(ValueError):
         one_relator_membership(pres, Word((4,)), {1})
+    # bool is an int subclass: True would kill x_1, even beside a real 1
+    for killed in ([True], [1, True]):
+        with pytest.raises(ValueError):
+            one_relator_membership(pres, Word((1,)), killed)
 
 
 def test_membership_matches_independent_elimination_on_fuzz():

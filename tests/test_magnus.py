@@ -127,8 +127,10 @@ def test_series_product_matches_the_all_pairs_oracle():
         (2, {(-1,): 1}),
         (2, {(1.5,): 1}),
         (2.5, {(): 1}),
+        (2, {(True,): 1}),
+        (True, {(): 1}),
     ],
-    ids=["str", "zero", "negative", "float", "float_cutoff"],
+    ids=["str", "zero", "negative", "float", "float_cutoff", "bool", "bool_cutoff"],
 )
 def test_series_rejects_what_it_cannot_multiply(cutoff, terms):
     with pytest.raises(ValueError):
@@ -138,6 +140,8 @@ def test_series_rejects_what_it_cannot_multiply(cutoff, terms):
 def test_expand_rejects_a_non_int_cutoff():
     with pytest.raises(ValueError):
         expand(Word((1,)), 2.5)
+    with pytest.raises(ValueError):
+        expand(Word((1,)), True)
 
 
 def test_series_products_equal_validated_series():
@@ -158,6 +162,8 @@ def test_gamma_membership_basics():
     assert gamma_membership(Word.identity(), 7)
     with pytest.raises(ValueError):
         gamma_membership(x1, 0)
+    with pytest.raises(ValueError):
+        gamma_membership(x1, True)
 
 
 def test_left_normed_commutators_lie_in_gamma_k():

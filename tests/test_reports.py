@@ -1,4 +1,5 @@
 import json
+import os
 import platform
 import time
 
@@ -49,6 +50,30 @@ def test_write_report_never_overwrites(tmp_path):
     assert second.name == first.name.replace(".json", "-2.json")
     assert third.name == first.name.replace(".json", "-3.json")
     assert (tmp_path / "latest").read_text() == third.name + "\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_concurrent_reports_with_one_name_both_survive(tmp_path, monkeypatch):
+    # two runs of one subcommand and seed in the same second: the other run
+    # takes the name between this run's write and its claim of the name
+    now = time.time()
+    mine, theirs = payload(elapsed=1.0, now=now), payload(elapsed=2.0, now=now)
+    link = os.link
+    rivals = []
+
+    def racing_link(src, dst):
+        monkeypatch.setattr(os, "link", link)  # the rival claims without a race
+        rivals.append(reports.write_report(tmp_path, theirs))
+        link(src, dst)
+
+    monkeypatch.setattr(os, "link", racing_link)
+    path = reports.write_report(tmp_path, mine)
+    (rival,) = rivals
+    assert rival.name == f"demo-7-{mine['meta']['timestamp']}.json"
+    assert path.name == rival.name.replace(".json", "-2.json")
+    assert json.loads(rival.read_text()) == theirs
+    assert json.loads(path.read_text()) == mine
+    assert sorted(tmp_path.glob("*.json")) == sorted([rival, path])
     assert not list(tmp_path.glob("*.tmp"))
 
 
