@@ -74,8 +74,8 @@ class Braid:
     )
 
     def __init__(self, strands: int, letters: Iterable[int] = ()) -> None:
-        if strands < 1:
-            raise ValueError(f"need at least one strand, got {strands}")
+        if isinstance(strands, bool) or strands < 1:
+            raise ValueError(f"need at least one strand, got {strands!r}")
         if strands > kernels.DELETE_MAX_STRANDS:
             raise ValueError(
                 f"a braid takes at most {kernels.DELETE_MAX_STRANDS} strands,"
@@ -344,10 +344,10 @@ def sample_brun_generators(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if conj_depth < 0:
-        raise ValueError(f"conj_depth must be >= 0, got {conj_depth}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    if isinstance(conj_depth, bool) or conj_depth < 0:
+        raise ValueError(f"conj_depth must be an int >= 0, got {conj_depth!r}")
+    if isinstance(count, bool) or count < 0:
+        raise ValueError(f"count must be an int >= 0, got {count!r}")
     rng = random.Random(seed)
     pure_gens = [
         gen_a(i, j, n) for i in range(1, n) for j in range(i + 1, n + 1)

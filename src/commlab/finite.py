@@ -34,21 +34,25 @@ go through it. An intersection as large as one of its inputs is that input.
 Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
 work on a carrier is kept from one trial to the next, on the group itself.
 ``closure`` registers each group it enumerates, keyed by element set, in a
-registry of the ``CARRIER_SLOTS`` groups used last, and returns the registered
-group when it recognises one (see ``closure``): while registered, an element
-set has one ``PermGroup``, the parent of all its subgroups. The registry is
-capped because each group holds its element sets, up to 20,000 elements at the
-largest caps. Each group keeps four memos, each entry the ``NormalSubgroup``
-computed, and a hit returns it before any Dimino work: the class closure <<s>>
-of one element, stored under every conjugate of s, as it depends only on the
-conjugacy class of s; A*B and [A, B] of a pair of element sets, stored in both
-orders; and the result of each mask table (symmetric, first-slot restricted,
-fat) and each intersection, keyed by its inputs' element sets, so a trial that
-repeats an earlier one's subgroups builds no table. An entry points back to
-its group, a reference cycle, so the registry clears all four memos of an
-evicted group: eviction alone frees it, at once, without waiting for a
-collection of the cyclic garbage collector. A group built by hand as
-``PermGroup(...)`` never enters the registry, and the cyclic collector frees
+registry of ``CARRIER_SLOTS`` groups, and returns the registered group when it
+recognises one (see ``closure``): while registered, an element set has one
+``PermGroup``, the parent of all its subgroups. The registry is capped because
+each group holds its element sets, up to 20,000 elements at the largest caps.
+Most carriers are drawn once, and a few recur in most trials, so a group that
+overflows the registry evicts the least recently used group not recognised
+since it was registered, other than itself, and only when every other group was
+recognised the least recently used one: one-shot draws evict each other, not
+the carriers that recur. Each group keeps four memos, each entry the
+``NormalSubgroup`` computed, and a hit returns it before any Dimino work: the
+class closure <<s>> of one element, stored under every conjugate of s, as it
+depends only on the conjugacy class of s; A*B and [A, B] of a pair of element
+sets, stored in both orders; and the result of each mask table (symmetric,
+first-slot restricted, fat) and each intersection, keyed by its inputs' element
+sets, so a trial that repeats an earlier one's subgroups builds no table. An
+entry points back to its group, a reference cycle, so the registry clears all
+four memos of an evicted group: eviction alone frees it, at once, without
+waiting for a collection of the cyclic garbage collector. A group built by hand
+as ``PermGroup(...)`` never enters the registry, and the cyclic collector frees
 its memos. So an element set that is not a group is never recognised, and two
 such groups are different parents even over equal element sets (groups compare
 by identity).
@@ -74,11 +78,12 @@ DEFAULT_FAT_BUDGET = 10**7
 # the sparsest caps allowed, seeds 0-59 needed about 1200 on average and 5526
 # at most.
 MAX_INSTANCE_DRAWS = 20_000
-# closure() keeps the carriers it built or recognised last, up to this many.
-# With 1 / 4 / 8 / 16 / 32 slots, 3,000 verify_finite ops (workload seed 11)
-# enumerated 1.46M / 0.95M / 0.51M / 0.26M / 0.22M Dimino elements and 1,000
-# subgroup_rules ops 3.05M / 2.06M / 1.06M / 0.34M / 0.29M: past 16 the
-# gain is small, and each slot may hold 20,000 elements and its memos.
+# closure() keeps up to this many carriers (see _Registry.evict). With
+# 1 / 4 / 8 / 16 / 32 slots, the Dimino extensions of 3,000 verify_finite ops
+# (workload seed 11) built 1.46M / 0.62M / 0.27M / 0.22M / 0.21M elements and
+# those of 1,000 subgroup_rules ops 3.06M / 1.05M / 0.41M / 0.32M / 0.29M:
+# past 16 the gain is small, and each slot may hold 20,000 elements and its
+# memos.
 CARRIER_SLOTS = 16
 
 
@@ -161,8 +166,38 @@ class PermGroup:
         )
 
 
-# The groups closure() built or recognised, least recently used first.
-_CARRIERS: OrderedDict[frozenset[bytes], PermGroup] = OrderedDict()
+class _Registry(OrderedDict):
+    """The groups closure() built or recognised, keyed by element set, least
+    recently used first, with the keys recognised since they were registered.
+
+    The recognised marks live with the entries: ``clear`` clears both, and
+    an evicted key loses its mark.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.recognised: set[frozenset[bytes]] = set()
+
+    def clear(self) -> None:
+        super().clear()
+        self.recognised.clear()
+
+    def recognise(self, key: frozenset[bytes]) -> None:
+        """Mark a registered key recognised and most recently used."""
+        self.move_to_end(key)
+        self.recognised.add(key)
+
+    def evict(self) -> PermGroup:
+        """Remove and return the least recently used group, other than the
+        newest, that was not recognised since it was registered; the least
+        recently used group if every other one was."""
+        others = list(self)[:-1]
+        key = next((k for k in others if k not in self.recognised), others[0])
+        self.recognised.discard(key)
+        return self.pop(key)
+
+
+_CARRIERS = _Registry()
 
 
 def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | None:
@@ -175,19 +210,25 @@ def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | No
     for K in reversed(_CARRIERS.values()):
         fits = K.degree == degree and len(K.elements) == bound
         if fits and K.elements.issuperset(gens):
-            _CARRIERS.move_to_end(K.elements)
+            _CARRIERS.recognise(K.elements)
             return K
     return None
 
 
 def _register(G: PermGroup) -> PermGroup:
-    """The registered group on G's element set, G itself if there was none;
-    an evicted group's memos are cleared, which frees it."""
-    G = _CARRIERS.setdefault(G.elements, G)
-    _CARRIERS.move_to_end(G.elements)
+    """The registered group on G's element set, G itself if there was none.
+
+    An element set registered already is recognised. A new group past
+    ``CARRIER_SLOTS`` evicts another (see ``_Registry.evict``), whose memos
+    are cleared, which frees it.
+    """
+    known = _CARRIERS.get(G.elements)
+    if known is not None:
+        _CARRIERS.recognise(G.elements)
+        return known
+    _CARRIERS[G.elements] = G
     if len(_CARRIERS) > CARRIER_SLOTS:
-        _, old = _CARRIERS.popitem(last=False)
-        for memo in old.memos:
+        for memo in _CARRIERS.evict().memos:
             memo.clear()
     return G
 
@@ -239,7 +280,7 @@ def closure(
     is recognised without enumeration (see ``_recognise``). A bound that
     reads low (on A_14, for one) only costs an enumeration, never a wrong
     group: an enumerated element set that is registered already returns the
-    registered group, and a new one is registered.
+    registered group and counts as recognised, and a new one is registered.
     """
     gens = [bytes(g) for g in gens]
     if degree is None:
@@ -312,9 +353,12 @@ def _class_closure(G: PermGroup, s: bytes) -> NormalSubgroup:
     N = closures.get(s)
     if N is None:
         N = closures[s] = _grow_normal(G, {G.identity}, (), [s])
+        conjugators = G.conjugators
         todo = [s]
         while todo:
-            for c in _conjugates(G, todo.pop()):
+            table = kernels.perm_table(todo.pop())
+            for inv, g in conjugators:
+                c = inv.translate(table).translate(g)
                 if c not in closures:
                     closures[c] = N
                     todo.append(c)

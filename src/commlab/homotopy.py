@@ -148,8 +148,8 @@ def pi2_check(seed: int, trials: int = 1000, conj_depth: int = 4) -> Pi2Report:
     sampled symmetric-commutator generator must reduce to the identity (the
     rank-1 free group is abelian), leaving the quotient free of rank 1.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    if isinstance(trials, bool) or trials < 0:
+        raise ValueError(f"trials must be an int >= 0, got {trials!r}")
     pres = SpherePresentation(2)
     rng = random.Random(seed)
     in_r1 = in_r2 = 0
@@ -204,8 +204,8 @@ def pi3_certificate(seed: int, samples: int = 500, conj_depth: int = 4) -> Pi3Re
     while every sampled symmetric-commutator generator lies in both the
     intersection and gamma_3; its coset is therefore nontrivial.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    if isinstance(samples, bool) or samples < 0:
+        raise ValueError(f"samples must be an int >= 0, got {samples!r}")
     pres = SpherePresentation(3)
     partition = Partition.singletons(3)
     witness = commutator(Word((1,)), Word((2,)))

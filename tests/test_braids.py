@@ -76,6 +76,8 @@ def test_braid_constructor_reduces_and_validates():
         Braid(1, (1,))
     with pytest.raises(ValueError):
         Braid(0, ())
+    with pytest.raises(ValueError, match="True"):
+        Braid(True)  # bool is an int subclass: True would pass as one strand
     # letters are signed bytes, so generator indices stop at 127
     assert Braid(128, (127, 1, -127)).letters == (127, 1, -127)
     for build in (
@@ -684,6 +686,10 @@ def test_sampling_is_deterministic_and_validates():
         list(sample_brun_generators(3, -1, seed=0, count=1))
     with pytest.raises(ValueError):
         list(sample_brun_generators(3, 2, seed=0, count=-1))
+    with pytest.raises(ValueError, match="True"):
+        list(sample_brun_generators(3, True, seed=0, count=1))
+    with pytest.raises(ValueError, match="True"):
+        list(sample_brun_generators(3, 2, seed=0, count=True))
 
 
 def test_sampled_corpus_is_frozen():

@@ -492,15 +492,114 @@ def test_a_hand_built_group_never_enters_the_registry():
     assert fake not in finite._CARRIERS
 
 
+def _cycle(degree):
+    """The cyclic group of a degree-cycle, a carrier of its own per degree."""
+    return closure([bytes([*range(1, degree), 0])])
+
+
+def _keys(*groups):
+    return [G.elements for G in groups]
+
+
+def _recognised(G):
+    """Recognise a registered carrier by its own gens."""
+    assert closure(G.gens, cap=G.order) is G
+
+
 def test_the_registry_keeps_the_carriers_used_last():
     finite._CARRIERS.clear()
-    groups = [closure([bytes([*range(1, d), 0])]) for d in range(3, 53)]
+    groups = [_cycle(d) for d in range(3, 53)]
     assert len(finite._CARRIERS) == finite.CARRIER_SLOTS == 16
-    assert list(finite._CARRIERS) == [G.elements for G in groups[-16:]]
+    assert list(finite._CARRIERS) == _keys(*groups[-16:])
     # recognising a carrier makes it the most recent one
-    again = closure(groups[-16].gens)
-    assert again is groups[-16]
+    _recognised(groups[-16])
     assert next(reversed(finite._CARRIERS)) is groups[-16].elements
+    # later carriers evict the least recently used unrecognised carrier, so
+    # the recognised one is kept and becomes the least recently used
+    later = [_cycle(d) for d in range(53, 53 + 16)]
+    assert list(finite._CARRIERS) == _keys(groups[-16], *later[-15:])
+
+
+# S_7 generators whose orbit bound reads 2,520: with S_7 registered, closure
+# enumerates them and registers S_7's element set again
+LOW_BOUND_S7 = [
+    bytes([5, 1, 4, 2, 6, 0, 3]),
+    bytes([1, 4, 3, 5, 0, 2, 6]),
+    bytes([5, 2, 1, 3, 0, 4, 6]),
+]
+
+
+@pytest.mark.parametrize("how", ["recognised", "registered_again"])
+def test_a_recognised_carrier_outlives_one_shot_carriers(how, monkeypatch):
+    enumerated = []
+    real_dimino = kernels.dimino
+
+    def dimino(*args):
+        enumerated.append(None)
+        return real_dimino(*args)
+
+    monkeypatch.setattr(kernels, "dimino", dimino)
+    finite._CARRIERS.clear()
+    s7 = closure(_standard_gens(7)[0], cap=5040)
+    if how == "recognised":
+        _recognised(s7)
+        assert len(enumerated) == 1
+    else:
+        assert kernels._order_bound(LOW_BOUND_S7, 7, 5040) == 2520
+        assert closure(LOW_BOUND_S7, cap=5040) is s7
+        assert len(enumerated) == 2
+    shots = [_cycle(d) for d in range(8, 8 + 2 * finite.CARRIER_SLOTS)]
+    assert list(finite._CARRIERS) == _keys(s7, *shots[-15:])
+    enumerated.clear()
+    _recognised(s7)
+    assert not enumerated
+
+
+def test_a_newcomer_is_never_its_own_victim():
+    # with every other carrier recognised, a newcomer evicts the least
+    # recently used one and stays; then, the only carrier not recognised, it
+    # is the next newcomer's victim
+    finite._CARRIERS.clear()
+    kept = [_cycle(d) for d in range(3, 19)]
+    for G in kept:
+        _recognised(G)
+    first = _cycle(19)
+    assert list(finite._CARRIERS) == _keys(*kept[1:], first)
+    second = _cycle(20)
+    assert list(finite._CARRIERS) == _keys(*kept[1:], second)
+
+
+def test_with_every_other_carrier_recognised_the_least_recently_used_goes():
+    # recognised out of registration order, so use, not registration, orders
+    # them: the first one recognised goes first
+    finite._CARRIERS.clear()
+    kept = [_cycle(d) for d in range(3, 19)]
+    used = kept[1::2] + kept[::2]
+    for G in used:
+        _recognised(G)
+    first = _cycle(19)
+    assert list(finite._CARRIERS) == _keys(*used[1:], first)
+    second = _cycle(20)  # evicts first, the one carrier not recognised
+    _recognised(second)
+    third = _cycle(21)
+    assert list(finite._CARRIERS) == _keys(*used[2:], second, third)
+
+
+def test_clearing_the_registry_clears_the_recognised_marks():
+    finite._CARRIERS.clear()
+    G = _cycle(3)
+    _recognised(G)
+    for d in range(4, 4 + finite.CARRIER_SLOTS):
+        _cycle(d)
+    assert finite._CARRIERS.get(G.elements) is G
+    # the same element set registered anew is not recognised, so as many
+    # carriers after it evict it
+    finite._CARRIERS.clear()
+    again = _cycle(3)
+    assert again is not G
+    for d in range(4, 4 + finite.CARRIER_SLOTS):
+        _cycle(d)
+    assert G.elements not in finite._CARRIERS
 
 
 def test_carrier_tables_are_bounded_by_the_carrier():
@@ -565,14 +664,25 @@ def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
     # memo entries point back to their group, and eviction clears them (see
     # the module docstring), so eviction alone frees a carrier at once; with
     # the collector off, a memo left uncleared would keep it alive
-    finite._CARRIERS.clear()
     gc.disable()
     try:
-        carrier, memos = _used_carrier()
-        assert carrier() is not None and all(memos)
-        for d in range(11, 11 + finite.CARRIER_SLOTS):  # cycles past degree 10
-            closure([bytes([*range(1, d), 0])])
-        assert carrier() is None and not any(memos)
+        for recognised in (False, True):
+            finite._CARRIERS.clear()
+            carrier, memos = _used_carrier()
+            assert carrier() is not None and all(memos)
+            degrees = iter(range(11, 11 + 2 * finite.CARRIER_SLOTS))  # past 10
+            if recognised:
+                # one-shot carriers evict each other, never a recognised one...
+                _recognised(carrier())
+                for d in itertools.islice(degrees, finite.CARRIER_SLOTS):
+                    _cycle(d)
+                assert carrier() is not None and all(memos)
+            # ...which goes once as many recognised carriers come after it
+            for d in itertools.islice(degrees, finite.CARRIER_SLOTS):
+                shot = _cycle(d)
+                if recognised:
+                    _recognised(shot)
+            assert carrier() is None and not any(memos)
     finally:
         gc.enable()
 

@@ -243,6 +243,8 @@ def test_pi2_report_passes_and_is_deterministic():
     assert pi2_check(seed=61, trials=0).passed
     with pytest.raises(ValueError):
         pi2_check(seed=0, trials=-1)
+    with pytest.raises(ValueError, match="True"):
+        pi2_check(seed=0, trials=True)
 
 
 def test_pi3_certificate_passes_and_freezes_the_witness():
@@ -259,6 +261,8 @@ def test_pi3_certificate_passes_and_freezes_the_witness():
     assert pi3_certificate(seed=63, samples=0).passed
     with pytest.raises(ValueError):
         pi3_certificate(seed=0, samples=-1)
+    with pytest.raises(ValueError, match="True"):
+        pi3_certificate(seed=0, samples=True)
 
 
 def test_sampled_symmetric_generators_land_in_intersection_and_gamma():
