@@ -33,22 +33,29 @@ go through it. An intersection as large as one of its inputs is that input.
 
 Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
 work on a carrier is kept from one trial to the next, on the group itself.
-``closure`` registers each group it enumerates, keyed by element set, in a
-registry of ``CARRIER_SLOTS`` groups, and returns the registered group when it
-recognises one (see ``closure``): while registered, an element set has one
-``PermGroup``, the parent of all its subgroups. The registry is capped because
-each group holds its element sets, up to 20,000 elements at the largest caps.
-Most carriers are drawn once, and a few recur in most trials, so a group that
-overflows the registry evicts the least recently used group not recognised
-since it was registered, other than itself, and only when every other group was
-recognised the least recently used one: one-shot draws evict each other, not
-the carriers that recur. Each group keeps four memos, each entry the
-``NormalSubgroup`` computed, and a hit returns it before any Dimino work: the
-class closure <<s>> of one element, stored under every conjugate of s, as it
-depends only on the conjugacy class of s; A*B and [A, B] of a pair of element
-sets, stored in both orders; and the result of each mask table (symmetric,
-first-slot restricted, fat) and each intersection, keyed by its inputs' element
-sets, so a trial that repeats an earlier one's subgroups builds no table. An
+``closure`` registers each group it enumerates, keyed by element set, and
+returns the registered group when it recognises one (see ``closure``): while
+registered, an element set has one ``PermGroup``, the parent of all its
+subgroups. Recognition tries only the registered groups of the degree and
+order it needs, which the registry indexes. The registry is bounded because
+each group holds its element sets, up to 20,000 elements at the largest caps,
+and it is bounded twice: it evicts only while it holds more than
+``CARRIER_SLOTS`` groups and more than ``CARRIER_ELEMENTS`` of charge, a group
+charged its order plus ``CARRIER_OVERHEAD``. So it keeps many of the small
+carriers that come back, and at least ``CARRIER_SLOTS`` large ones; at most it
+holds the larger of ``CARRIER_SLOTS`` groups at the order cap and the budget,
+so never more than their sum, with the memos on top. Most carriers are drawn
+once, and a few recur in most trials, so the registry evicts the least
+recently used group not recognised since it was registered, other than the
+newest, and only when every other group was recognised the least recently
+used one: one-shot draws evict each other, not the carriers that recur.
+Each group keeps four memos, each entry the ``NormalSubgroup`` computed, and
+a hit returns it before any Dimino work: the class closure <<s>> of one
+element, stored under every conjugate of s, as it depends only on the
+conjugacy class of s; A*B and [A, B] of a pair of element sets, stored in both
+orders; and the result of each mask table (symmetric, first-slot restricted,
+fat) and each intersection, keyed by its inputs' element sets, so a trial
+that repeats an earlier one's subgroups builds no table. An
 entry points back to its group, a reference cycle, so the registry clears all
 four memos of an evicted group: eviction alone frees it, at once, without
 waiting for a collection of the cyclic garbage collector. A group built by hand
@@ -85,6 +92,20 @@ MAX_INSTANCE_DRAWS = 20_000
 # past 16 the gain is small, and each slot may hold 20,000 elements and its
 # memos.
 CARRIER_SLOTS = 16
+# ...and past CARRIER_SLOTS, as many as fit this many elements of charge (see
+# _register). With a budget of 0 (slots alone) / 2,500 / 5,000 / 7,500 /
+# 10,000 / 15,000 / 20,000, 20,000 verify_finite ops (workload seed 91, 980
+# distinct element sets enumerated) made 4,153 / 3,902 / 2,639 / 2,145 /
+# 1,932 / 1,620 / 1,509 Dimino enumerations at an in-process peak RSS of
+# 16.7 / 16.8 / 17.5 / 18.2 / 18.9 / 20.4 / 22.2 MB; 10,000 held 79 carriers
+# at the end. The registry's worst case is CARRIER_SLOTS carriers at the order
+# cap (at 20,000 about 1.8 MB each as element sets) plus the budget, with their
+# memos on top.
+CARRIER_ELEMENTS = 10_000
+# Each registered carrier is charged its order plus this many elements, so
+# that tiny carriers cannot pile up: an order-2 carrier with its memos takes
+# about 3.2 KB, about 13 elements of about 250 B.
+CARRIER_OVERHEAD = 13
 
 
 class CapExceeded(RuntimeError):
@@ -170,17 +191,30 @@ class _Registry(OrderedDict):
     """The groups closure() built or recognised, keyed by element set, least
     recently used first, with the keys recognised since they were registered.
 
-    The recognised marks live with the entries: ``clear`` clears both, and
-    an evicted key loses its mark.
+    ``size`` is the registry's charge, the sum of ``_charge`` over its
+    groups, and ``index`` maps (degree, order) to the groups of that degree
+    and order, by key. Groups enter through ``add`` and leave through
+    ``evict`` or ``clear``, which keep the marks, the size and the index
+    with the entries.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.recognised: set[frozenset[bytes]] = set()
+        self.size = 0
+        self.index: dict[tuple[int, int], dict[frozenset[bytes], PermGroup]] = {}
 
     def clear(self) -> None:
         super().clear()
         self.recognised.clear()
+        self.size = 0
+        self.index.clear()
+
+    def add(self, G: PermGroup) -> None:
+        """Register a group whose element set is not registered yet."""
+        self[G.elements] = G
+        self.size += _charge(G)
+        self.index.setdefault((G.degree, G.order), {})[G.elements] = G
 
     def recognise(self, key: frozenset[bytes]) -> None:
         """Mark a registered key recognised and most recently used."""
@@ -191,10 +225,24 @@ class _Registry(OrderedDict):
         """Remove and return the least recently used group, other than the
         newest, that was not recognised since it was registered; the least
         recently used group if every other one was."""
-        others = list(self)[:-1]
-        key = next((k for k in others if k not in self.recognised), others[0])
+        newest = next(reversed(self))
+        key = next(
+            (k for k in self if k not in self.recognised and k is not newest),
+            next(iter(self)),
+        )
         self.recognised.discard(key)
-        return self.pop(key)
+        G = self.pop(key)
+        self.size -= _charge(G)
+        shelf = self.index[G.degree, G.order]
+        del shelf[key]
+        if not shelf:
+            del self.index[G.degree, G.order]
+        return G
+
+
+def _charge(G: PermGroup) -> int:
+    """What a registered group counts against ``CARRIER_ELEMENTS``."""
+    return G.order + CARRIER_OVERHEAD
 
 
 _CARRIERS = _Registry()
@@ -204,12 +252,13 @@ def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | No
     """The registered group K equal to <gens>, given |<gens>| >= bound.
 
     <gens> <= K when every generator lies in K, and |K| = bound then leaves
-    |<gens>| = |K|, so <gens> = K. K must have the degree too: empty gens
-    have bound 1 and lie in the trivial group of every degree.
+    |<gens>| = |K|, so <gens> = K: at most one registered group qualifies,
+    so the candidates, those of the degree and order, may be tried in any
+    order. K must have the degree too: empty gens have bound 1 and lie in the
+    trivial group of every degree.
     """
-    for K in reversed(_CARRIERS.values()):
-        fits = K.degree == degree and len(K.elements) == bound
-        if fits and K.elements.issuperset(gens):
+    for K in _CARRIERS.index.get((degree, bound), {}).values():
+        if K.elements.issuperset(gens):
             _CARRIERS.recognise(K.elements)
             return K
     return None
@@ -218,16 +267,17 @@ def _recognise(gens: Sequence[bytes], degree: int, bound: int) -> PermGroup | No
 def _register(G: PermGroup) -> PermGroup:
     """The registered group on G's element set, G itself if there was none.
 
-    An element set registered already is recognised. A new group past
-    ``CARRIER_SLOTS`` evicts another (see ``_Registry.evict``), whose memos
-    are cleared, which frees it.
+    An element set registered already is recognised. A new group is added,
+    and then groups are evicted (see ``_Registry.evict``), their memos
+    cleared, which frees them, while the registry holds more than
+    ``CARRIER_SLOTS`` groups and more than ``CARRIER_ELEMENTS`` of charge.
     """
     known = _CARRIERS.get(G.elements)
     if known is not None:
         _CARRIERS.recognise(G.elements)
         return known
-    _CARRIERS[G.elements] = G
-    if len(_CARRIERS) > CARRIER_SLOTS:
+    _CARRIERS.add(G)
+    while len(_CARRIERS) > CARRIER_SLOTS and _CARRIERS.size > CARRIER_ELEMENTS:
         for memo in _CARRIERS.evict().memos:
             memo.clear()
     return G

@@ -335,6 +335,10 @@ def _order_bound(gens: Sequence[bytes], degree: int, cap: int) -> int:
         transversal = {base: ident}
         reps = [ident]
         schreier: dict[bytes, None] = {}
+        # every generator of the level fixes the points below base, so the
+        # orbit of base is full at degree - base points; once it is full and
+        # the Schreier generators are in, the remaining reps add nothing
+        full = degree - base
         for u in reps:
             for t in tables:
                 v = u.translate(t)
@@ -345,10 +349,11 @@ def _order_bound(gens: Sequence[bytes], degree: int, cap: int) -> int:
                     reps.append(v)
                     if bound * len(reps) > cap:
                         return bound * len(reps)
-                elif len(schreier) < _SCHREIER_GENS:
-                    s = v.translate(bytes.maketrans(w, ident))
-                    if s != ident:
-                        schreier[s] = None
+                elif v != w and len(schreier) < _SCHREIER_GENS:
+                    # v = w would give the identity
+                    schreier[v.translate(bytes.maketrans(w, ident))] = None
+            if len(reps) == full and len(schreier) == _SCHREIER_GENS:
+                break
         bound *= len(reps)
         level = list(schreier)
     return bound

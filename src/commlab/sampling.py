@@ -58,8 +58,10 @@ def symmetric_generators(
     subgroups = list(subgroups)
     if not subgroups:
         raise ValueError("need at least one subgroup")
-    if conj_depth < 0:
-        raise ValueError(f"conj_depth must be >= 0, got {conj_depth}")
+    if isinstance(conj_depth, bool) or conj_depth < 0:
+        raise ValueError(f"conj_depth must be an int >= 0, got {conj_depth!r}")
+    if count is not None and (isinstance(count, bool) or count < 0):
+        raise ValueError(f"count must be an int >= 0 or None, got {count!r}")
     rank = max(s.rank_hint() for s in subgroups)
     rng = random.Random(seed)
     emitted = 0

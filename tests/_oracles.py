@@ -197,6 +197,41 @@ def oracle_generated(gens, degree: int, cap: int) -> set[tuple[int, ...]] | None
     return elems
 
 
+def oracle_order_bound(gens, degree: int, cap: int, schreier_gens: int) -> int:
+    """The orbit lower bound of ``kernels._order_bound`` as first written.
+
+    It walks every rep of every level's orbit and builds every Schreier
+    generator, keeping up to ``schreier_gens`` non-identity ones per level, so
+    a shortcut in the kernel must return exactly this value.
+    """
+    ident = bytes(range(degree))
+    level = [g for g in dict.fromkeys(gens) if g != ident]
+    bound = 1
+    base = 0
+    while level:
+        while all(g[base] == base for g in level):
+            base += 1
+        transversal = {base: ident}
+        reps = [ident]
+        schreier: dict[bytes, None] = {}
+        for u in reps:
+            for g in level:
+                v = bytes(g[i] for i in u)
+                w = transversal.get(v[base])
+                if w is None:
+                    transversal[v[base]] = v
+                    reps.append(v)
+                    if bound * len(reps) > cap:
+                        return bound * len(reps)
+                elif len(schreier) < schreier_gens:
+                    s = bytes(o_inv(tuple(w))[i] for i in v)
+                    if s != ident:
+                        schreier[s] = None
+        bound *= len(reps)
+        level = list(schreier)
+    return bound
+
+
 def oracle_span(pool, degree: int) -> tuple[list, set[tuple[int, ...]]]:
     """Generators and elements of the subgroup generated by ``pool``.
 

@@ -45,6 +45,7 @@ from _oracles import (
     oracle_is_normal,
     oracle_normal_closure,
     oracle_normal_closure_by_conjugates,
+    oracle_order_bound,
     oracle_span,
     oracle_symmetric,
     ordered_walk,
@@ -506,7 +507,8 @@ def _recognised(G):
     assert closure(G.gens, cap=G.order) is G
 
 
-def test_the_registry_keeps_the_carriers_used_last():
+def test_the_registry_keeps_the_carriers_used_last(monkeypatch):
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     finite._CARRIERS.clear()
     groups = [_cycle(d) for d in range(3, 53)]
     assert len(finite._CARRIERS) == finite.CARRIER_SLOTS == 16
@@ -529,8 +531,35 @@ LOW_BOUND_S7 = [
 ]
 
 
+def test_the_order_bound_equals_the_walk_over_every_rep():
+    # the kernel stops a level once its orbit is full and its Schreier
+    # generators are in, and skips the identity ones; the oracle walks every
+    # rep, so both must return the same bound at every cap
+    rng = random.Random(31)
+    cases = [LOW_BOUND_S7]
+    for degree in range(3, 15):
+        cases += _standard_gens(degree)
+        for _ in range(6):
+            # some sets fix a prefix of points, so the first base is not 0
+            fixed = rng.randrange(degree - 1)
+            moved = list(range(fixed, degree))
+            cases.append(
+                [
+                    bytes(range(fixed)) + bytes(rng.sample(moved, len(moved)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+    for gens in cases:
+        degree = len(gens[0])
+        for cap in (0, 1, 2, 24, 2000, 20000, 10**12):
+            assert kernels._order_bound(gens, degree, cap) == oracle_order_bound(
+                gens, degree, cap, kernels._SCHREIER_GENS
+            )
+
+
 @pytest.mark.parametrize("how", ["recognised", "registered_again"])
 def test_a_recognised_carrier_outlives_one_shot_carriers(how, monkeypatch):
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     enumerated = []
     real_dimino = kernels.dimino
 
@@ -555,10 +584,11 @@ def test_a_recognised_carrier_outlives_one_shot_carriers(how, monkeypatch):
     assert not enumerated
 
 
-def test_a_newcomer_is_never_its_own_victim():
+def test_a_newcomer_is_never_its_own_victim(monkeypatch):
     # with every other carrier recognised, a newcomer evicts the least
     # recently used one and stays; then, the only carrier not recognised, it
     # is the next newcomer's victim
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     finite._CARRIERS.clear()
     kept = [_cycle(d) for d in range(3, 19)]
     for G in kept:
@@ -569,9 +599,12 @@ def test_a_newcomer_is_never_its_own_victim():
     assert list(finite._CARRIERS) == _keys(*kept[1:], second)
 
 
-def test_with_every_other_carrier_recognised_the_least_recently_used_goes():
+def test_with_every_other_carrier_recognised_the_least_recently_used_goes(
+    monkeypatch,
+):
     # recognised out of registration order, so use, not registration, orders
     # them: the first one recognised goes first
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     finite._CARRIERS.clear()
     kept = [_cycle(d) for d in range(3, 19)]
     used = kept[1::2] + kept[::2]
@@ -585,7 +618,8 @@ def test_with_every_other_carrier_recognised_the_least_recently_used_goes():
     assert list(finite._CARRIERS) == _keys(*used[2:], second, third)
 
 
-def test_clearing_the_registry_clears_the_recognised_marks():
+def test_clearing_the_registry_clears_the_recognised_marks(monkeypatch):
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     finite._CARRIERS.clear()
     G = _cycle(3)
     _recognised(G)
@@ -600,6 +634,92 @@ def test_clearing_the_registry_clears_the_recognised_marks():
     for d in range(4, 4 + finite.CARRIER_SLOTS):
         _cycle(d)
     assert G.elements not in finite._CARRIERS
+
+
+def _charge(*groups):
+    return sum(G.order + finite.CARRIER_OVERHEAD for G in groups)
+
+
+def _check_registry():
+    """The registry's size, index and marks agree with its entries."""
+    registry = finite._CARRIERS
+    index = {}
+    for key, K in registry.items():
+        assert K.elements is key
+        index.setdefault((K.degree, K.order), {})[key] = K
+    assert registry.index == index
+    assert registry.size == _charge(*registry.values())
+    assert registry.recognised <= registry.keys()
+
+
+def test_carriers_past_the_slots_are_kept_under_the_budget():
+    finite._CARRIERS.clear()
+    groups = [_cycle(d) for d in range(3, 43)]
+    assert _charge(*groups) <= finite.CARRIER_ELEMENTS
+    assert list(finite._CARRIERS) == _keys(*groups)
+    finite._CARRIERS.clear()
+
+
+def test_the_budget_evicts_in_the_same_order(monkeypatch):
+    # 20 cycles of degrees 3 to 22 fill the budget exactly
+    monkeypatch.setattr(
+        finite, "CARRIER_ELEMENTS", sum(d + finite.CARRIER_OVERHEAD for d in range(3, 23))
+    )
+    finite._CARRIERS.clear()
+    groups = [_cycle(d) for d in range(3, 23)]
+    assert list(finite._CARRIERS) == _keys(*groups)
+    _recognised(groups[0])
+    # a newcomer evicts the least recently used carriers not recognised, as
+    # many as it takes to fit the budget: those of degrees 4, 5 and 6
+    newcomer = _cycle(23)
+    assert list(finite._CARRIERS) == _keys(*groups[4:], groups[0], newcomer)
+    # past the budget on its own, S_6 evicts down to the slots, not further
+    s6 = closure(_standard_gens(6)[0])
+    assert len(finite._CARRIERS) == finite.CARRIER_SLOTS
+    assert finite._CARRIERS.size > finite.CARRIER_ELEMENTS
+    assert list(finite._CARRIERS) == _keys(*groups[7:], groups[0], newcomer, s6)
+    finite._CARRIERS.clear()
+
+
+def test_the_size_and_the_index_follow_the_registry(monkeypatch):
+    registered, evicted = [], []
+    register, evict = finite._register, finite._Registry.evict
+
+    def checked_register(G):
+        registered.append(register(G))
+        _check_registry()
+        return registered[-1]
+
+    def checked_evict(self):
+        evicted.append(evict(self))
+        _check_registry()
+        return evicted[-1]
+
+    monkeypatch.setattr(finite, "_register", checked_register)
+    monkeypatch.setattr(finite._Registry, "evict", checked_evict)
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 3000)  # so that draws evict
+    finite._CARRIERS.clear()
+    for seed in range(100):
+        G = random_instance(seed, n=3, degree_cap=12, order_cap=20000).group
+        _recognised(G)
+        _check_registry()
+    assert len(registered) >= 30 and len(evicted) >= 15
+    finite._CARRIERS.clear()
+    _check_registry()
+    assert finite._CARRIERS.size == 0 and not finite._CARRIERS.recognised
+
+
+def test_carriers_of_order_two_are_bounded_by_the_budget():
+    # each is charged its order and the overhead, so they cannot pile up
+    most = finite.CARRIER_ELEMENTS // (2 + finite.CARRIER_OVERHEAD)
+    assert most > finite.CARRIER_SLOTS
+    degree = next(d for d in itertools.count(3) if math.comb(d, 2) > most)
+    finite._CARRIERS.clear()
+    for i, j in itertools.combinations(range(1, degree + 1), 2):
+        closure([from_cycles(degree, (i, j))])
+        assert len(finite._CARRIERS) <= most
+    assert len(finite._CARRIERS) == most
+    finite._CARRIERS.clear()
 
 
 def test_carrier_tables_are_bounded_by_the_carrier():
@@ -660,10 +780,11 @@ def _used_carrier():
     return weakref.ref(G), G.memos
 
 
-def test_an_evicted_carrier_is_freed_without_the_garbage_collector():
+def test_an_evicted_carrier_is_freed_without_the_garbage_collector(monkeypatch):
     # memo entries point back to their group, and eviction clears them (see
     # the module docstring), so eviction alone frees a carrier at once; with
     # the collector off, a memo left uncleared would keep it alive
+    monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     gc.disable()
     try:
         for recognised in (False, True):

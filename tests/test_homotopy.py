@@ -245,6 +245,9 @@ def test_pi2_report_passes_and_is_deterministic():
         pi2_check(seed=0, trials=-1)
     with pytest.raises(ValueError, match="True"):
         pi2_check(seed=0, trials=True)
+    for depth in (True, -1):
+        with pytest.raises(ValueError, match=f"conj_depth.*{depth}"):
+            pi2_check(seed=0, trials=3, conj_depth=depth)
 
 
 def test_pi3_certificate_passes_and_freezes_the_witness():
@@ -263,6 +266,9 @@ def test_pi3_certificate_passes_and_freezes_the_witness():
         pi3_certificate(seed=0, samples=-1)
     with pytest.raises(ValueError, match="True"):
         pi3_certificate(seed=0, samples=True)
+    for depth in (True, -1):
+        with pytest.raises(ValueError, match=f"conj_depth.*{depth}"):
+            pi3_certificate(seed=0, samples=3, conj_depth=depth)
 
 
 def test_sampled_symmetric_generators_land_in_intersection_and_gamma():

@@ -84,6 +84,19 @@ def test_empty_subgroup_list_rejected():
         take(symmetric_generators(single_letter_specs(2), -1, 0), 1)
 
 
+def test_counts_reject_bool_and_negative_values():
+    # bool is an int subclass: count=True would yield one word
+    specs = single_letter_specs(2)
+    for depth in (True, False, -1):
+        with pytest.raises(ValueError, match="conj_depth"):
+            take(symmetric_generators(specs, depth, 0), 1)
+    for count in (True, False, -1):
+        with pytest.raises(ValueError, match="count"):
+            take(symmetric_generators(specs, 0, 0, count=count), 1)
+    assert len(list(symmetric_generators(specs, 0, 0, count=1))) == 1
+    assert len(take(symmetric_generators(specs, 0, 0), 3)) == 3
+
+
 def test_random_reduced_word_is_reduced_and_sized():
     rng = random.Random(50)
     for _ in range(200):
