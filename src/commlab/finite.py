@@ -1,14 +1,23 @@
 """Brute-force subgroup identities in small finite permutation groups.
 
-Subgroups are materialised element sets, so every identity under test
-(product rule for commutators, Hall containments, fat = symmetric, the
-first-slot reduction, the connectivity condition) becomes a set comparison.
+Every subgroup built here is normal in its parent G, so it is a union of
+conjugacy classes of G, and every identity under test (product rule for
+commutators, Hall containments, fat = symmetric, the first-slot reduction,
+the connectivity condition) becomes a comparison of such unions.
 
 A permutation of degree d is a plain length-d ``bytes`` mapping position i to
 p[i] (0-based), in element sets, generator tuples and kernel output alike;
 there is no wrapper type. Composition is left to right:
 ``(p * q)(i) = q[p[i]]``, conjugation is ``p^g = g^-1 p g`` and the
 commutator is ``[a, b] = a^-1 b^-1 a b``, matching the word module.
+
+Each group has one class table (``PermGroup.classes``), built on its first
+subgroup request. Classes are numbered by least element in sorted order, so
+the identity is class 0 and, unlike set iteration, the numbers do not depend
+on the hash seed. A normal subgroup is named by its mask, bit k set iff class
+k's least element lies in it, one test per class: equal masks are equal
+subgroups, ``a & ~b == 0`` is containment and ``a & b`` is the intersection.
+The group keeps one ``NormalSubgroup`` per mask, and the work runs on masks.
 
 Commutator subgroups are computed as normal closures of generator
 commutators, which agrees with the element-level definition because all
@@ -20,52 +29,44 @@ subgroups make that exact: [XY, Z] = [X, Z][Y, Z], and [X, Z] <= X. The fat
 entry of a mask needs only its two-block partitions {A, M - A}: every other
 cover's commutator lies in one of theirs (see ``fat_commutator``).
 
-Every normal subgroup of a parent G comes from two primitives. The growth
-step builds the class closure <<s>> of an element and the product A*B of two
+Every normal subgroup of G comes from two primitives. The growth step builds
+the class closure <<s>> of a class's least element and the product A*B of two
 normal subgroups, by Dimino extensions by seeds and their conjugates, each
 capped at |G|/p, p the least prime dividing |G|. Most of these subgroups turn
 out to be the whole parent, which is never enumerated twice: by Lagrange a
 subgroup's order divides |G|, so one that passes the cap is G itself, and G's
-own element set is returned. The fold builds the normal subgroup generated by
-a set of elements as the product of their class closures (see
-``_generated``): normal closures, commutator subgroups and intersections all
-go through it. An intersection as large as one of its inputs is that input.
+own element set is taken. The fold builds the normal subgroup generated by
+some classes as the product of their class closures (see ``_fold``): normal
+closures, commutator subgroups and new intersections all go through it.
 
 Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
 work on a carrier is kept from one trial to the next, on the group itself.
 ``closure`` registers each group it enumerates, keyed by element set, and
-returns the registered group when it recognises one (see ``closure``): while
-registered, an element set has one ``PermGroup``, the parent of all its
-subgroups. Recognition tries only the registered groups of the degree and
-order it needs, which the registry indexes. The registry is bounded because
-each group holds its element sets, up to 20,000 elements at the largest caps,
-and it is bounded twice: it evicts only while it holds more than
-``CARRIER_SLOTS`` groups and more than ``CARRIER_ELEMENTS`` of charge, a group
-charged its order plus ``CARRIER_OVERHEAD``. So it keeps many of the small
-carriers that come back, and at least ``CARRIER_SLOTS`` large ones; at most it
-holds the larger of ``CARRIER_SLOTS`` groups at the order cap and the budget,
-so never more than their sum, with the memos on top. Most carriers are drawn
+returns the registered group when it recognises one: while registered, an
+element set has one ``PermGroup``, the parent of all its subgroups. The
+registry is bounded because each group holds its element set and class
+table, |G| entries each and up to 20,000 at the largest caps, and it is
+bounded twice: it evicts only while it holds more than ``CARRIER_SLOTS``
+groups and more than ``CARRIER_ELEMENTS`` of charge, a group charged its
+order plus ``CARRIER_OVERHEAD``. So it keeps many of the small carriers that
+come back, and at least ``CARRIER_SLOTS`` large ones; at most it holds the
+larger of ``CARRIER_SLOTS`` groups at the order cap and the budget, so never
+more than their sum, with subgroups and memos on top. Most carriers are drawn
 once, and a few recur in most trials, so the registry evicts the least
 recently used group not recognised since it was registered, other than the
 newest, and only when every other group was recognised the least recently
-used one: one-shot draws evict each other, not the carriers that recur.
-Each group keeps four memos, each entry the ``NormalSubgroup`` computed, and
-a hit returns it before any Dimino work: the class closure <<s>> of one
-element, stored under every conjugate of s, as it depends only on the
-conjugacy class of s; A*B and [A, B] of a pair of element sets, stored in both
-orders; and the result of each mask table (symmetric, first-slot restricted,
-fat) and each intersection, keyed by its inputs' element sets, so a trial
-that repeats an earlier one's subgroups builds no table. An
-entry points back to its group, a reference cycle, so the registry clears all
-four memos of an evicted group: eviction alone frees it, at once, without
-waiting for a collection of the cyclic garbage collector. A group built by hand
-as ``PermGroup(...)`` never enters the registry, and the cyclic collector frees
-its memos. So an element set that is not a group is never recognised, and two
-such groups are different parents even over equal element sets (groups compare
-by identity).
-Registered and memoised gens come from whichever trial got there first, or
-from a conjugate of the seed asked for, so only element sets and orders,
-never gens, may reach a report.
+used one: one-shot draws evict each other, not the carriers that recur. A
+group's memos (see ``PermGroup``) hold masks, so a trial that repeats an
+earlier one's subgroups builds no table. A subgroup points back to its group,
+a reference cycle, so the registry clears the subgroups and memos of an
+evicted group: eviction alone frees it, at once, without waiting for the
+cyclic garbage collector, which frees a group built by hand as
+``PermGroup(...)``. Such a group never enters the registry, so an element set
+that is not a group is never recognised, and two such groups are different
+parents even over equal element sets (groups compare by identity).
+Registered gens come from whichever trial got there first, or from a class's
+least element, so only element sets, masks and orders, never gens, may reach
+a report.
 """
 
 from __future__ import annotations
@@ -124,36 +125,30 @@ def _commutator(a: bytes, b: bytes) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group and the memos of its normal subgroups.
+    """A permutation group, its class table, its subgroups by mask and memos.
 
-    ``closures`` maps each element s of a conjugacy class met to the normal
-    closure of s, one entry for the whole class. ``products`` and
-    ``commutators`` map a pair of element sets, in both orders, to A*B and
-    [A, B]. ``tables`` maps ``(splits, R_1, ..., R_n)`` to the full-mask
-    entry of the mask table those splits build on those element sets, and
-    a tuple of element sets to their intersection. Each entry is the
-    ``NormalSubgroup`` computed. ``sets`` interns every element set a
-    subgroup is built on, so memo keys compare by identity. The memos are
-    bounded by the group: at most |G| seeds, and pairs and tuples of the
-    normal subgroups met. The registry clears an evicted group's memos; a
-    hand-built group's are freed by the cyclic garbage collector.
+    ``closures`` maps a class number to the mask of its class closure,
+    ``products`` and ``commutators`` map a pair of masks, in both orders, to
+    the mask of A*B and of [A, B], and ``tables`` maps ``(splits, m_1, ...,
+    m_n)`` to the full-mask entry of the mask table those splits build on
+    the subgroups of those masks. They are bounded by the group: one entry
+    per class, and pairs and tuples of the normal subgroups met.
     """
 
     degree: int
     elements: frozenset[bytes]
     gens: tuple[bytes, ...]
-    closures: dict[bytes, NormalSubgroup] = field(
+    subgroups: dict[int, NormalSubgroup] = field(
         default_factory=dict, init=False, repr=False
     )
-    commutators: dict[tuple, NormalSubgroup] = field(
+    closures: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    commutators: dict[tuple[int, int], int] = field(
         default_factory=dict, init=False, repr=False
     )
-    products: dict[tuple, NormalSubgroup] = field(
+    products: dict[tuple[int, int], int] = field(
         default_factory=dict, init=False, repr=False
     )
-    tables: dict[tuple, NormalSubgroup] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    tables: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -161,7 +156,9 @@ class PermGroup:
 
     @property
     def memos(self) -> tuple[dict, ...]:
-        return self.closures, self.commutators, self.products, self.tables
+        return (
+            self.subgroups, self.closures, self.commutators, self.products, self.tables
+        )
 
     @cached_property
     def identity(self) -> bytes:
@@ -173,11 +170,28 @@ class PermGroup:
         return tuple(sorted(self.elements))
 
     @cached_property
-    def sets(self) -> dict[frozenset[bytes], frozenset[bytes]]:
-        return {self.elements: self.elements}
-
-    def intern(self, elements: frozenset[bytes]) -> frozenset[bytes]:
-        return self.sets.setdefault(elements, elements)
+    def classes(self) -> tuple[dict[bytes, int], tuple[bytes, ...]]:
+        """The class table: each element's class number, and each class's
+        least element, by number. A class is walked by G's generators when
+        its first element in sorted order is met, so it is numbered by its
+        least element, and the identity, the least permutation, is 0."""
+        number: dict[bytes, int] = {}
+        reps: list[bytes] = []
+        conjugators = self.conjugators
+        for s in self.sorted_elements:
+            if s in number:
+                continue
+            k = number[s] = len(reps)
+            reps.append(s)
+            todo = [s]
+            while todo:  # as _conjugates, inlined: |G| elements are walked
+                table = kernels.perm_table(todo.pop())
+                for inv, g in conjugators:
+                    c = inv.translate(table).translate(g)
+                    if c not in number:
+                        number[c] = k
+                        todo.append(c)
+        return number, tuple(reps)
 
     @cached_property
     def conjugators(self) -> tuple[tuple[bytes, bytes], ...]:
@@ -268,8 +282,8 @@ def _register(G: PermGroup) -> PermGroup:
     """The registered group on G's element set, G itself if there was none.
 
     An element set registered already is recognised. A new group is added,
-    and then groups are evicted (see ``_Registry.evict``), their memos
-    cleared, which frees them, while the registry holds more than
+    and then groups are evicted (see ``_Registry.evict``), their subgroups
+    and memos cleared, which frees them, while the registry holds more than
     ``CARRIER_SLOTS`` groups and more than ``CARRIER_ELEMENTS`` of charge.
     """
     known = _CARRIERS.get(G.elements)
@@ -299,16 +313,33 @@ class NormalSubgroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def mask(self) -> int:
+        """Bit k set iff class k's least element lies in the subgroup: a
+        union of classes, the subgroup is named by one test per class."""
+        reps = self.parent.classes[1]
+        return sum(1 << k for k, s in enumerate(reps) if s in self.elements)
+
     @classmethod
     def trivial(cls, parent: PermGroup) -> NormalSubgroup:
-        return cls(parent, parent.intern(frozenset((parent.identity,))), ())
+        return _subgroup(parent, 1)
 
 
-def _same_parent(G: PermGroup, *subgroups: NormalSubgroup) -> PermGroup:
-    """G, once every subgroup is checked to have G as its parent."""
-    if any(s.parent is not G for s in subgroups):
-        raise ValueError("subgroups live in different parent groups")
-    return G
+def _subgroup(G: PermGroup, mask: int) -> NormalSubgroup:
+    """The subgroup of G under a mask met. Each is registered when built or
+    passed in, but the trivial one (mask 1, the identity's class 0) on use."""
+    if mask == 1 and mask not in G.subgroups:
+        G.subgroups[1] = NormalSubgroup(G, frozenset((G.identity,)), ())
+    return G.subgroups[mask]
+
+
+def _masks(G: PermGroup, *subgroups: NormalSubgroup) -> list[int]:
+    """The subgroups' masks, once each is checked to have G as its parent. A
+    mask with no subgroup yet (after an eviction, say) takes the one passed."""
+    for s in subgroups:
+        if s.parent is not G:
+            raise ValueError("subgroups live in different parent groups")
+    return [G.subgroups.setdefault(s.mask, s).mask for s in subgroups]
 
 
 def closure(
@@ -356,7 +387,7 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
     """Smallest normal subgroup of G containing the seeds.
 
     The seeds come from the caller, so each is checked to lie in G; their
-    set is folded by ``_generated``. With one seed the memoised class
+    classes are folded by ``_fold``. With one seed the memoised class
     closure itself is returned, the identity's included.
     """
     for s in seeds:
@@ -367,52 +398,29 @@ def normal_closure(G: PermGroup, seeds: Sequence[bytes]) -> NormalSubgroup:
             pass
         ints = isinstance(s, Iterable) and all(isinstance(x, int) for x in s)
         raise ValueError(f"seed {list(s) if ints else s!r} lies outside the group")
-    return _generated(G, set(map(bytes, seeds)))
+    number = G.classes[0]
+    return _subgroup(G, _fold(G, {number[bytes(s)] for s in seeds}))
 
 
-def _generated(
-    G: PermGroup, elements: set[bytes] | frozenset[bytes]
-) -> NormalSubgroup:
-    """The normal subgroup of G generated by a set of its elements.
-
-    It is the product of their class closures: the class closure of the
-    least element not yet in the running product is multiplied in until no
-    element is left. The order comes from ``min``, never from set iteration,
-    so the gens built do not depend on the hash seed.
-    """
-    if not elements:
-        return NormalSubgroup.trivial(G)
-    total = _class_closure(G, min(elements))
-    rest = elements - total.elements
-    while rest:
-        total = product_subgroup(total, _class_closure(G, min(rest)))
-        rest -= total.elements
+def _fold(G: PermGroup, classes: Iterable[int]) -> int:
+    """The mask of the normal subgroup of G generated by some classes: the
+    product of their class closures, by increasing class number (never set
+    iteration, so the gens do not depend on the hash seed), each class the
+    running product holds already skipped."""
+    total = 1
+    for k in sorted(classes):
+        if not total >> k & 1:
+            total = _product_mask(G, total, _class_closure(G, k))
     return total
 
 
-def _class_closure(G: PermGroup, s: bytes) -> NormalSubgroup:
-    """<<s>> for an element s of G, memoised under s and every conjugate.
-
-    <<s>> depends only on the conjugacy class of s. A miss grows it and
-    walks the class by G's generators, which generate G. The memo only ever
-    gains whole classes, so a miss on s is a miss on its whole class and the
-    walk stops only at conjugates it stored itself. Keys are elements of G,
-    so the memo holds at most |G| entries.
-    """
-    closures = G.closures
-    N = closures.get(s)
-    if N is None:
-        N = closures[s] = _grow_normal(G, {G.identity}, (), [s])
-        conjugators = G.conjugators
-        todo = [s]
-        while todo:
-            table = kernels.perm_table(todo.pop())
-            for inv, g in conjugators:
-                c = inv.translate(table).translate(g)
-                if c not in closures:
-                    closures[c] = N
-                    todo.append(c)
-    return N
+def _class_closure(G: PermGroup, k: int) -> int:
+    """The mask of <<s>>, s the least element of class k, memoised under k:
+    <<s>> depends only on the class of s."""
+    mask = G.closures.get(k)
+    if mask is None:
+        mask = G.closures[k] = _grow_normal(G, {G.identity}, (), [G.classes[1][k]])
+    return mask
 
 
 def _grow_normal(
@@ -420,17 +428,17 @@ def _grow_normal(
     elems: set[bytes] | frozenset[bytes],
     gens: Sequence[bytes],
     seeds: list[bytes],
-) -> NormalSubgroup:
-    """Normal closure in G of the normal subgroup <gens> = elems and the seeds.
+) -> int:
+    """The mask of the normal closure in G of <gens> = elems and the seeds.
 
     The seeds list is the queue: pops a seed, skips it if it is a member, and
     otherwise adds it as a generator by one Dimino extension and queues its
     conjugates by G's generators. Each extension is capped at the largest
     proper divisor of |G|. The subgroup it builds lies in G, so by Lagrange
     its order divides |G|, and an order past that cap leaves only |G|: the
-    closure is G itself, returned with G's own element set and without
+    closure is G itself, taken with G's own element set and without
     enumerating the rest of it. Its gens are those taken so far, which
-    generate G.
+    generate G. A new mask's subgroup is registered.
     """
     cap = _largest_proper_divisor(G.order)
     gens = list(gens)
@@ -441,10 +449,12 @@ def _grow_normal(
         grown = kernels.extend_subgroup(elems, gens, s, cap)
         gens.append(s)
         if grown is None:
-            return NormalSubgroup(G, G.elements, tuple(gens))
+            elems = G.elements
+            break
         elems = grown
         seeds.extend(_conjugates(G, s))
-    return NormalSubgroup(G, G.intern(frozenset(elems)), tuple(gens))
+    sub = NormalSubgroup(G, frozenset(elems), tuple(gens))
+    return G.subgroups.setdefault(sub.mask, sub).mask
 
 
 def _largest_proper_divisor(order: int) -> int:
@@ -464,80 +474,78 @@ def _largest_proper_divisor(order: int) -> int:
 class SubgroupCache:
     """The read of the commutator memo that ``commutator_subgroup`` makes.
 
-    It holds no state: a hit is the ``NormalSubgroup`` stored on the parent.
-    The class stays for the benchmark in ``perfbench/``, which builds one per
-    trial, passes it to the four verifiers as their trailing ``cache``
-    argument (accepted and ignored), and counts hits by patching it.
+    It holds no state: a hit is the subgroup under the mask memoised on the
+    parent. The class stays for the benchmark in ``perfbench/``, which builds
+    one per trial, passes it to the four verifiers as their trailing
+    ``cache`` argument (accepted and ignored), and counts hits by patching it.
     """
 
     def commutator(self, a: NormalSubgroup, b: NormalSubgroup) -> NormalSubgroup | None:
-        return a.parent.commutators.get((a.elements, b.elements))
+        hit = a.parent.commutators.get((a.mask, b.mask))
+        return None if hit is None else _subgroup(a.parent, hit)
 
 
 def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
-    """[A, B] for normal subgroups of a common parent.
-
-    Equals the normal subgroup generated by the nontrivial commutators of
-    the generating sets, built by ``_generated``; [A, B] = [B, A] always, so
-    the parent's memo stores both orders.
-    """
-    parent = _same_parent(A.parent, B)
+    """[A, B] for normal subgroups of a common parent (see ``_commutator_mask``)."""
+    G = A.parent
+    a, b = _masks(G, A, B)
     hit = SubgroupCache().commutator(A, B)
-    if hit is not None:
-        return hit
-    seeds = {_commutator(a, b) for a in A.gens for b in B.gens}
-    seeds.discard(parent.identity)
-    sub = _generated(parent, seeds)
-    x, y = A.elements, B.elements  # interned by the subgroups' builders
-    parent.commutators[x, y] = parent.commutators[y, x] = sub
-    return sub
+    if hit is None:
+        hit = _subgroup(G, _commutator_mask(G, a, b))
+    return hit
+
+
+def _commutator_mask(G: PermGroup, a: int, b: int) -> int:
+    """The mask of [A, B] for the subgroups of G under masks a and b: the
+    normal subgroup generated by the commutators of the generating sets,
+    whose classes ``_fold`` folds (the identity's, class 0, adds nothing).
+    [A, B] = [B, A], so the memo stores both orders.
+    """
+    mask = G.commutators.get((a, b))
+    if mask is None:
+        A, B = _subgroup(G, a), _subgroup(G, b)
+        number = G.classes[0]
+        seeds = {number[_commutator(x, y)] for x in A.gens for y in B.gens}
+        mask = G.commutators[a, b] = G.commutators[b, a] = _fold(G, seeds)
+    return mask
 
 
 def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
-    """A*B = {a b}; a subgroup since both factors are normal.
+    """A*B = {a b}, a subgroup as both are normal (see ``_product_mask``)."""
+    G = A.parent
+    return _subgroup(G, _product_mask(G, *_masks(G, A, B)))
 
-    Grown from A by B's gens. A*B is normal in the parent, so the normal
-    closure of A and B's gens is A*B: the conjugates queued lie in B. A*B
-    = B*A, so the parent's memo stores both orders, as for commutators.
+
+def _product_mask(G: PermGroup, a: int, b: int) -> int:
+    """The mask of A*B for the subgroups of G under masks a and b: a factor
+    that holds the other, or else A*B grown from A by B's gens. A*B is
+    normal in the parent, so the normal closure of A and B's gens is A*B, as
+    the conjugates queued lie in B. A*B = B*A, so the memo stores both orders.
     """
-    parent = _same_parent(A.parent, B)
-    x, y = A.elements, B.elements  # interned by the subgroups' builders
-    hit = parent.products.get((x, y))
-    if hit is None:
-        if y <= x:
-            hit = A
-        elif x <= y:
-            hit = B
-        else:
-            hit = _grow_normal(parent, x, A.gens, list(B.gens))
-        parent.products[x, y] = parent.products[y, x] = hit
-    return hit
+    if not a & ~b:
+        return b
+    if not b & ~a:
+        return a
+    mask = G.products.get((a, b))
+    if mask is None:
+        A, B = G.subgroups[a], G.subgroups[b]
+        mask = _grow_normal(G, A.elements, A.gens, list(B.gens))
+        G.products[a, b] = G.products[b, a] = mask
+    return mask
 
 
 def intersection_of(
     parent: PermGroup, subgroups: Sequence[NormalSubgroup]
 ) -> NormalSubgroup:
-    """Common elements of the subgroups, memoised on the parent by the tuple
-    of the inputs' element sets.
-
-    The intersection lies in every input, so an input of the same order has
-    the same elements and is returned as it is. Otherwise it is a normal
-    subgroup of the parent generated by its own elements, and their set is
-    folded by ``_generated``.
-    """
+    """Common elements of the subgroups: the AND of their masks, looked up
+    among the parent's subgroups, the inputs included, or else folded from
+    its classes by ``_fold``."""
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
-    _same_parent(parent, *subgroups)
-    key = tuple(s.elements for s in subgroups)
-    meet = parent.tables.get(key)
-    if meet is not None:
-        return meet
-    elems = frozenset.intersection(*key)
-    meet = next((s for s in subgroups if s.order == len(elems)), None)
-    if meet is None:
-        meet = _generated(parent, elems)
-    parent.tables[key] = meet
-    return meet
+    meet = reduce(int.__and__, _masks(parent, *subgroups))
+    if meet not in parent.subgroups:
+        meet = _fold(parent, (k for k in range(meet.bit_length()) if meet >> k & 1))
+    return _subgroup(parent, meet)
 
 
 def _mask_table(
@@ -547,38 +555,29 @@ def _mask_table(
 ) -> NormalSubgroup:
     """One subgroup per index mask, R_i on {i}; returns the full mask's.
 
-    Masks run in increasing order, so each proper submask of M is filled
-    first. ``table[M]`` is the product of ``[table[a], table[b]]`` over the
-    pairs ``splits(M)`` yields, each distinct pair of subgroups taken once.
-    The result is memoised on G under ``(splits, R_1, ..., R_n)``, the R_i
-    as element sets; the split functions live at module level, so a repeated
-    call finds its entry.
+    Index masks run in increasing order, so each proper submask of M is
+    filled first. ``table[M]`` is the mask of the product of
+    ``[table[a], table[b]]`` over the pairs ``splits(M)`` yields (a pair met
+    twice is a memo hit). The result is memoised on G under ``(splits, m_1,
+    ..., m_n)``, the masks of the R_i; the split functions live at module
+    level, so a repeated call finds its entry.
     """
     if not Rs:
         raise ValueError("need at least one subgroup")
-    _same_parent(G, *Rs)
-    key = (splits, *(R.elements for R in Rs))
-    hit = G.tables.get(key)
-    if hit is not None:
-        return hit
-    trivial = NormalSubgroup.trivial(G)
-    table = [trivial] * (1 << len(Rs))
-    for i, R in enumerate(Rs):
-        table[1 << i] = R
-    for mask in range(3, len(table)):
-        if not mask & (mask - 1):
-            continue
-        distinct = {}
-        for a, b in splits(mask):
-            X, Y = table[a], table[b]
-            if (Y.elements, X.elements) not in distinct:
-                distinct.setdefault((X.elements, Y.elements), (X, Y))
-        total = trivial
-        for X, Y in distinct.values():
-            total = product_subgroup(total, commutator_subgroup(X, Y))
-        table[mask] = total
-    G.tables[key] = table[-1]
-    return table[-1]
+    masks = _masks(G, *Rs)
+    key = (splits, *masks)
+    full = G.tables.get(key)
+    if full is None:
+        table = {1 << i: m for i, m in enumerate(masks)}
+        for mask in range(3, 1 << len(masks)):
+            if mask not in table:
+                total = 1
+                for a, b in splits(mask):
+                    bracket = _commutator_mask(G, table[a], table[b])
+                    total = _product_mask(G, total, bracket)
+                table[mask] = total
+        full = G.tables[key] = table[(1 << len(masks)) - 1]
+    return _subgroup(G, full)
 
 
 def symmetric_commutator(G: PermGroup, Rs: Sequence[NormalSubgroup]) -> NormalSubgroup:
@@ -682,7 +681,7 @@ def verify_fat_equals_symmetric(
     budget: int = DEFAULT_FAT_BUDGET,
     cache: SubgroupCache | None = None,  # ignored: see SubgroupCache
 ) -> FatSymReport:
-    """Fat subgroup (all weights) vs symmetric product, as element sets.
+    """Fat subgroup (all weights) vs symmetric product, by mask.
 
     Up to n = 3 both tables split each mask alike and share the memo, so this
     passes whatever ``commutator_subgroup`` computes: it has content from n = 4.
@@ -696,7 +695,7 @@ def verify_fat_equals_symmetric(
         fat_order=fat.subgroup.order,
         symmetric_order=sym.order,
         stabilized=True,
-        passed=fat.subgroup.elements == sym.elements,
+        passed=fat.subgroup.mask == sym.mask,
         evaluations=fat.evaluations,
     )
 
@@ -719,7 +718,7 @@ def verify_first_slot_restriction(
     return RestrictionReport(
         symmetric_order=sym.order,
         restricted_order=restricted.order,
-        passed=sym.elements == restricted.elements,
+        passed=sym.mask == restricted.mask,
     )
 
 
@@ -736,10 +735,10 @@ def verify_product_rule(
     C: NormalSubgroup,
     cache: SubgroupCache | None = None,  # ignored: see SubgroupCache
 ) -> ProductRuleReport:
-    """[AB, C] = [A, C][B, C] as element sets."""
+    """[AB, C] = [A, C][B, C], by mask."""
     lhs = commutator_subgroup(product_subgroup(A, B), C)
     rhs = product_subgroup(commutator_subgroup(A, C), commutator_subgroup(B, C))
-    return ProductRuleReport(lhs.order, rhs.order, lhs.elements == rhs.elements)
+    return ProductRuleReport(lhs.order, rhs.order, lhs.mask == rhs.mask)
 
 
 @dataclass(frozen=True)
@@ -759,9 +758,9 @@ def verify_hall(
     t2 = commutator_subgroup(commutator_subgroup(A, B), C)
     t3 = commutator_subgroup(commutator_subgroup(A, C), B)
     checks = (
-        t1.elements <= product_subgroup(t2, t3).elements,
-        t2.elements <= product_subgroup(t1, t3).elements,
-        t3.elements <= product_subgroup(t1, t2).elements,
+        not t1.mask & ~product_subgroup(t2, t3).mask,
+        not t2.mask & ~product_subgroup(t1, t3).mask,
+        not t3.mask & ~product_subgroup(t1, t2).mask,
     )
     return HallReport(checks, all(checks))
 
@@ -793,7 +792,7 @@ def verify_connectivity(
     prod_j = reduce(product_subgroup, (Rs[j - 1] for j in J))
     lhs = product_subgroup(intersection_of(G, [Rs[i - 1] for i in I]), prod_j)
     rhs = intersection_of(G, [product_subgroup(Rs[i - 1], prod_j) for i in I])
-    return ConnectivityReport(lhs.order, rhs.order, lhs.elements == rhs.elements)
+    return ConnectivityReport(lhs.order, rhs.order, lhs.mask == rhs.mask)
 
 
 # ---------------------------------------------------------------------------

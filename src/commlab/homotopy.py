@@ -25,7 +25,12 @@ from typing import Iterable
 
 from commlab import kernels
 from commlab.magnus import gamma_membership
-from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
+from commlab.sampling import (
+    SubgroupSpec,
+    check_conj_depth,
+    random_reduced_word,
+    symmetric_generators,
+)
 from commlab.words import Word, commutator, render_word
 
 
@@ -150,6 +155,7 @@ def pi2_check(seed: int, trials: int = 1000, conj_depth: int = 4) -> Pi2Report:
     """
     if isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be an int >= 0, got {trials!r}")
+    check_conj_depth(conj_depth)  # before the trials, not at the first sample
     pres = SpherePresentation(2)
     rng = random.Random(seed)
     in_r1 = in_r2 = 0
@@ -206,6 +212,7 @@ def pi3_certificate(seed: int, samples: int = 500, conj_depth: int = 4) -> Pi3Re
     """
     if isinstance(samples, bool) or samples < 0:
         raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+    check_conj_depth(conj_depth)
     pres = SpherePresentation(3)
     partition = Partition.singletons(3)
     witness = commutator(Word((1,)), Word((2,)))

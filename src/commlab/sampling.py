@@ -48,6 +48,12 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     return Word._trusted(tuple(letters))
 
 
+def check_conj_depth(conj_depth: int) -> None:
+    """Reject a conjugation depth that is not an int >= 0, ``bool`` included."""
+    if isinstance(conj_depth, bool) or conj_depth < 0:
+        raise ValueError(f"conj_depth must be an int >= 0, got {conj_depth!r}")
+
+
 def symmetric_generators(
     subgroups: Sequence[SubgroupSpec],
     conj_depth: int,
@@ -58,8 +64,7 @@ def symmetric_generators(
     subgroups = list(subgroups)
     if not subgroups:
         raise ValueError("need at least one subgroup")
-    if isinstance(conj_depth, bool) or conj_depth < 0:
-        raise ValueError(f"conj_depth must be an int >= 0, got {conj_depth!r}")
+    check_conj_depth(conj_depth)
     if count is not None and (isinstance(count, bool) or count < 0):
         raise ValueError(f"count must be an int >= 0 or None, got {count!r}")
     rank = max(s.rank_hint() for s in subgroups)

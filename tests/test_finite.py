@@ -1,9 +1,14 @@
+import functools
 import gc
 import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -285,10 +290,19 @@ def test_subgroup_operations_match_oracles_on_random_instances(
 
 
 @pytest.mark.parametrize("make", ["s5", "registered"])
-def test_closures_are_memoised_by_conjugacy_class(make):
-    # <<g>> depends only on the class of g: a miss stores the closure under
-    # every conjugate, so each conjugate's closure is the same object, and
-    # the memo's keys are elements of G, one per element at most
+def test_closures_are_memoised_by_conjugacy_class(make, monkeypatch):
+    # <<g>> depends only on the class of g: the memo holds one entry per
+    # class, keyed by class number, so each conjugate's closure is the same
+    # object, and each class is grown once
+    grown = []
+    real_grow = finite._grow_normal
+
+    def counting(G, elems, gens, seeds):
+        if not gens:  # a class closure: grown from the identity
+            grown.append(seeds[0])
+        return real_grow(G, elems, gens, seeds)
+
+    monkeypatch.setattr(finite, "_grow_normal", counting)
     finite._CARRIERS.clear()
     if make == "s5":
         G = closure([from_cycles(5, (1, 2)), from_cycles(5, (1, 2, 3, 4, 5))])
@@ -305,11 +319,13 @@ def test_closures_are_memoised_by_conjugacy_class(make):
         for h in G.gens:
             assert normal_closure(G, [bytes(o_conj(tuple(g), tuple(h)))]) is N
         classes.add(frozenset(oracle_conjugates(G.gens, [g])))
-    # keys lie in G, one per element (every element was asked for), and
-    # each class was grown once
-    assert all(key in G.elements for key in G.closures)
-    assert len(G.closures) == G.order
-    assert len({id(N) for N in G.closures.values()}) == len(classes)
+        assert G.closures.get(G.classes[0][g], 1) == N.mask
+    # one key per class (every element was asked for) but the identity's,
+    # which is never grown, and each class grown once, from its least element
+    number, reps = G.classes
+    assert len(reps) == len(classes)
+    assert sorted(G.closures) == list(range(1, len(classes)))
+    assert sorted(grown) == list(reps[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +372,91 @@ def test_results_do_not_depend_on_the_carrier_registry(
     filled = [_trial(s, n, degree_cap, order_cap) for s in seeds]
     backwards = [_trial(s, n, degree_cap, order_cap) for s in reversed(seeds)]
     assert fresh == filled == backwards[::-1]
+
+
+def _class_table_carriers():
+    """S_5, the hand-built S_3 x S_3 and seeded carriers at both default caps."""
+    yield closure([from_cycles(5, (1, 2)), from_cycles(5, (1, 2, 3, 4, 5))])
+    yield _table_case("hand_built", 1, 0)[0]
+    for caps in REGISTRY_CAPS:
+        for seed in range(12):
+            yield random_instance(seed, 1, *caps).group
+
+
+def test_the_class_table_equals_the_oracle_classes():
+    # every element is numbered, each class is the oracle's conjugacy class
+    # of its least element, and the classes run in order of least element
+    orders = set()
+    for G in _class_table_carriers():
+        number, reps = G.classes
+        assert number.keys() == G.elements
+        members = {}
+        for g, k in number.items():
+            members.setdefault(k, set()).add(tuple(g))
+        assert sorted(members) == list(range(len(reps)))
+        for k, rep in enumerate(reps):
+            assert members[k] == oracle_conjugates(G.gens, [rep])
+            assert min(members[k]) == tuple(rep)
+        assert list(reps) == sorted(reps) and reps[0] == G.identity
+        orders.add(G.order)
+    assert max(orders) == 5040  # S_7, at the larger caps
+
+
+def _subgroups_of_one_trial(seed, n, degree_cap, order_cap):
+    """Every subgroup a trial built on its carrier, from cold memos."""
+    G = random_instance(seed, n=n, degree_cap=degree_cap, order_cap=order_cap).group
+    for memo in G.memos:
+        memo.clear()
+    _trial(seed, n, degree_cap, order_cap)
+    return G, list(G.subgroups.values())
+
+
+@pytest.mark.parametrize("degree_cap, order_cap", REGISTRY_CAPS)
+def test_masks_compare_as_the_element_sets_do(degree_cap, order_cap):
+    # a mask is the set of classes a subgroup is the union of: equal masks
+    # are equal element sets, and a & ~b == 0 is containment
+    pairs = incomparable = 0
+    for seed in range(40):
+        G, subs = _subgroups_of_one_trial(seed, 4, degree_cap, order_cap)
+        number = G.classes[0]
+        for A in subs:
+            classes = {number[g] for g in A.elements}
+            assert A.mask == sum(1 << k for k in classes)
+            assert A.elements == {g for g in G.elements if number[g] in classes}
+        for A, B in itertools.product(subs, repeat=2):
+            assert (A.mask == B.mask) == (A.elements == B.elements)
+            assert (A.mask & ~B.mask == 0) == (A.elements <= B.elements)
+            pairs += A is not B
+            incomparable += bool(A.mask & ~B.mask and B.mask & ~A.mask)
+    assert pairs >= 150 and incomparable >= 10
+
+
+MASK_SCRIPT = """
+import json
+from commlab import finite
+print(json.dumps([
+    [R.mask for R in finite.random_instance(seed, n=3, **caps).subgroups]
+    for caps in ({}, {"degree_cap": 12, "order_cap": 20000})
+    for seed in range(20)
+]))
+"""
+
+
+def test_masks_do_not_depend_on_the_hash_seed():
+    src = pathlib.Path(finite.__file__).parents[1]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", MASK_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(h)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for h in (0, 1)
+    ]
+    masks = json.loads(runs[0])
+    assert len(masks) == 40 and any(m > 1 << 8 for ms in masks for m in ms)
+    assert runs[0] == runs[1]
 
 
 def _standard_gens(degree):
@@ -723,19 +824,20 @@ def test_carriers_of_order_two_are_bounded_by_the_budget():
 
 
 def test_carrier_tables_are_bounded_by_the_carrier():
-    # a second pass over the same trials adds nothing to any group's table,
-    # seeds are single elements (an intersection is not keyed by its element
-    # list), and the commutator, product and table memos only hold interned
-    # sets
+    # a second pass over the same trials adds nothing to any group's table;
+    # the closure memo is keyed by class numbers, intersections are not
+    # memoised, and the commutator, product and table memos hold only masks
+    # of the group's subgroups, one subgroup per mask
     finite._CARRIERS.clear()
     seeds = range(40)
     splits = {finite._last_slots, finite._first_slot_splits, finite._fat_splits}
+    names = ("subgroups", "closures", "commutators", "products", "tables")
 
     def sizes():
         return {
             (key, name): len(getattr(K, name))
             for key, K in finite._CARRIERS.items()
-            for name in ("sets", "closures", "commutators", "products", "tables")
+            for name in names
         }
 
     for s in seeds:
@@ -745,28 +847,31 @@ def test_carrier_tables_are_bounded_by_the_carrier():
         _trial(s, 3, 10, 2000)
     assert sizes() == before
     for K in finite._CARRIERS.values():
-        assert len(K.closures) <= len(K.elements)
-        assert all(seed in K.elements for seed in K.closures)
-        for memo in (K.commutators, K.products):
-            assert len(memo) <= len(K.sets) ** 2
-            for a, b in memo:
-                assert K.sets[a] is a and K.sets[b] is b
-                assert memo[b, a] is memo[a, b]
-        # a table is keyed by its splits and n >= 1 element sets, an
-        # intersection by its inputs' element sets
-        for key in K.tables:
-            sets = key[1:] if key[0] in splits else key
-            assert sets and all(K.sets[x] is x for x in sets)
-        assert {key[0] for key in K.tables} & splits
-        # memo entries are the subgroups computed, on interned element sets
-        for sub in [v for memo in K.memos for v in memo.values()]:
+        assert K.memos == tuple(getattr(K, name) for name in names)
+        number, reps = K.classes
+        assert all(0 < k < len(reps) for k in K.closures)
+        # the subgroups computed, each under its own mask, on distinct sets
+        for mask, sub in K.subgroups.items():
             assert isinstance(sub, NormalSubgroup) and sub.parent is K
-            assert K.sets[sub.elements] is sub.elements
+            assert sub.mask == mask
+        assert len({sub.elements for sub in K.subgroups.values()}) == len(
+            K.subgroups
+        )
+        known = K.subgroups.keys() | {1}  # the trivial one is registered on use
+        for memo in (K.commutators, K.products):
+            assert len(memo) <= len(known) ** 2
+            for a, b in memo:
+                assert {a, b} <= known and memo[b, a] == memo[a, b]
+        # a table is keyed by its splits and n >= 1 masks
+        for key in K.tables:
+            assert key[0] in splits and key[1:] and set(key[1:]) <= known
+        for memo in K.memos[1:]:
+            assert set(memo.values()) <= known
 
 
 def _used_carrier():
     """A weak reference to a registered carrier that ran 20 trials' checks,
-    and its four memos."""
+    and its subgroups and memos."""
     G = random_instance(0, n=3).group
     assert G.degree <= 10 and finite._CARRIERS[G.elements] is G
     for seed in range(20):
@@ -776,28 +881,30 @@ def _used_carrier():
         verify_product_rule(A, B, C)
         verify_hall(A, B, C)
         verify_connectivity(G, (A, B, C), I=(1, 2), J=(3,))
-    assert all(G.memos)
+    # its subgroups point back to it, a cycle that eviction must break
+    assert G.subgroups and all(sub.parent is G for sub in G.subgroups.values())
+    assert G.closures and G.commutators and G.tables
     return weakref.ref(G), G.memos
 
 
 def test_an_evicted_carrier_is_freed_without_the_garbage_collector(monkeypatch):
-    # memo entries point back to their group, and eviction clears them (see
-    # the module docstring), so eviction alone frees a carrier at once; with
-    # the collector off, a memo left uncleared would keep it alive
+    # a carrier's subgroups point back to it, and eviction clears them and
+    # the memos (see the module docstring), so eviction alone frees a carrier
+    # at once; with the collector off, a subgroup left would keep it alive
     monkeypatch.setattr(finite, "CARRIER_ELEMENTS", 0)  # the slot rule alone
     gc.disable()
     try:
         for recognised in (False, True):
             finite._CARRIERS.clear()
             carrier, memos = _used_carrier()
-            assert carrier() is not None and all(memos)
+            assert carrier() is not None and memos[0]
             degrees = iter(range(11, 11 + 2 * finite.CARRIER_SLOTS))  # past 10
             if recognised:
                 # one-shot carriers evict each other, never a recognised one...
                 _recognised(carrier())
                 for d in itertools.islice(degrees, finite.CARRIER_SLOTS):
                     _cycle(d)
-                assert carrier() is not None and all(memos)
+                assert carrier() is not None and memos[0]
             # ...which goes once as many recognised carriers come after it
             for d in itertools.islice(degrees, finite.CARRIER_SLOTS):
                 shot = _cycle(d)
@@ -815,7 +922,9 @@ def test_a_hand_built_group_is_freed_by_the_cyclic_collector():
     commutator_subgroup(A, B)
     assert product_subgroup(A, B) is product_subgroup(B, A)
     symmetric_commutator(H, [A, B])
-    assert all(H.memos)
+    # its subgroups point back to it, a cycle only the collector breaks
+    assert H.subgroups and all(sub.parent is H for sub in H.subgroups.values())
+    assert H.closures and H.commutators and H.tables
     group = weakref.ref(H)
     del H, A, B
     gc.collect()
@@ -863,20 +972,22 @@ def _table_case(make, n, seed):
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("make", ["tiny_caps", "hand_built", "default_caps"])
 def test_memoised_tables_equal_cold_tables_and_the_oracles(make, n):
-    # a table or intersection is memoised by its inputs' element sets: a
-    # repeated call, or one with other subgroup objects on the same element
-    # sets, returns the stored subgroup; a rebuild from cold memos and one
-    # from the warm closure, product and commutator memos give the same sets
+    # a table is memoised by its inputs' masks, and an intersection is the
+    # subgroup under the AND of theirs: a repeated call, or one with other
+    # subgroup objects on the same element sets, returns the stored subgroup;
+    # a rebuild from cold memos and one from the warm closure, product and
+    # commutator memos give the same sets
     built = 0
     for seed in TABLE_SEEDS[make]:
         G, Rs = _table_case(make, n, seed)
         for memo in G.memos:
             memo.clear()
         cold = _tables(G, Rs)
-        elems = [R.elements for R in Rs]
+        masks = [R.mask for R in Rs]
         splits = (finite._last_slots, finite._first_slot_splits, finite._fat_splits)
-        keys = {(f, *elems) for f in splits} | {tuple(elems[:2]), tuple(elems)}
-        assert set(G.tables) == keys
+        assert set(G.tables) == {(f, *masks) for f in splits}
+        assert cold[3].mask == masks[0] & masks[1]
+        assert cold[4].mask == functools.reduce(int.__and__, masks)
         assert all(x is y for x, y in zip(_tables(G, Rs), cold))
         others = [NormalSubgroup(G, R.elements, R.gens[::-1]) for R in Rs]
         assert all(x is y for x, y in zip(_tables(G, others), cold))
@@ -940,8 +1051,8 @@ def test_commutator_subgroup_cache_symmetry():
     G.commutators.clear()
     ab = commutator_subgroup(A, B)
     assert len(G.commutators) == 2
-    assert G.commutators[A.elements, B.elements] is ab
-    assert G.commutators[B.elements, A.elements] is ab
+    assert G.commutators[A.mask, B.mask] == ab.mask
+    assert G.commutators[B.mask, A.mask] == ab.mask
     assert commutator_subgroup(B, A) is ab and len(G.commutators) == 2
 
 
@@ -1181,31 +1292,24 @@ def test_fat_commutator_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceeded):
         fat_commutator(inst.group, inst.subgroups, budget=5)
 
-    # the pair count is checked before any commutator is computed; each
-    # carrier starts with empty memos, so no earlier test's table is a hit
-    calls = []
-    real = finite.commutator_subgroup
-
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(finite, "commutator_subgroup", counting)
+    # the pair count is checked before any commutator is computed: no entry
+    # is added to the commutator memo; each carrier starts with empty memos,
+    # so no earlier test's table or commutator is a hit
     for n, pairs in [(2, 1), (3, 6), (4, 25), (5, 90)]:
         finite._CARRIERS.clear()
         inst = random_instance(300 + n, n=n)
-        for memo in inst.group.memos:
+        G = inst.group
+        for memo in G.memos:
             memo.clear()
-        calls.clear()
         with pytest.raises(BudgetExceeded, match=f"n = {n} needs {pairs} "):
-            fat_commutator(inst.group, inst.subgroups, budget=pairs - 1)
-        assert not calls, n
-        out = fat_commutator(inst.group, inst.subgroups, budget=pairs)
-        assert out.evaluations == pairs and calls, n
+            fat_commutator(G, inst.subgroups, budget=pairs - 1)
+        assert not G.commutators and not G.tables, n
+        out = fat_commutator(G, inst.subgroups, budget=pairs)
+        assert out.evaluations == pairs and G.commutators, n
         # the table is memoised: a repeated call computes no commutator
-        computed = len(calls)
-        again = fat_commutator(inst.group, inst.subgroups, budget=pairs)
-        assert again.subgroup is out.subgroup and len(calls) == computed, n
+        computed = dict(G.commutators)
+        again = fat_commutator(G, inst.subgroups, budget=pairs)
+        assert again.subgroup is out.subgroup and G.commutators == computed, n
 
 
 # ---------------------------------------------------------------------------
@@ -1300,10 +1404,10 @@ def test_product_and_intersection():
     R2 = normal_closure(G, [from_cycles(4, (1, 2, 3))])
     prod = product_subgroup(R1, R2)
     assert R1.elements <= prod.elements and R2.elements <= prod.elements
-    # one computation of R1 R2 fills the memo entry of R2 R1 as well
-    assert product_subgroup(R2, R1) is prod
-    assert G.products[R1.elements, R2.elements] is prod
-    assert G.products[R2.elements, R1.elements] is prod
+    # R1 < R2, so the product is R2 itself, read off the masks and not
+    # memoised
+    assert prod is R2 and product_subgroup(R2, R1) is prod
+    assert (R1.mask, R2.mask) not in G.products
     assert prod.order * intersection_of(G, [R1, R2]).order == R1.order * R2.order
     assert intersection_of(G, [R1, R1]).elements == R1.elements
     # R1 < R2, so the intersection is the second input itself
@@ -1315,6 +1419,10 @@ def test_product_and_intersection():
     X, Y = (normal_closure(V, [g]) for g in gens)
     meet = intersection_of(V, [X, Y])
     assert meet.order == 1 and meet.gens == ()
+    # one computation of X Y fills the memo entry of Y X as well
+    prod = product_subgroup(X, Y)
+    assert prod.order == 4 and product_subgroup(Y, X) is prod
+    assert V.products[X.mask, Y.mask] == V.products[Y.mask, X.mask] == prod.mask
 
 
 def test_intersections_of_incomparable_subgroups_in_an_elementary_abelian_group():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from commlab import homotopy, sampling
 from commlab.homotopy import (
     Partition,
     Pi2Report,
@@ -269,6 +270,20 @@ def test_pi3_certificate_passes_and_freezes_the_witness():
     for depth in (True, -1):
         with pytest.raises(ValueError, match=f"conj_depth.*{depth}"):
             pi3_certificate(seed=0, samples=3, conj_depth=depth)
+
+
+@pytest.mark.parametrize("depth", [True, -1])
+def test_a_bad_conj_depth_is_rejected_before_any_trial_is_drawn(depth, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a trial was drawn before conj_depth was checked")
+
+    monkeypatch.setattr(homotopy, "random_reduced_word", draw)
+    monkeypatch.setattr(sampling, "random_reduced_word", draw)
+    message = f"conj_depth must be an int >= 0, got {depth!r}"
+    with pytest.raises(ValueError, match=message):
+        pi2_check(seed=0, trials=20000, conj_depth=depth)
+    with pytest.raises(ValueError, match=message):
+        pi3_certificate(seed=0, samples=20000, conj_depth=depth)
 
 
 def test_sampled_symmetric_generators_land_in_intersection_and_gamma():
