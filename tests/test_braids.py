@@ -701,6 +701,30 @@ def test_sampled_corpus_is_frozen():
     )
 
 
+# (strands, conj_depth, seed, count) of the streams behind
+# FROZEN_SAMPLE_STREAM: every strand count 2..9 at every depth 0..4, and a few
+# long samples on 12 strands.
+SAMPLE_STREAMS = [
+    *((n, depth, 100 * n + depth, 6) for n in range(2, 10) for depth in range(5)),
+    *((12, depth, 1200 + depth, 3) for depth in (0, 2, 4)),
+]
+# SHA-256 over each sample's word and the strand ends and deletions it
+# carries, so the sampler can be rebuilt against the same stream and not only
+# against the same words.
+FROZEN_SAMPLE_STREAM = (
+    "f09c7285d7e193ec3eebc65d820c2b83e6f63fdacbcde455fa5f330796ceb390"
+)
+
+
+def test_sampled_words_and_carried_deletions_are_frozen():
+    digest = hashlib.sha256()
+    for n, depth, seed, count in SAMPLE_STREAMS:
+        for b in sample_brun_generators(n, depth, seed, count):
+            ends, words = b._deletions
+            digest.update(repr((n, b.word, ends, words)).encode())
+    assert digest.hexdigest() == FROZEN_SAMPLE_STREAM
+
+
 # ---------------------------------------------------------------------------
 # corpus files
 
