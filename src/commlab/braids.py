@@ -33,19 +33,21 @@ letters: deletion s of ``a * b`` is deletion s of ``a`` joined to the
 deletion of ``b`` at the position where a's strand s ends
 (``kernels.join_signed``). This is exact, as deleting a strand commutes with
 free reduction and a word's free reduction is unique. The sampler's
-generators know theirs, so every sample carries its own and ``is_brunnian``
-reads them without a pass over the sample. ``delete_strand`` picks one of
-them. Deletions are signed-byte words like the braid's own, and a
-deletion braid is built straight from one.
+arguments are pure, so it skips the ``Braid`` layer for them: it holds each
+as rows of signed bytes, its word and then its n deletions, and a product
+joins the rows pairwise. Every sample is built knowing its deletions, and
+``is_brunnian`` reads them without a pass over the sample.
+``delete_strand`` picks one of them. Deletions are signed-byte words like
+the braid's own, and a deletion braid is built straight from one.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
-the strand count and every letter are in range and that the word is freely
-reduced. Values made from already-valid braids by the signed-byte kernels
-(products, inverses, strand deletions) are reduced and in range by
-construction, so they are built with the unchecked ``Braid._trusted``; the
-image words of ``artin_action`` come reduced from the tuple kernels and are
-built with ``Word._trusted``.
+the strand count and every letter are ints (not bools) in range and that the
+word is freely reduced. Values made from already-valid braids by the
+signed-byte kernels (products, inverses, strand deletions, the sampler's
+rows) are reduced and in range by construction, so they are built with the
+unchecked ``Braid._trusted``; the image words of ``artin_action`` come
+reduced from the tuple kernels and are built with ``Word._trusted``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
-from commlab.words import ParseError, Word, _parse_letters, _render_letters, left_normed
+from commlab.words import (
+    ParseError,
+    Word,
+    _is_int,
+    _parse_letters,
+    _render_letters,
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -74,8 +82,8 @@ class Braid:
     )
 
     def __init__(self, strands: int, letters: Iterable[int] = ()) -> None:
-        if isinstance(strands, bool) or strands < 1:
-            raise ValueError(f"need at least one strand, got {strands!r}")
+        if not _is_int(strands) or strands < 1:
+            raise ValueError(f"need an int of at least one strand, got {strands!r}")
         if strands > kernels.DELETE_MAX_STRANDS:
             raise ValueError(
                 f"a braid takes at most {kernels.DELETE_MAX_STRANDS} strands,"
@@ -245,8 +253,8 @@ def delete_strand(b: Braid, j: int) -> Braid:
 
     The j-th entry of ``delete_strands(b)``.
     """
-    if not 1 <= j <= b.strands:
-        raise ValueError(f"strand {j} out of range for {b.strands} strands")
+    if not _is_int(j) or not 1 <= j <= b.strands:
+        raise ValueError(f"strand {j!r} out of range for {b.strands} strands")
     return delete_strands(b)[j - 1]
 
 
@@ -274,8 +282,8 @@ def gen_a(i: int, j: int, n: int) -> Braid:
     """The generator linking strands i and j in front of the others:
     sigma_{j-1} .. sigma_{i+1} sigma_i^2 sigma_{i+1}^{-1} .. sigma_{j-1}^{-1}.
     """
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    if not (_is_int(i) and _is_int(j) and _is_int(n) and 1 <= i < j <= n):
+        raise ValueError(f"need ints 1 <= i < j <= n, got i={i!r}, j={j!r}, n={n!r}")
     prefix = list(range(j - 1, i, -1))
     letters = prefix + [i, i] + [-k for k in reversed(prefix)]
     return Braid(n, tuple(letters))
@@ -291,8 +299,8 @@ def gen_a0(j: int, n: int) -> tuple[Braid, Braid]:
     (s_{j-1} .. s_2 s_1^2 s_2 .. s_{j-1})^{-1}``;
     the two induce the same Artin automorphism.
     """
-    if not 1 <= j <= n:
-        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
+    if not (_is_int(j) and _is_int(n) and 1 <= j <= n):
+        raise ValueError(f"need ints 1 <= j <= n, got j={j!r}, n={n!r}")
     above = Braid.identity(n)
     for k in range(j + 1, n + 1):
         above = above * gen_a(j, k, n)
@@ -316,8 +324,8 @@ def gen_t(i: int, n: int) -> Braid:
     Equal to gen_a(i, n, n) in the braid group: the stored words differ but
     the induced automorphisms agree.
     """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
+    if not (_is_int(i) and _is_int(n) and 1 <= i <= n - 1):
+        raise ValueError(f"need ints 1 <= i <= n-1, got i={i!r}, n={n!r}")
     prefix = [-k for k in range(i, n - 1)]
     letters = prefix + [n - 1, n - 1] + list(range(n - 2, i - 1, -1))
     return Braid(n, tuple(letters))
@@ -325,6 +333,26 @@ def gen_t(i: int, n: int) -> Braid:
 
 # ---------------------------------------------------------------------------
 # Brunnian sampling
+
+
+def _join_rows(x: tuple[bytes, ...], y: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """The rows of the product of two pure braids given by their rows."""
+    return tuple(map(kernels.join_signed, x, y))
+
+
+def _invert_rows(x: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """The rows of the inverse of a pure braid given by its rows."""
+    return tuple(map(kernels.invert_signed, x))
+
+
+def _conjugate_rows(x: tuple[bytes, ...], c: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """x^c = c^{-1} x c, joined as ``Braid.conjugate`` joins it."""
+    return _join_rows(_join_rows(_invert_rows(c), x), c)
+
+
+def _commutator_rows(x: tuple[bytes, ...], y: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """[x, y] = x^{-1} y^{-1} x y, joined as ``words.commutator`` joins it."""
+    return _join_rows(_join_rows(_join_rows(_invert_rows(x), _invert_rows(y)), x), y)
 
 
 def sample_brun_generators(
@@ -337,10 +365,15 @@ def sample_brun_generators(
     time and conjugated by a short pure braid (a word of up to conj_depth
     letters in the A_{i,j} generators). Every emitted braid is Brunnian.
 
-    The t_i, the A_{i,j} and their inverses are built once per stream
-    and know their strand deletions, so every sample carries its own
-    through the products. A conjugator starts at its first factor, and an
-    argument with no factors is not conjugated.
+    Every argument is pure, so each strand ends where it starts and deleting
+    strand s is a homomorphism on them. The stream therefore works on rows:
+    a pure braid is the tuple of its word and its n deletions, all signed
+    bytes, read once per stream from the t_i and the A_{i,j}. A product joins
+    the rows pairwise and an inverse inverts each row, in the order of joins
+    of ``Braid.conjugate`` and ``left_normed``, so every sample carries its
+    deletions with no ``Braid`` built per intermediate product. A conjugator
+    starts at its first factor, and an argument with no factors is not
+    conjugated.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -349,29 +382,39 @@ def sample_brun_generators(
     if isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be an int >= 0, got {count!r}")
     rng = random.Random(seed)
-    pure_gens = [
-        gen_a(i, j, n) for i in range(1, n) for j in range(i + 1, n + 1)
+    identity = bytes(range(n))
+
+    def rows_and_inverse(b: Braid) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        ends, words = b._strand_deletions()
+        if ends != identity:
+            raise RuntimeError(f"sampler generator {b} is not pure")
+        rows = (b.word, *words)
+        return rows, _invert_rows(rows)
+
+    linking_pairs = [rows_and_inverse(gen_t(i, n)) for i in range(1, n)]
+    pure_pairs = [
+        rows_and_inverse(gen_a(i, j, n))
+        for i in range(1, n)
+        for j in range(i + 1, n + 1)
     ]
-    linking = [gen_t(i, n) for i in range(1, n)]
-    for b in (*linking, *pure_gens):
-        b._strand_deletions()
-    # each generator with its inverse, which carries its deletions
-    pure_pairs = [(g, g.inverse()) for g in pure_gens]
-    linking_pairs = [(t, t.inverse()) for t in linking]
     for _ in range(count):
         order = list(range(1, n))
         rng.shuffle(order)
-        args: list[Braid] = []
+        args: list[tuple[bytes, ...]] = []
         for index in order:
             t, t_inv = linking_pairs[index - 1]
             r = t_inv if rng.random() < 0.5 else t
-            conj: Braid | None = None
+            conj: tuple[bytes, ...] | None = None
             for _ in range(rng.randint(0, conj_depth)):
                 g, g_inv = rng.choice(pure_pairs)
                 factor = g if rng.random() < 0.5 else g_inv
-                conj = factor if conj is None else conj * factor
-            args.append(r if conj is None else r.conjugate(conj))
-        yield left_normed(args)
+                conj = factor if conj is None else _join_rows(conj, factor)
+            args.append(r if conj is None else _conjugate_rows(r, conj))
+        # left-normed, as ``left_normed`` folds it
+        out = args[0]
+        for a in args[1:]:
+            out = _commutator_rows(out, a)
+        yield Braid._trusted(n, out[0], (identity, out[1:]))
 
 
 # ---------------------------------------------------------------------------

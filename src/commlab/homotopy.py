@@ -31,7 +31,7 @@ from commlab.sampling import (
     random_reduced_word,
     symmetric_generators,
 )
-from commlab.words import Word, commutator, render_word
+from commlab.words import Word, _is_int, commutator, render_word
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class SpherePresentation:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need m >= 2, got {self.m}")
+        if not _is_int(self.m) or self.m < 2:
+            raise ValueError(f"need an int m >= 2, got {self.m!r}")
 
     @property
     def rank(self) -> int:

@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping
 
-from commlab.words import Word
+from commlab.words import Word, _is_int
 
 Monomial = tuple[int, ...]
-
-
-def _is_int(x: object) -> bool:
-    """Whether x is an int and not a bool (an int subclass)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_cutoff(cutoff: int) -> None:

@@ -31,6 +31,11 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _is_int(x: object) -> bool:
+    """Whether x is an int and not a bool (an int subclass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word; ``letters`` holds signed generator indices."""

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from commlab import kernels
+from commlab import braids, kernels
 from commlab.braids import (
     Braid,
     artin_action,
@@ -88,6 +88,31 @@ def test_braid_constructor_reduces_and_validates():
     ):
         with pytest.raises(ValueError, match="at most 128 strands"):
             build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Braid(3.5, (1,)), id="Braid(3.5, (1,))"),
+        pytest.param(lambda: Braid(3.0), id="Braid(3.0)"),
+        pytest.param(lambda: Braid.identity(4.0), id="Braid.identity(4.0)"),
+        pytest.param(lambda: Braid.from_letters(3.0, [1]), id="from_letters(3.0, [1])"),
+        pytest.param(lambda: gen_a(1, 2, 3.0), id="gen_a(1, 2, 3.0)"),
+        pytest.param(lambda: gen_a(1.0, 2, 3), id="gen_a(1.0, 2, 3)"),
+        pytest.param(lambda: gen_a(True, 2, 3), id="gen_a(True, 2, 3)"),
+        pytest.param(lambda: gen_t(True, 3), id="gen_t(True, 3)"),
+        pytest.param(lambda: gen_t(1, 3.0), id="gen_t(1, 3.0)"),
+        pytest.param(lambda: gen_a0(True, 3), id="gen_a0(True, 3)"),
+        pytest.param(lambda: gen_a0(1, 3.0), id="gen_a0(1, 3.0)"),
+        pytest.param(lambda: delete_strand(Braid(3), True), id="delete_strand(True)"),
+        pytest.param(lambda: delete_strand(Braid(3), 1.0), id="delete_strand(1.0)"),
+    ],
+)
+def test_strand_counts_and_indices_must_be_ints(build):
+    # a float count would build a braid whose deletions raise TypeError, and
+    # a bool would pass as the index 1
+    with pytest.raises(ValueError, match="True|1.0|3.0|3.5|4.0"):
+        build()
 
 
 def test_braid_algebra():
@@ -723,6 +748,40 @@ def test_sampled_words_and_carried_deletions_are_frozen():
             ends, words = b._deletions
             digest.update(repr((n, b.word, ends, words)).encode())
     assert digest.hexdigest() == FROZEN_SAMPLE_STREAM
+
+
+def test_sampled_deletions_equal_the_kernel_on_the_word():
+    # the sampler joins each sample's deletions row by row; one pass of the
+    # kernel over the finished word must find the same ends and deletions
+    for n, depth, seed, count in SAMPLE_STREAMS:
+        for b in sample_brun_generators(n, depth, seed, count):
+            assert b._deletions == kernels.strand_deletions(n, b.word)
+
+
+def _rows(b):
+    """A pure braid as the sampler holds it: its word, then its deletions,
+    computed from scratch."""
+    ends, words = kernels.strand_deletions(b.strands, b.word)
+    assert ends == bytes(range(b.strands))
+    return (b.word, *words)
+
+
+def test_row_helpers_agree_with_braid_products():
+    # Every sample's deletions are empty, so a wrong deletion row that a
+    # commutator cancels away shows only here, on arguments whose deletions
+    # are not empty.
+    rng = random.Random(90)
+    nonempty = 0
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        x, y, c = (rand_pure_braid(rng, n, factors=6) for _ in range(3))
+        rx, ry, rc = _rows(x), _rows(y), _rows(c)
+        nonempty += all(rx[1:]) and all(ry[1:])
+        assert braids._join_rows(rx, ry) == _rows(x * y)
+        assert braids._invert_rows(rx) == _rows(x.inverse())
+        assert braids._conjugate_rows(rx, rc) == _rows(x.conjugate(c))
+        assert braids._commutator_rows(rx, ry) == _rows(commutator(x, y))
+    assert nonempty >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def test_sphere_group_rank_and_validation():
         SpherePresentation(1)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3"])
+def test_sphere_group_takes_only_an_int_rank(m):
+    # a float m would pass here and make one_relator_membership raise TypeError
+    with pytest.raises(ValueError, match=repr(m)):
+        SpherePresentation(m)
+
+
 # ---------------------------------------------------------------------------
 # membership
 
