@@ -4,6 +4,7 @@ The fuzzers compare every kernel with a naive oracle from ``_oracles.py``,
 which shares no code with the package.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -26,9 +27,13 @@ from commlab.braids import (
     artin_action,
     delete_strand,
     gen_a,
+    gen_a0,
+    gen_t,
     parse_braid,
     sample_brun_generators,
 )
+from commlab.homotopy import SpherePresentation, one_relator_membership
+from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
 from commlab.words import Word, commutator
 
 
@@ -451,3 +456,91 @@ def test_degree_200_group_is_rejected_without_enumeration(monkeypatch):
     _forbid_enumeration(monkeypatch)
     assert kernels.closure_set(_symmetric(200), 200, 10**6) is None
     assert kernels.closure_set(_alternating(200), 200, 10**6) is None
+
+
+# ---------------------------------------------------------------------------
+# one pin over every consumer of the letter kernels
+
+
+def _pinned_letter_results():
+    """Sampled sphere-group words, Artin images and membership verdicts.
+
+    Everything is hashed as tuples of ints, so the digest does not depend
+    on how words are stored:
+
+    * the ``symmetric_generators`` words of the pi_2 and pi_3 specs, for
+      seeds 0-4 and conjugation depths 0-4, 50 words each;
+    * the Artin images (``artin_action``, which wraps
+      ``kernels.artin_images``) of every word ``braid-tools --identities
+      --max-n 12`` compares, and of 200 random reduced braid words on
+      3-12 strands;
+    * the ``one_relator_membership`` verdicts for 2,000 random words over
+      m = 2-6, against every subset of killed generators.
+    """
+    specs = {
+        2: (SubgroupSpec((Word((1,)),)), SubgroupSpec((Word((-1,)),))),
+        3: (
+            SubgroupSpec((Word((1,)),)),
+            SubgroupSpec((Word((2,)),)),
+            SubgroupSpec((Word((-2, -1)),)),
+        ),
+    }
+    for pi, spec in specs.items():
+        for seed in range(5):
+            for depth in range(5):
+                stream = symmetric_generators(spec, depth, seed, count=50)
+                yield pi, seed, depth, tuple(w.letters for w in stream)
+
+    braid_words = []
+    for n in range(1, 13):
+        for j in range(1, n + 1):
+            braid_words += gen_a0(j, n)
+    for n in range(2, 14):
+        for i in range(1, n):
+            braid_words += [gen_t(i, n), gen_a(i, n, n)]
+            if i < n - 1:
+                braid_words += [
+                    Braid.from_letters(n, [i, i + 1, i]),
+                    Braid.from_letters(n, [i + 1, i, i + 1]),
+                ]
+            for j in range(i + 2, n):
+                braid_words += [
+                    Braid.from_letters(n, [i, j]),
+                    Braid.from_letters(n, [j, i]),
+                ]
+    rng = random.Random(37)
+    for _ in range(200):
+        strands = rng.randint(3, 12)
+        braid_words.append(
+            Braid.from_letters(strands, _rand_letters(rng, strands, 40))
+        )
+    for b in braid_words:
+        yield b.strands, b.letters, tuple(w.letters for w in artin_action(b))
+
+    rng = random.Random(38)
+    for m in range(2, 7):
+        pres = SpherePresentation(m)
+        subsets = [
+            killed
+            for size in range(m + 1)
+            for killed in itertools.combinations(range(1, m + 1), size)
+        ]
+        for _ in range(400):
+            w = random_reduced_word(rng, m, rng.randint(0, 16))
+            verdicts = "".join(
+                "1" if one_relator_membership(pres, w, killed) else "0"
+                for killed in subsets
+            )
+            yield m, w.letters, verdicts
+
+
+FROZEN_LETTER_RESULTS = (
+    "0e015320b3b04c8c4306a2fe3f8a8eabfa38d336ba83aa6f7d90346d8147a755"
+)
+
+
+def test_words_images_and_verdicts_are_frozen():
+    digest = hashlib.sha256()
+    for item in _pinned_letter_results():
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == FROZEN_LETTER_RESULTS
