@@ -1,14 +1,12 @@
 """Braid words, pure-braid generators, strand deletion, and Brunnian sampling.
 
 A braid on n strands is a freely reduced word in the Artin generators
-sigma_1..sigma_{n-1}, stored as signed bytes: +i for sigma_i, -i (the byte
-256 - i) for its inverse. ``letters`` unpacks the word as a tuple of ints.
-So a braid takes 1 to ``kernels.DELETE_MAX_STRANDS`` = 128 strands, the one
-strand limit of the type. A product joins the two words with the
-cancellation at the seam found by slice comparisons
-(``kernels.join_signed``) and an inverse reverses and negates its word
-(``kernels.invert_signed``), both at C speed. Value, hash and length are
-those of ``(strands, word)``. Only free cancellation is applied in storage;
+sigma_1..sigma_{n-1}, stored as signed bytes like a ``Word``: the byte i for
+sigma_i, 256 - i for its inverse; ``letters`` unpacks it. So a braid takes 1
+to ``kernels.DELETE_MAX_STRANDS`` = 128 strands. Products and inverses run
+on the letter kernels ``Word`` uses (``kernels.join_signed``,
+``kernels.invert_signed``), at C speed. Value, hash and length are those of
+``(strands, word)``. Only free cancellation is applied in storage;
 braid relations are never rewritten. Equality of braids as group elements
 is decided through the induced automorphism of the free group, which is
 faithful: ``artin_action`` returns the images of x_1..x_n as a tuple of
@@ -43,11 +41,11 @@ the braid's own, and a deletion braid is built straight from one.
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
 the strand count and every letter are ints (not bools) in range and that the
-word is freely reduced. Values made from already-valid braids by the
-signed-byte kernels (products, inverses, strand deletions, the sampler's
-rows) are reduced and in range by construction, so they are built with the
-unchecked ``Braid._trusted``; the image words of ``artin_action`` come
-reduced from the tuple kernels and are built with ``Word._trusted``.
+word is freely reduced (``from_letters`` reduces it), with ``Word``'s
+validator ``words._pack_checked``. Values the kernels make from valid
+braids (products, inverses, strand deletions, the sampler's rows, and the
+image words of ``artin_action``) are reduced and in range by construction,
+so they are built with the unchecked ``Braid._trusted`` and ``Word._trusted``.
 """
 
 from __future__ import annotations
@@ -60,10 +58,20 @@ from commlab import kernels
 from commlab.words import (
     ParseError,
     Word,
+    _check_count,
     _is_int,
+    _pack_checked,
     _parse_letters,
     _render_letters,
 )
+
+
+def _check_strands(strands: int) -> None:
+    if not _is_int(strands) or not 1 <= strands <= kernels.DELETE_MAX_STRANDS:
+        raise ValueError(
+            f"a braid takes an int of at least one and at most"
+            f" {kernels.DELETE_MAX_STRANDS} strands, got {strands!r}"
+        )
 
 
 @dataclass(frozen=True, init=False)
@@ -82,25 +90,9 @@ class Braid:
     )
 
     def __init__(self, strands: int, letters: Iterable[int] = ()) -> None:
-        if not _is_int(strands) or strands < 1:
-            raise ValueError(f"need an int of at least one strand, got {strands!r}")
-        if strands > kernels.DELETE_MAX_STRANDS:
-            raise ValueError(
-                f"a braid takes at most {kernels.DELETE_MAX_STRANDS} strands,"
-                f" got {strands}"
-            )
-        letters = tuple(letters)
-        for c in letters:
-            if (
-                not isinstance(c, int)
-                or isinstance(c, bool)
-                or not 1 <= abs(c) < strands
-            ):
-                raise ValueError(f"letter {c!r} out of range for {strands} strands")
-        if len(kernels.reduce_letters(letters)) != len(letters):
-            raise ValueError("braid word is not freely reduced")
+        _check_strands(strands)
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "word", kernels.pack_signed(letters))
+        object.__setattr__(self, "word", _pack_checked(letters, strands - 1))
         object.__setattr__(self, "_deletions", None)
 
     @classmethod
@@ -135,7 +127,8 @@ class Braid:
 
     @classmethod
     def from_letters(cls, strands: int, letters: Iterable[int]) -> Braid:
-        return cls(strands, kernels.reduce_letters(letters))
+        _check_strands(strands)
+        return cls._trusted(strands, _pack_checked(letters, strands - 1, reduce=True))
 
     def __mul__(self, other: Braid) -> Braid:
         if not isinstance(other, Braid):
@@ -212,14 +205,13 @@ def artin_action(b: Braid) -> tuple[Word, ...]:
     sigma_i sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i; letters of
     the braid word act left to right.
     """
-    images = kernels.artin_images(b.strands, b.letters)
-    return tuple(Word._trusted(t) for t in images)
+    return tuple(map(Word._trusted, kernels.artin_images(b.strands, b.word)))
 
 
 def is_trivial(b: Braid) -> bool:
     """True iff b is the identity braid (the Artin action is faithful)."""
     return all(
-        img.letters == (k,) for k, img in enumerate(artin_action(b), start=1)
+        img.word == bytes((k,)) for k, img in enumerate(artin_action(b), start=1)
     )
 
 
@@ -375,12 +367,9 @@ def sample_brun_generators(
     starts at its first factor, and an argument with no factors is not
     conjugated.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if isinstance(conj_depth, bool) or conj_depth < 0:
-        raise ValueError(f"conj_depth must be an int >= 0, got {conj_depth!r}")
-    if isinstance(count, bool) or count < 0:
-        raise ValueError(f"count must be an int >= 0, got {count!r}")
+    _check_count("n", n, 2)
+    _check_count("conj_depth", conj_depth)
+    _check_count("count", count)
     rng = random.Random(seed)
     identity = bytes(range(n))
 

@@ -78,6 +78,7 @@ from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from commlab import kernels
+from commlab.words import _is_int
 
 DEFAULT_ORDER_CAP = 20000
 DEFAULT_FAT_BUDGET = 10**7
@@ -819,12 +820,12 @@ def random_instance(
     1-2 random elements. Raises ValueError on caps that admit no carrier and
     when MAX_INSTANCE_DRAWS draws find none.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"need n >= 1 subgroups, got {n!r}")
-    if not 3 <= degree_cap <= 255:
-        raise ValueError(f"degree_cap must be in 3..255, got {degree_cap}")
-    if order_cap < 2:
-        raise ValueError(f"order_cap must be >= 2, got {order_cap}")
+    if not _is_int(degree_cap) or not 3 <= degree_cap <= 255:
+        raise ValueError(f"degree_cap must be an int in 3..255, got {degree_cap!r}")
+    if not _is_int(order_cap) or order_cap < 2:
+        raise ValueError(f"order_cap must be an int >= 2, got {order_cap!r}")
     rng = random.Random(seed)
     for _ in range(MAX_INSTANCE_DRAWS):
         degree = rng.randint(3, degree_cap)

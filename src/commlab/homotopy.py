@@ -25,24 +25,19 @@ from typing import Iterable
 
 from commlab import kernels
 from commlab.magnus import gamma_membership
-from commlab.sampling import (
-    SubgroupSpec,
-    check_conj_depth,
-    random_reduced_word,
-    symmetric_generators,
-)
-from commlab.words import Word, _is_int, commutator, render_word
+from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
+from commlab.words import Word, _check_count, _is_int, commutator, render_word
 
 
 @dataclass(frozen=True)
 class SpherePresentation:
-    """<x_1..x_m | x_1...x_m = 1>, free of rank m-1."""
+    """<x_1..x_m | x_1...x_m = 1>, free of rank m-1, for 2 <= m <= 127."""
 
     m: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.m) or self.m < 2:
-            raise ValueError(f"need an int m >= 2, got {self.m!r}")
+        if not _is_int(self.m) or not 2 <= self.m <= 127:
+            raise ValueError(f"need an int m in 2..127, got {self.m!r}")
 
     @property
     def rank(self) -> int:
@@ -62,26 +57,19 @@ def one_relator_membership(
     """
     killed = tuple(killed)
     for g in killed:
-        if not isinstance(g, int) or isinstance(g, bool) or not 1 <= g <= pres.m:
+        if not _is_int(g) or not 1 <= g <= pres.m:
             raise ValueError(f"generator index {g!r} out of range")
-    killed = frozenset(killed)
     if w.max_index() > pres.m:
         raise ValueError("word uses generators beyond the presentation")
-    if len(killed) == pres.m:
+    killed = bytes(killed)
+    survivors = bytes(range(1, pres.m + 1)).translate(None, killed)
+    if not survivors:
         return True
-    first, *rest = (k for k in range(1, pres.m + 1) if k not in killed)
-    repl, repl_inv = kernels.invert_reduced(rest), tuple(rest)
-    out: list[int] = []
-    for c in w.letters:
-        if abs(c) in killed:
-            continue
-        if c == first:
-            out.extend(repl)
-        elif c == -first:
-            out.extend(repl_inv)
-        else:
-            out.append(c)
-    return not kernels.reduce_letters(out)
+    first, rest = survivors[:1], survivors[1:]
+    word = w.word.translate(None, killed + kernels.invert_signed(killed))
+    word = word.replace(first, kernels.invert_signed(rest))
+    word = word.replace(kernels.invert_signed(first), rest)
+    return not kernels.reduce_signed(word)
 
 
 @dataclass(frozen=True)
@@ -92,6 +80,8 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.m):
+            raise ValueError(f"need an int m, got {self.m!r}")
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
@@ -153,9 +143,8 @@ def pi2_check(seed: int, trials: int = 1000, conj_depth: int = 4) -> Pi2Report:
     sampled symmetric-commutator generator must reduce to the identity (the
     rank-1 free group is abelian), leaving the quotient free of rank 1.
     """
-    if isinstance(trials, bool) or trials < 0:
-        raise ValueError(f"trials must be an int >= 0, got {trials!r}")
-    check_conj_depth(conj_depth)  # before the trials, not at the first sample
+    _check_count("trials", trials)
+    _check_count("conj_depth", conj_depth)  # before the trials, not at the first sample
     pres = SpherePresentation(2)
     rng = random.Random(seed)
     in_r1 = in_r2 = 0
@@ -210,9 +199,8 @@ def pi3_certificate(seed: int, samples: int = 500, conj_depth: int = 4) -> Pi3Re
     while every sampled symmetric-commutator generator lies in both the
     intersection and gamma_3; its coset is therefore nontrivial.
     """
-    if isinstance(samples, bool) or samples < 0:
-        raise ValueError(f"samples must be an int >= 0, got {samples!r}")
-    check_conj_depth(conj_depth)
+    _check_count("samples", samples)
+    _check_count("conj_depth", conj_depth)
     pres = SpherePresentation(3)
     partition = Partition.singletons(3)
     witness = commutator(Word((1,)), Word((2,)))

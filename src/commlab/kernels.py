@@ -3,17 +3,14 @@
 The package's inner loops on letter strings and permutations live here, in
 plain Python. Everything here works on plain data:
 
-* freely reduced letter strings are tuples of nonzero ints, ``+k`` for the
-  k-th generator and ``-k`` for its inverse. ``reduce_letters``,
-  ``multiply_reduced`` and ``invert_reduced`` work on them; they serve
-  ``Word``, ``homotopy``, ``artin_images`` (whose images are words) and the
-  validation of letters given to ``Braid``;
-* braid words, and the words of their strand deletions, are the same
-  letters as signed bytes: ``+k`` is the byte k and ``-k`` the byte
-  256 - k, so generator indices stop at 127 and a braid takes at most
-  ``DELETE_MAX_STRANDS`` = 128 strands. ``join_signed``, ``invert_signed``
-  and ``strand_deletions`` work on them and serve ``Braid``;
-  ``pack_signed`` and ``unpack_signed`` convert between the two forms;
+* free-group words, braid words and the words of strand deletions are all
+  freely reduced words of signed bytes: the letter +k (the k-th generator)
+  is the byte k and -k (its inverse) the byte 256 - k, so generator indices
+  run 1..127 and a braid takes at most ``DELETE_MAX_STRANDS`` = 128 strands.
+  ``reduce_signed``, ``join_signed`` and ``invert_signed`` reduce, multiply
+  and invert them; ``pack_signed`` and ``unpack_signed`` convert letters
+  given as ints. They serve ``Word``, ``Braid``, ``artin_images``,
+  ``strand_deletions`` and sphere-group membership alike;
 * permutations of degree d are ``bytes`` of length d mapping position i to
   ``p[i]`` (0-based), so sets of permutations are sets of small bytes objects.
 
@@ -25,11 +22,10 @@ is the inverse of p as such a table; ``invert_perm`` is its first d bytes.
 a braid word keeps each strand's position in a ``bytes`` vector and, per
 letter, writes one row of deleted letters and moves the two crossing strands
 with two ``translate`` calls; deletion s is column s of those rows, freely
-reduced. It returns the final positions and the deletions as words of signed
-bytes, so it takes at most 128 strands; ``unpack_signed`` turns a deletion
-into a tuple of ints. ``join_signed`` multiplies two such words with the
-cancellation at the seam found by slice comparisons, which is how a braid
-product joins its factors' words and derives its deletions from theirs.
+reduced by ``reduce_signed``. ``join_signed`` multiplies two words with the
+cancellation at the seam found by slice comparisons, which is how a product
+of words or braids joins its factors' words and how a braid product derives
+its deletions from theirs.
 
 ``closure_set`` enumerates a generated group (``dimino``) only after an
 orbit lower bound on its order (``_order_bound``, the first step of Sims'
@@ -42,16 +38,16 @@ from __future__ import annotations
 import array
 import functools
 import math
-import operator
 from typing import Iterable, Sequence
 
 _IDENT256 = bytes(range(256))
 
 
 # ---------------------------------------------------------------------------
-# letter strings
+# letter strings as tuples of ints
 
 
+# Kept only because perfbench/tracing.py wraps it by name; no package code calls it.
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter string, cancelling adjacent c, -c pairs."""
     out: list[int] = []
@@ -63,45 +59,35 @@ def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Kept only because perfbench/tracing.py wraps it by name; no package code calls it.
 def multiply_reduced(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Concatenate two reduced letter strings, cancelling at the seam."""
-    out = list(a)
-    i = 0
-    n = len(b)
-    while out and i < n and out[-1] == -b[i]:
-        out.pop()
-        i += 1
-    out.extend(b[i:])
-    return tuple(out)
-
-
-def invert_reduced(a: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of a reduced letter string (reverse and flip signs)."""
-    return tuple(map(operator.neg, reversed(a)))
+    return reduce_letters((*a, *b))
 
 
 # ---------------------------------------------------------------------------
 # Artin action
 
-def artin_images(strands: int, letters: Sequence[int]) -> list[tuple[int, ...]]:
+def artin_images(strands: int, word: bytes) -> list[bytes]:
     """Images of the free generators x_1..x_n under a braid word.
 
-    Braid letters are signed ints (+i for sigma_i, -i for its inverse) and act
-    left to right, so phi_{s w} = phi_w o phi_s: the loop reads the word from
-    its last letter, keeping the images I_1..I_n of the suffix read so far.
-    sigma_i rewrites (I_i, I_{i+1}) to (I_i I_{i+1} I_i^{-1}, I_i) and
-    sigma_i^{-1} to (I_{i+1}, I_{i+1}^{-1} I_i I_{i+1}); all are freely reduced.
+    The word is signed bytes (+i for sigma_i, 256 - i for its inverse), as
+    are the images. Letters act left to right, so phi_{s w} = phi_w o phi_s:
+    the loop reads the word from its last letter, keeping the images
+    I_1..I_n of the suffix read so far. sigma_i rewrites (I_i, I_{i+1}) to
+    (I_i I_{i+1} I_i^{-1}, I_i) and sigma_i^{-1} to
+    (I_{i+1}, I_{i+1}^{-1} I_i I_{i+1}); all are freely reduced.
     """
-    images = [(k,) for k in range(1, strands + 1)]
-    for lt in reversed(letters):
-        i = abs(lt) - 1
+    images = [bytes((k,)) for k in range(1, strands + 1)]
+    for lt in reversed(word):
+        i = lt - 1 if lt < 128 else 255 - lt
         a, b = images[i], images[i + 1]
-        if lt > 0:
-            images[i] = multiply_reduced(multiply_reduced(a, b), invert_reduced(a))
+        if lt < 128:
+            images[i] = join_signed(join_signed(a, b), invert_signed(a))
             images[i + 1] = a
         else:
             images[i] = b
-            images[i + 1] = multiply_reduced(multiply_reduced(invert_reduced(b), a), b)
+            images[i + 1] = join_signed(join_signed(invert_signed(b), a), b)
     return images
 
 
@@ -161,23 +147,11 @@ def strand_deletions(
     for c in letters:
         grid += pos.translate(out[c])
         pos = pos.translate(swap[c])
-    words = []
-    for s in range(strands):
-        # The reduced word is stack[1:] + [top]. A letter x and its inverse
-        # 256 - x sum to 256; the sentinel 0 under the word sums to 256
-        # with no letter, so it is never popped.
-        stack: list[int] = []
-        push, pop = stack.append, stack.pop
-        top = 0
-        for x in grid[s::strands].translate(None, b"\0"):
-            if top + x != 256:
-                push(top)
-                top = x
-            else:
-                top = pop()
-        push(top)
-        words.append(bytes(stack[1:]))
-    return pos, tuple(words)
+    words = tuple(
+        reduce_signed(grid[s::strands].translate(None, b"\0"))
+        for s in range(strands)
+    )
+    return pos, words
 
 
 # x -> -x on signed bytes: 0 stays, x goes to 256 - x
@@ -185,9 +159,29 @@ _NEGATE = _IDENT256[:1] + _IDENT256[:0:-1]
 
 
 def pack_signed(letters: Iterable[int]) -> bytes:
-    """A word of signed bytes from letters in -128..127; ``unpack_signed``
-    reverses it."""
+    """A word of signed bytes from letters in -127..127; ``unpack_signed``
+    reverses it. It checks nothing beyond the byte range."""
     return array.array("b", letters).tobytes()
+
+
+def reduce_signed(w: bytes) -> bytes:
+    """Freely reduce a word of signed bytes, cancelling adjacent x, -x pairs.
+
+    The reduced word is stack[1:] + [top]. A letter x and its inverse
+    256 - x sum to 256; the sentinel 0 under the word sums to 256 with no
+    letter, so it is never popped. The word holds no zero byte.
+    """
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    top = 0
+    for x in w:
+        if top + x != 256:
+            push(top)
+            top = x
+        else:
+            top = pop()
+    push(top)
+    return bytes(stack[1:])
 
 
 def unpack_signed(w: bytes) -> tuple[int, ...]:
@@ -207,7 +201,7 @@ def join_signed(a: bytes, b: bytes) -> bytes:
     of b. If k letters cancel, so do fewer, so k is found by doubling a
     trial length while it cancels and then bisecting between the last length
     that cancels and the first that does not; each trial is one slice
-    comparison. The result is reduced, like ``multiply_reduced``'s.
+    comparison. The result is reduced.
     """
     if not a or not b or a[-1] + b[0] != 256:
         return a + b

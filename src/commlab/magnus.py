@@ -99,8 +99,9 @@ def expand(w: Word, cutoff: int) -> TruncatedSeries:
     _check_cutoff(cutoff)
     # layers[d] holds the degree-d terms of the running product, no zeros.
     layers: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cutoff)]
-    for c in w.letters:
-        if c > 0:
+    # a byte c < 128 is the letter x_c, any other the letter x_{256-c}^{-1}
+    for c in w.word:
+        if c < 128:
             # s + s X_k: from the top down, so each layer is read before
             # the shift of the layer below writes into it.
             k = (c,)
@@ -109,7 +110,7 @@ def expand(w: Word, cutoff: int) -> TruncatedSeries:
         else:
             # y = s - y X_k: from the bottom up, so layer d already holds
             # y's degree-d terms when they are shifted into layer d + 1.
-            k = (-c,)
+            k = (256 - c,)
             degrees = range(cutoff)
             sign = -1
         for d in degrees:

@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from commlab.words import Word, left_normed
+from commlab import kernels
+from commlab.words import Word, _check_count, _is_int, left_normed
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,11 @@ class SubgroupSpec:
 
 def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     """Uniformly random freely reduced word of exactly ``length`` letters."""
-    if rank < 0 or length < 0:
-        raise ValueError("rank and length must be >= 0")
+    if not (_is_int(rank) and _is_int(length) and 0 <= rank <= 127 and length >= 0):
+        raise ValueError(
+            f"need ints 0 <= rank <= 127 and length >= 0,"
+            f" got rank={rank!r}, length={length!r}"
+        )
     if rank == 0 or length == 0:
         return Word.identity()
     letters = [rng.choice([1, -1]) * rng.randint(1, rank)]
@@ -45,13 +49,7 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
         if c == -letters[-1]:
             continue
         letters.append(c)
-    return Word._trusted(tuple(letters))
-
-
-def check_conj_depth(conj_depth: int) -> None:
-    """Reject a conjugation depth that is not an int >= 0, ``bool`` included."""
-    if isinstance(conj_depth, bool) or conj_depth < 0:
-        raise ValueError(f"conj_depth must be an int >= 0, got {conj_depth!r}")
+    return Word._trusted(kernels.pack_signed(letters))
 
 
 def symmetric_generators(
@@ -64,9 +62,9 @@ def symmetric_generators(
     subgroups = list(subgroups)
     if not subgroups:
         raise ValueError("need at least one subgroup")
-    check_conj_depth(conj_depth)
-    if count is not None and (isinstance(count, bool) or count < 0):
-        raise ValueError(f"count must be an int >= 0 or None, got {count!r}")
+    _check_count("conj_depth", conj_depth)
+    if count is not None:
+        _check_count("count", count)
     rank = max(s.rank_hint() for s in subgroups)
     rng = random.Random(seed)
     emitted = 0

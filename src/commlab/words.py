@@ -1,11 +1,12 @@
 """Freely reduced words in a free group with numbered generators x1, x2, ...
 
-A word is stored as a tuple of nonzero ints: +k for x_k, -k for x_k^{-1}.
-``Word`` rejects a word that is not freely reduced, so values are canonical
-and two words are equal iff they are the same element of the free group.
-Products and inverses of words are reduced by the letter kernels, so they
-are built with the unchecked ``Word._trusted``; every other construction is
-validated.
+A word is stored as signed bytes, as a braid word is: the byte k for x_k and
+256 - k for x_k^{-1}, so generator indices run 1..127; ``letters`` unpacks it
+as a tuple of ints, +k and -k. ``Word`` rejects a word that is not freely
+reduced, so values are canonical and two words are equal iff they are the
+same element of the free group. Products and inverses come reduced from the
+signed-byte kernels, so they are built with the unchecked ``Word._trusted``;
+every other construction is validated by ``_pack_checked``, as braids are.
 
 Conventions (used throughout the package):
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Protocol, Sequence, TypeVar
+from typing import Iterable, Protocol, Sequence, TypeVar
 
 from commlab import kernels
 
@@ -36,25 +37,53 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
+def _check_count(name: str, value: object, least: int = 0) -> None:
+    """Reject a count, length or depth that is not an int (not a bool) >= least."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _pack_checked(letters: Iterable[int], bound: int, reduce: bool = False) -> bytes:
+    """The letters as a reduced word of signed bytes, after checking them.
+
+    Each letter must be an int, not a bool, with 1 <= |c| <= bound <= 127
+    (-128 would pack as the byte 128, its own negation). The word must be
+    freely reduced, unless ``reduce`` asks for its free reduction instead.
+    """
+    letters = tuple(letters)
+    for c in letters:
+        if not _is_int(c) or not 1 <= abs(c) <= bound:
+            raise ValueError(
+                f"invalid letter {c!r}: want an int with 1 <= |c| <= {bound}"
+            )
+    word = kernels.pack_signed(letters)
+    reduced = kernels.reduce_signed(word)
+    if not reduce and len(reduced) != len(word):
+        raise ValueError("word is not freely reduced")
+    return reduced
+
+
+@dataclass(frozen=True, init=False)
 class Word:
-    """A freely reduced word; ``letters`` holds signed generator indices."""
+    """A freely reduced word; ``word`` holds it as signed bytes and
+    ``letters`` unpacks it as signed generator indices."""
 
-    letters: tuple[int, ...] = ()
+    word: bytes
 
-    def __post_init__(self) -> None:
-        for c in self.letters:
-            if not isinstance(c, int) or isinstance(c, bool) or c == 0:
-                raise ValueError(f"invalid letter {c!r}: want a nonzero int")
-        if len(kernels.reduce_letters(self.letters)) != len(self.letters):
-            raise ValueError("word is not freely reduced")
+    def __init__(self, letters: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "word", _pack_checked(letters, 127))
 
     @classmethod
-    def _trusted(cls, letters: tuple[int, ...]) -> Word:
+    def _trusted(cls, word: bytes) -> Word:
         """Build without validation, for kernel output from valid words."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "word", word)
         return w
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The word as signed ints: +k for x_k, -k for its inverse."""
+        return kernels.unpack_signed(self.word)
 
     @classmethod
     def identity(cls) -> Word:
@@ -63,12 +92,10 @@ class Word:
     def __mul__(self, other: Word) -> Word:
         if not isinstance(other, Word):
             return NotImplemented
-        return Word._trusted(
-            kernels.multiply_reduced(self.letters, other.letters)
-        )
+        return Word._trusted(kernels.join_signed(self.word, other.word))
 
     def inverse(self) -> Word:
-        return Word._trusted(kernels.invert_reduced(self.letters))
+        return Word._trusted(kernels.invert_signed(self.word))
 
     def conjugate(self, by: Word) -> Word:
         """self^by = by^{-1} * self * by."""
@@ -76,11 +103,12 @@ class Word:
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.word
 
     def max_index(self) -> int:
         """Largest generator index appearing (0 for the identity)."""
-        return max(map(abs, self.letters), default=0)
+        signed = memoryview(self.word).cast("b")
+        return max(max(signed), -min(signed)) if self.word else 0
 
     def __str__(self) -> str:
         return render_word(self)

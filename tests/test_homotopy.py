@@ -61,6 +61,14 @@ def test_sphere_group_rank_and_validation():
         SpherePresentation(1)
 
 
+def test_sphere_group_takes_at_most_127_generators():
+    # words are signed bytes, so x_127 is the last generator a word can hold
+    assert SpherePresentation(127).rank == 126
+    for m in (128, 1000):
+        with pytest.raises(ValueError, match=str(m)):
+            SpherePresentation(m)
+
+
 @pytest.mark.parametrize("m", [2.5, 3.0, True, "3"])
 def test_sphere_group_takes_only_an_int_rank(m):
     # a float m would pass here and make one_relator_membership raise TypeError
@@ -109,6 +117,42 @@ def test_membership_matches_independent_elimination_on_fuzz():
         block = set(rng.sample(range(1, m + 1), rng.randint(1, m)))
         w = random_reduced_word(rng, m, rng.randint(0, 14))
         assert one_relator_membership(pres, w, block) == oracle_member(m, w, block)
+
+
+def test_membership_matches_the_oracle_at_127_generators():
+    # the last generator a word can hold, on words dense in the first
+    # survivor and its inverse, which the engine rewrites by two byte
+    # replacements; the oracle erases and substitutes the last survivor
+    rng = random.Random(56)
+    m = 127
+    pres = SpherePresentation(m)
+    relator = Word(tuple(range(1, m + 1)))
+    verdicts = []
+    for _ in range(300):
+        killed = set(rng.sample(range(1, m + 1), rng.choice([0, 1, 5, 60, 120, 126])))
+        survivors = [k for k in range(1, m + 1) if k not in killed]
+        first = survivors[0]
+        pool = [first, -first, first, -first, rng.choice(survivors), m, -m]
+        pool += [rng.choice(sorted(killed))] if killed else []
+        w = Word(oracle_reduce(
+            rng.choice(pool) * rng.choice([1, -1]) for _ in range(rng.randint(0, 40))
+        ))
+        if rng.random() < 0.5:
+            # plant a member: conjugates of the relator and of killed letters
+            for _ in range(rng.randint(1, 3)):
+                base = relator if not killed or rng.random() < 0.5 else Word(
+                    (rng.choice(sorted(killed)),)
+                )
+                w = w * base.conjugate(Word(oracle_reduce(
+                    rng.choice(pool) for _ in range(rng.randint(0, 6))
+                )))
+            w = w * Word(oracle_reduce(
+                rng.choice(pool) for _ in range(rng.randint(0, 2))
+            ))
+        got = one_relator_membership(pres, w, killed)
+        assert got == oracle_member(m, w, killed)
+        verdicts.append(got)
+    assert 30 <= sum(verdicts) <= 270
 
 
 def test_planted_members_match_the_oracle_through_the_substitution():

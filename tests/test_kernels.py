@@ -49,15 +49,20 @@ def test_multiply_and_invert_examples():
     assert kernels.multiply_reduced((1, 2), (-2, -1, 3)) == (3,)
     assert kernels.multiply_reduced((), (4,)) == (4,)
     assert kernels.multiply_reduced((4,), ()) == (4,)
-    assert kernels.invert_reduced((1, -2, 3)) == (-3, 2, -1)
-    assert kernels.invert_reduced(()) == ()
+
+
+def _images(strands, letters):
+    """``kernels.artin_images`` of a word given as ints, as tuples of ints."""
+    images = kernels.artin_images(strands, _signed(letters))
+    assert all(isinstance(img, bytes) for img in images)
+    return [kernels.unpack_signed(img) for img in images]
 
 
 def test_artin_images_of_single_generators():
     # sigma_1 on three strands: x1 -> x1 x2 x1^-1, x2 -> x1, x3 fixed
-    assert kernels.artin_images(3, [1]) == [(1, 2, -1), (1,), (3,)]
-    assert kernels.artin_images(3, [-1]) == [(2,), (-2, 1, 2), (3,)]
-    assert kernels.artin_images(3, []) == [(1,), (2,), (3,)]
+    assert _images(3, [1]) == [(1, 2, -1), (1,), (3,)]
+    assert _images(3, [-1]) == [(2,), (-2, 1, 2), (3,)]
+    assert _images(3, []) == [(1,), (2,), (3,)]
 
 
 def test_artin_images_inverse_word_acts_as_identity():
@@ -69,7 +74,7 @@ def test_artin_images_inverse_word_acts_as_identity():
             for _ in range(rng.randint(0, 20))
         ]
         trivial = word + [-c for c in reversed(word)]
-        images = kernels.artin_images(strands, trivial)
+        images = _images(strands, trivial)
         assert images == [(k,) for k in range(1, strands + 1)]
 
 
@@ -120,7 +125,7 @@ def test_letter_kernels_match_the_oracle_on_fuzzed_words():
         undo = oracle_reduce([-c for c in reversed(a)][: len(a) // 2] + list(b))
         assert kernels.multiply_reduced(a, undo) == oracle_reduce(a + undo)
         # the inverse is the one reduced word that cancels a
-        inv = kernels.invert_reduced(a)
+        inv = kernels.unpack_signed(kernels.invert_signed(_signed(a)))
         assert oracle_reduce(inv) == inv
         assert oracle_reduce(a + inv) == ()
 
@@ -149,7 +154,7 @@ def _artin_oracle_cases():
 def test_artin_images_match_the_substitution_oracle():
     for strands, word in _artin_oracle_cases():
         expected = oracle_artin_images(strands, word)
-        assert kernels.artin_images(strands, word) == expected
+        assert _images(strands, word) == expected
         # artin_action wraps these images in Word without validating them
         images = artin_action(Braid.from_letters(strands, word))
         assert [img.letters for img in images] == expected
@@ -232,6 +237,11 @@ def _signed(letters):
     return bytes(c & 255 for c in letters)
 
 
+def _flip(letters):
+    """The inverse of a word of ints: reversed, every sign flipped."""
+    return [-c for c in reversed(letters)]
+
+
 def _join_cases():
     rng = random.Random(36)
 
@@ -254,18 +264,16 @@ def _join_cases():
         rank = rng.choice([2, 3, 127])
         a, b = reduced(rng.randint(0, 40), rank), reduced(rng.randint(0, 40), rank)
         yield a, b
-        yield a, list(kernels.invert_reduced(a))  # full cancellation
-        yield a, list(oracle_reduce(
-            list(kernels.invert_reduced(a[len(a) // 2:])) + b
-        ))
+        yield a, _flip(a)  # full cancellation
+        yield a, list(oracle_reduce(_flip(a[len(a) // 2:]) + b))
     yield [], []
     yield [5], []
     yield [], [-127, 3]
     # seams of exactly k letters, at and around powers of two
     for k in sorted({1} | {2 ** e + d for e in range(1, 9) for d in (-1, 0, 1)}):
         seam = reduced(k, 4)
-        left = list(kernels.invert_reduced(reduced(20, 4, after=-seam[0])))
-        inverse = list(kernels.invert_reduced(seam))
+        left = _flip(reduced(20, 4, after=-seam[0]))
+        inverse = _flip(seam)
         right = reduced(20, 4, after=seam[-1])
         while right[0] == -left[-1]:
             right = reduced(20, 4, after=seam[-1])
@@ -284,6 +292,24 @@ def test_join_signed_matches_multiply_reduced_and_the_oracle():
         assert kernels.multiply_reduced(a, b) == expected
         seams.add((len(a) + len(b) - len(expected)) // 2)
     assert {1, 3, 4, 5, 127, 128, 129, 255, 256, 257} <= seams
+
+
+def test_reduce_signed_matches_the_oracle():
+    assert kernels.reduce_signed(b"") == b""
+    assert kernels.reduce_signed(_signed([1, 2, -2, -1, 3])) == _signed([3])
+    assert kernels.reduce_signed(_signed([127, -127, -127])) == _signed([-127])
+    rng = random.Random(39)
+    for _ in range(500):
+        rank = rng.choice([2, 5, 127])
+        raw = [
+            rng.choice([1, -1]) * rng.randint(max(1, rank - 3), rank)
+            for _ in range(rng.randint(0, 60))
+        ]
+        got = kernels.reduce_signed(_signed(raw))
+        assert isinstance(got, bytes)
+        assert kernels.unpack_signed(got) == oracle_reduce(raw)
+        # strand_deletions hands it the bytearray columns of its grid
+        assert kernels.reduce_signed(bytearray(_signed(raw))) == got
 
 
 def test_invert_signed_and_unpack_signed():

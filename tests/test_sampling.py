@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from commlab.braids import sample_brun_generators
+from commlab.finite import random_instance
+from commlab.homotopy import Partition, pi2_check, pi3_certificate
 from commlab.magnus import gamma_membership
 from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
 from commlab.words import Word, left_normed
@@ -107,3 +110,47 @@ def test_random_reduced_word_is_reduced_and_sized():
     assert random_reduced_word(rng, 0, 5).is_identity
     with pytest.raises(ValueError):
         random_reduced_word(rng, -1, 2)
+
+
+def test_random_reduced_word_takes_a_rank_of_at_most_127():
+    rng = random.Random(51)
+    w = random_reduced_word(rng, 127, 400)
+    assert w.max_index() == 127 and Word(w.letters) == w
+    for rank in (128, 300):
+        with pytest.raises(ValueError, match=str(rank)):
+            random_reduced_word(rng, rank, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: random_reduced_word(random.Random(0), 2, 2.5), id="length 2.5"),
+        pytest.param(lambda: random_reduced_word(random.Random(0), 2.0, 2), id="rank 2.0"),
+        pytest.param(lambda: random_reduced_word(random.Random(0), True, 2), id="rank True"),
+        pytest.param(lambda: random_reduced_word(random.Random(0), 2, True), id="length True"),
+        pytest.param(lambda: pi2_check(0, 2.5), id="pi2_check trials 2.5"),
+        pytest.param(lambda: pi3_certificate(0, 2.5), id="pi3_certificate samples 2.5"),
+        pytest.param(lambda: pi3_certificate(0, 2, 1.5), id="pi3_certificate depth 1.5"),
+        pytest.param(
+            lambda: take(symmetric_generators(single_letter_specs(2), 1.5, 0), 1),
+            id="symmetric_generators depth 1.5",
+        ),
+        pytest.param(
+            lambda: take(symmetric_generators(single_letter_specs(2), 1, 0, 2.5), 1),
+            id="symmetric_generators count 2.5",
+        ),
+        pytest.param(lambda: next(sample_brun_generators(2.5, 1, 0, 1)), id="brun n 2.5"),
+        pytest.param(lambda: next(sample_brun_generators(3, 1.5, 0, 1)), id="brun depth 1.5"),
+        pytest.param(lambda: next(sample_brun_generators(3, 1, 0, 1.5)), id="brun count 1.5"),
+        pytest.param(lambda: random_instance(0, 2, order_cap=100.5), id="order_cap 100.5"),
+        pytest.param(lambda: random_instance(0, 2, degree_cap=5.5), id="degree_cap 5.5"),
+        pytest.param(
+            lambda: Partition(True, (frozenset({1}),)), id="Partition(True, ...)"
+        ),
+    ],
+)
+def test_counts_lengths_and_depths_must_be_ints(call):
+    # a float count drew a rounded-up number of samples and reported a false
+    # FAIL, or raised TypeError deep inside; a bool passed as 0 or 1
+    with pytest.raises(ValueError, match="True|1.5|2.0|2.5|5.5|100.5"):
+        call()

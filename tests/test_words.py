@@ -83,6 +83,22 @@ def test_symbols_and_max_index():
     assert Word.identity().max_index() == 0
 
 
+def test_generator_indices_stop_at_127():
+    # a word is signed bytes: +-127 are the extreme letters, and -128 would
+    # pack as the byte 128, which is its own negation
+    for letters in ((128,), (-128,), (1, 128), (127, -128)):
+        with pytest.raises(ValueError, match="128"):
+            Word(letters)
+    w = Word((127, 1, -127))
+    assert w.letters == (127, 1, -127)
+    assert Word(w.letters) == w
+    assert w.inverse().letters == (127, -1, -127)
+    assert w.max_index() == 127
+    assert Word((-127,)).max_index() == 127
+    assert tuple(_parse_letters(render_word(w), "x")) == w.letters
+    assert (w * w.inverse()).is_identity
+
+
 def test_parse_render_round_trip():
     # render_word writes the token grammar that _parse_letters reads
     rng = random.Random(24)
