@@ -17,9 +17,6 @@ Letter order convention: words act left to right, so in ``a * b`` the braid
 under ``a`` with each letter replaced by its image under ``b``; so the kernel
 builds the images from the last letter back, each letter rewriting two.
 
-Purity is read off the crossings alone: ``is_pure`` follows the strands
-through the word and checks that each ends where it started.
-
 A braid keeps its n single-strand deletions once they are known, with where
 each strand ends; they are not part of its value, so equality, hashing and
 rendering ignore them. They come from one pass over the word
@@ -33,10 +30,11 @@ deletion of ``b`` at the position where a's strand s ends
 free reduction and a word's free reduction is unique. The sampler's
 arguments are pure, so it skips the ``Braid`` layer for them: it holds each
 as rows of signed bytes, its word and then its n deletions, and a product
-joins the rows pairwise. Every sample is built knowing its deletions, and
-``is_brunnian`` reads them without a pass over the sample.
-``delete_strand`` picks one of them. Deletions are signed-byte words like
-the braid's own, and a deletion braid is built straight from one.
+joins the rows pairwise. Every sample is built knowing its deletions.
+``is_pure`` and ``is_brunnian`` read the ends and deletions, with no loop
+over letters of their own, and ``delete_strand`` picks one deletion.
+Deletions are signed-byte words like the braid's own, and a deletion braid
+is built straight from one.
 
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
@@ -216,12 +214,9 @@ def is_trivial(b: Braid) -> bool:
 
 
 def is_pure(b: Braid) -> bool:
-    """True iff every strand ends at the position where it starts."""
-    occupant = list(range(b.strands))
-    for c in b.letters:
-        i = abs(c) - 1
-        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-    return occupant == list(range(b.strands))
+    """True iff every strand ends at the position where it starts, read off
+    the ends of ``Braid._strand_deletions``; one strand cannot cross."""
+    return b.strands == 1 or b._strand_deletions()[0] == bytes(range(b.strands))
 
 
 def delete_strands(b: Braid) -> tuple[Braid, ...]:
@@ -253,17 +248,16 @@ def delete_strand(b: Braid, j: int) -> Braid:
 def is_brunnian(b: Braid) -> bool:
     """True iff b is pure and every single strand deletion is trivial.
 
-    On one or two strands every deletion leaves at most one strand and is
-    trivial, so purity alone decides. On three or more strands the deletions
-    alone decide: a braid that is not pure swaps the order of some pair of
-    strands, and deleting a third strand keeps that pair swapped, so that
-    deletion is not pure and hence not trivial. An empty deletion is
-    trivial; only the others go through ``is_trivial``.
+    Both are read off ``Braid._strand_deletions``. An empty deletion is
+    trivial; only the others go through ``is_trivial``. A braid on one
+    strand is Brunnian.
     """
-    if b.strands < 3:
-        return is_pure(b)
-    _, words = b._strand_deletions()
-    return all(not w or is_trivial(Braid._trusted(b.strands - 1, w)) for w in words)
+    if b.strands == 1:
+        return True
+    ends, words = b._strand_deletions()
+    return ends == bytes(range(b.strands)) and all(
+        not w or is_trivial(Braid._trusted(b.strands - 1, w)) for w in words
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ plain Python. Everything here works on plain data:
   ``reduce_signed``, ``join_signed`` and ``invert_signed`` reduce, multiply
   and invert them; ``pack_signed`` and ``unpack_signed`` convert letters
   given as ints. They serve ``Word``, ``Braid``, ``artin_images``,
-  ``strand_deletions`` and sphere-group membership alike;
+  ``strand_deletions`` and sphere-group membership alike. The tuple kernels
+  ``reduce_letters`` and ``multiply_reduced`` wrap ``reduce_signed``, the
+  one free-reduction loop;
 * permutations of degree d are ``bytes`` of length d mapping position i to
   ``p[i]`` (0-based), so sets of permutations are sets of small bytes objects.
 
@@ -47,19 +49,14 @@ _IDENT256 = bytes(range(256))
 # letter strings as tuples of ints
 
 
-# Kept only because perfbench/tracing.py wraps it by name; no package code calls it.
+# The two tuple kernels are kept only because perfbench/tracing.py wraps them
+# by name; no package code calls them.
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter string, cancelling adjacent c, -c pairs."""
-    out: list[int] = []
-    for c in letters:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+    """Freely reduce a letter string of ints in -127..127, cancelling
+    adjacent c, -c pairs: ``reduce_signed`` on its signed bytes."""
+    return unpack_signed(reduce_signed(pack_signed(letters)))
 
 
-# Kept only because perfbench/tracing.py wraps it by name; no package code calls it.
 def multiply_reduced(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Concatenate two reduced letter strings, cancelling at the seam."""
     return reduce_letters((*a, *b))

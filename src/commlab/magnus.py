@@ -48,6 +48,10 @@ class TruncatedSeries:
                 )
             if len(mono) > self.cutoff:
                 raise ValueError(f"monomial {mono} exceeds cutoff {self.cutoff}")
+            if not _is_int(coeff):
+                raise ValueError(
+                    f"coefficient {coeff!r} of monomial {mono} is not an int"
+                )
             if coeff == 0:
                 raise ValueError(f"zero coefficient stored for {mono}")
 

@@ -71,7 +71,7 @@ def test_braid_constructor_reduces_and_validates():
     with pytest.raises(ValueError):
         Braid(3, (3,))  # only sigma_1, sigma_2 exist on 3 strands
     with pytest.raises(ValueError):
-        Braid.from_letters(3, [3])  # reduce_letters does not check ranges
+        Braid.from_letters(3, [3])  # reducing does not skip the range check
     with pytest.raises(ValueError):
         Braid(1, (1,))
     with pytest.raises(ValueError):
@@ -329,6 +329,9 @@ def test_is_pure_matches_arrangement_oracle():
         seen[expected] += 1
     assert seen[True] >= 200
     assert seen[False] >= 200
+    # a braid on one strand has no crossings, and no strand deletions to read
+    one = Braid.identity(1)
+    assert is_pure(one) is oracle_is_pure(1, one.letters) is True
 
 
 def test_delete_strand_examples():
@@ -558,8 +561,8 @@ def test_is_brunnian_matches_oracle_on_sampled_braids():
 
 
 def test_is_brunnian_matches_oracle_on_fuzzed_braids():
-    # Most fuzzed braids are not pure; from three strands on, is_brunnian
-    # decides them by their deletions alone, without checking purity.
+    # Most fuzzed braids are not pure; is_brunnian checks the strand ends of
+    # the deletion pass before it looks at any deletion.
     rng = random.Random(63)
     cases = [Braid.identity(1)]
     for strands in range(2, 9):

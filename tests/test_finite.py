@@ -115,6 +115,11 @@ def test_closure_cap_and_degree_checks():
     # generators are kept as bytes, so closure checks them itself
     with pytest.raises(ValueError):
         closure([bytes([0, 0, 1])])
+    # a cap that is not an int >= 0 is a setting error: a bool is an int
+    # subclass and would read as a cap of one element, or of none
+    for cap in (2.5, True, False, -1, "10", None):
+        with pytest.raises(ValueError, match="cap must be an int >= 0"):
+            closure([bytes([1, 0, 2])], cap=cap)
 
 
 def test_closure_is_independent_of_generator_order():
@@ -825,13 +830,13 @@ def test_carriers_of_order_two_are_bounded_by_the_budget():
 
 def test_carrier_tables_are_bounded_by_the_carrier():
     # a second pass over the same trials adds nothing to any group's table;
-    # the closure memo is keyed by class numbers, intersections are not
-    # memoised, and the commutator, product and table memos hold only masks
-    # of the group's subgroups, one subgroup per mask
+    # the closure memo is keyed by class numbers, neither intersections nor
+    # products are memoised, and the commutator and table memos hold only
+    # masks of the group's subgroups, one subgroup per mask
     finite._CARRIERS.clear()
     seeds = range(40)
     splits = {finite._last_slots, finite._first_slot_splits, finite._fat_splits}
-    names = ("subgroups", "closures", "commutators", "products", "tables")
+    names = ("subgroups", "closures", "commutators", "tables")
 
     def sizes():
         return {
@@ -858,10 +863,10 @@ def test_carrier_tables_are_bounded_by_the_carrier():
             K.subgroups
         )
         known = K.subgroups.keys() | {1}  # the trivial one is registered on use
-        for memo in (K.commutators, K.products):
-            assert len(memo) <= len(known) ** 2
-            for a, b in memo:
-                assert {a, b} <= known and memo[b, a] == memo[a, b]
+        # one commutator entry per unordered pair, keyed (min, max)
+        assert len(K.commutators) <= len(known) ** 2
+        for a, b in K.commutators:
+            assert {a, b} <= known and a <= b
         # a table is keyed by its splits and n >= 1 masks
         for key in K.tables:
             assert key[0] in splits and key[1:] and set(key[1:]) <= known
@@ -1044,16 +1049,16 @@ def test_commutator_subgroup_matches_element_level_oracle():
 
 
 def test_commutator_subgroup_cache_symmetry():
-    # one computation of [A, B] fills the memo entry of [B, A] as well
+    # [A, B] = [B, A] is stored once, under (min, max) of the masks, and
+    # either order reads that one entry
     inst = random_instance(9, n=2, degree_cap=6, order_cap=300)
     G, (A, B) = inst.group, inst.subgroups
     assert A.order == 4 and B.order == 24
     G.commutators.clear()
     ab = commutator_subgroup(A, B)
-    assert len(G.commutators) == 2
-    assert G.commutators[A.mask, B.mask] == ab.mask
-    assert G.commutators[B.mask, A.mask] == ab.mask
-    assert commutator_subgroup(B, A) is ab and len(G.commutators) == 2
+    key = (min(A.mask, B.mask), max(A.mask, B.mask))
+    assert G.commutators == {key: ab.mask}
+    assert commutator_subgroup(B, A) is ab and len(G.commutators) == 1
 
 
 def test_mismatched_parents_rejected():
@@ -1303,6 +1308,14 @@ def test_fat_commutator_budget_guard(monkeypatch):
             memo.clear()
         with pytest.raises(BudgetExceeded, match=f"n = {n} needs {pairs} "):
             fat_commutator(G, inst.subgroups, budget=pairs - 1)
+        # a budget that is not an int >= 0 is a setting error, not a
+        # BudgetExceeded that would read as an undecided trial; the verifier
+        # passes it on
+        for bad in (2.5, True, False, -1, "100", None):
+            with pytest.raises(ValueError, match="budget must be an int >= 0"):
+                fat_commutator(G, inst.subgroups, budget=bad)
+            with pytest.raises(ValueError, match="budget must be an int >= 0"):
+                verify_fat_equals_symmetric(G, inst.subgroups, None, bad)
         assert not G.commutators and not G.tables, n
         out = fat_commutator(G, inst.subgroups, budget=pairs)
         assert out.evaluations == pairs and G.commutators, n
@@ -1404,10 +1417,8 @@ def test_product_and_intersection():
     R2 = normal_closure(G, [from_cycles(4, (1, 2, 3))])
     prod = product_subgroup(R1, R2)
     assert R1.elements <= prod.elements and R2.elements <= prod.elements
-    # R1 < R2, so the product is R2 itself, read off the masks and not
-    # memoised
+    # R1 < R2, so the product is R2 itself, read off the masks
     assert prod is R2 and product_subgroup(R2, R1) is prod
-    assert (R1.mask, R2.mask) not in G.products
     assert prod.order * intersection_of(G, [R1, R2]).order == R1.order * R2.order
     assert intersection_of(G, [R1, R1]).elements == R1.elements
     # R1 < R2, so the intersection is the second input itself
@@ -1419,10 +1430,9 @@ def test_product_and_intersection():
     X, Y = (normal_closure(V, [g]) for g in gens)
     meet = intersection_of(V, [X, Y])
     assert meet.order == 1 and meet.gens == ()
-    # one computation of X Y fills the memo entry of Y X as well
+    # Y X grows to the mask of X Y, whose registered subgroup it returns
     prod = product_subgroup(X, Y)
     assert prod.order == 4 and product_subgroup(Y, X) is prod
-    assert V.products[X.mask, Y.mask] == V.products[Y.mask, X.mask] == prod.mask
 
 
 def test_intersections_of_incomparable_subgroups_in_an_elementary_abelian_group():

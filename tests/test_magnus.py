@@ -83,6 +83,10 @@ def test_series_multiplication_respects_cutoff():
         TruncatedSeries(-1, {})
     with pytest.raises(ValueError):
         TruncatedSeries(2, {(1,): 0})
+    # bool is an int subclass: True would pass as the coefficient 1
+    for coeff in (1.5, True, False, 2.0, "1", None):
+        with pytest.raises(ValueError, match=r"coefficient .* of monomial \(1,\)"):
+            TruncatedSeries(2, {(1,): coeff})
 
 
 def rand_series(rng, cutoff):
