@@ -8,9 +8,9 @@ on the letter kernels ``Word`` uses (``kernels.join_signed``,
 ``kernels.invert_signed``), at C speed. Value, hash and length are those of
 ``(strands, word)``. Only free cancellation is applied in storage;
 braid relations are never rewritten. Equality of braids as group elements
-is decided through the induced automorphism of the free group, which is
-faithful: ``artin_action`` returns the images of x_1..x_n as a tuple of
-words, so two braids are equal iff their tuples are.
+is decided by ``is_trivial`` alone, as a = b iff a * b^-1 is trivial: it
+reads the induced automorphism of the free group (``artin_action``, whose
+one caller it is), which is faithful.
 
 Letter order convention: words act left to right, so in ``a * b`` the braid
 ``a`` is performed first, and the image of x_k under ``a * b`` is the image
@@ -31,8 +31,8 @@ free reduction and a word's free reduction is unique. The sampler's
 arguments are pure, so it skips the ``Braid`` layer for them: it holds each
 as rows of signed bytes, its word and then its n deletions, and a product
 joins the rows pairwise. Every sample is built knowing its deletions.
-``is_pure`` and ``is_brunnian`` read the ends and deletions, with no loop
-over letters of their own, and ``delete_strand`` picks one deletion.
+``is_pure`` reads the ends, ``is_brunnian`` calls it and reads the deletions,
+with no loop over letters of their own, and ``delete_strand`` picks one.
 Deletions are signed-byte words like the braid's own, and a deletion braid
 is built straight from one.
 
@@ -207,7 +207,8 @@ def artin_action(b: Braid) -> tuple[Word, ...]:
 
 
 def is_trivial(b: Braid) -> bool:
-    """True iff b is the identity braid (the Artin action is faithful)."""
+    """True iff b is the identity braid (the Artin action is faithful): the
+    package's one braid-equality test, as a = b iff a * b^-1 is trivial."""
     return all(
         img.word == bytes((k,)) for k, img in enumerate(artin_action(b), start=1)
     )
@@ -246,17 +247,15 @@ def delete_strand(b: Braid, j: int) -> Braid:
 
 
 def is_brunnian(b: Braid) -> bool:
-    """True iff b is pure and every single strand deletion is trivial.
-
-    Both are read off ``Braid._strand_deletions``. An empty deletion is
-    trivial; only the others go through ``is_trivial``. A braid on one
-    strand is Brunnian.
+    """True iff b is pure (``is_pure``) and every single strand deletion is
+    trivial. An empty deletion is trivial; only the others go through
+    ``is_trivial``. A braid on one strand is Brunnian.
     """
     if b.strands == 1:
         return True
-    ends, words = b._strand_deletions()
-    return ends == bytes(range(b.strands)) and all(
-        not w or is_trivial(Braid._trusted(b.strands - 1, w)) for w in words
+    return is_pure(b) and all(
+        not w or is_trivial(Braid._trusted(b.strands - 1, w))
+        for w in b._strand_deletions()[1]
     )
 
 

@@ -286,7 +286,7 @@ def braid_tools(identities, max_n, print_request, args, seed, out_dir, fmt):
         raise click.UsageError("braid-tools needs --identities or --print")
 
     def same(lhs: braids.Braid, rhs: braids.Braid) -> bool:
-        return braids.artin_action(lhs) == braids.artin_action(rhs)
+        return braids.is_trivial(lhs * rhs.inverse())
 
     closing = [same(*braids.gen_a0(j, n))
                for n in range(1, max_n + 1) for j in range(1, n + 1)]

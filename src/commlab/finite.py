@@ -133,7 +133,7 @@ class PermGroup:
     / 2,000 ``subgroup_rules`` benchmark ops at workload seed 91, from an
     empty registry. ``closures`` (class number -> class closure) cuts Dimino
     extensions from 43,867 / 31,074 to 4,922 / 4,474. ``commutators`` ([A, B]
-    per unordered pair of masks, keyed ``(min, max)``) cuts permutation
+    per unordered pair of masks, the lesser mask first) cuts permutation
     commutators from 144,994 / 112,118 to 7,800 / 6,202. Without ``tables``
     (``(splits, m_1, ..., m_n)`` -> that mask table's full-mask entry),
     ``verify_finite`` takes 6% / 9% more CPU time (minimum / median of 9
@@ -364,9 +364,12 @@ def closure(
     reads low (on A_14, for one) only costs an enumeration, never a wrong
     group: an enumerated element set that is registered already returns the
     registered group and counts as recognised, and a new one is registered.
-    ``cap``, an int (not a bool) >= 0, is checked before any work.
+    ``cap``, an int (not a bool) >= 0, and ``degree``, None or an int (not a
+    bool) in 0..256, are checked before any work.
     """
     _check_count("cap", cap)
+    if degree is not None and not (_is_int(degree) and 0 <= degree <= 256):
+        raise ValueError(f"degree must be an int in 0..256, got {degree!r}")
     gens = [bytes(g) for g in gens]
     if degree is None:
         if not gens:
@@ -476,37 +479,35 @@ def _largest_proper_divisor(order: int) -> int:
 
 
 class SubgroupCache:
-    """The read of the commutator memo that ``commutator_subgroup`` makes.
+    """A benchmark-only stub: no code in the package calls it.
 
-    It holds no state: a hit is the subgroup under the mask memoised on the
-    parent. The class stays for the benchmark in ``perfbench/``, which builds
-    one per trial, passes it to the four verifiers as their trailing
-    ``cache`` argument (accepted and ignored), and counts hits by patching it.
+    ``perfbench/workloads.py`` builds one per trial and passes it to the four
+    verifiers as their trailing ``cache`` argument (accepted and ignored), and
+    ``perfbench/tracing.py`` patches ``commutator``, a read of the commutator
+    memo on the parent, to count hits.
     """
 
     def commutator(self, a: NormalSubgroup, b: NormalSubgroup) -> NormalSubgroup | None:
-        hit = a.parent.commutators.get((min(a.mask, b.mask), max(a.mask, b.mask)))
-        return None if hit is None else _subgroup(a.parent, hit)
+        G, x, y = a.parent, a.mask, b.mask
+        hit = G.commutators.get((x, y) if x <= y else (y, x))
+        return None if hit is None else _subgroup(G, hit)
 
 
 def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
-    """[A, B] for normal subgroups of a common parent (see ``_commutator_mask``)."""
+    """[A, B] for normal subgroups of a common parent: one read of the
+    commutator memo (see ``_commutator_mask``)."""
     G = A.parent
-    a, b = _masks(G, A, B)
-    hit = SubgroupCache().commutator(A, B)
-    if hit is None:
-        hit = _subgroup(G, _commutator_mask(G, a, b))
-    return hit
+    return _subgroup(G, _commutator_mask(G, *_masks(G, A, B)))
 
 
 def _commutator_mask(G: PermGroup, a: int, b: int) -> int:
     """The mask of [A, B] for the subgroups of G under masks a and b: the
     normal subgroup generated by the commutators of the generating sets,
     whose classes ``_fold`` folds (the identity's, class 0, adds nothing).
-    [A, B] = [B, A], so the memo holds one entry per unordered pair, keyed
-    ``(min(a, b), max(a, b))``; the first call's order of a and b builds it.
+    [A, B] = [B, A], so the memo holds one entry per unordered pair, keyed by
+    one comparison, the lesser mask first; the first call's order builds it.
     """
-    key = (min(a, b), max(a, b))
+    key = (a, b) if a <= b else (b, a)
     mask = G.commutators.get(key)
     if mask is None:
         A, B = _subgroup(G, a), _subgroup(G, b)

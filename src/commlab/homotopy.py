@@ -31,13 +31,13 @@ from commlab.words import Word, _check_count, _is_int, commutator, render_word
 
 @dataclass(frozen=True)
 class SpherePresentation:
-    """<x_1..x_m | x_1...x_m = 1>, free of rank m-1, for 2 <= m <= 127."""
+    """<x_1..x_m | x_1...x_m = 1>, free of rank m-1, for 2 <= m <= MAX_INDEX."""
 
     m: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.m) or not 2 <= self.m <= 127:
-            raise ValueError(f"need an int m in 2..127, got {self.m!r}")
+        if not _is_int(self.m) or not 2 <= self.m <= kernels.MAX_INDEX:
+            raise ValueError(f"need an int m in 2..{kernels.MAX_INDEX}, got {self.m!r}")
 
     @property
     def rank(self) -> int:
@@ -84,6 +84,8 @@ class Partition:
             raise ValueError(f"need an int m, got {self.m!r}")
         seen: set[int] = set()
         for block in self.blocks:
+            if not isinstance(block, (set, frozenset)) or not all(map(_is_int, block)):
+                raise ValueError(f"partition block {block!r} is not a set of ints")
             if not block:
                 raise ValueError("partition blocks must be nonempty")
             if block & seen:

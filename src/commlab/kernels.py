@@ -6,7 +6,8 @@ plain Python. Everything here works on plain data:
 * free-group words, braid words and the words of strand deletions are all
   freely reduced words of signed bytes: the letter +k (the k-th generator)
   is the byte k and -k (its inverse) the byte 256 - k, so generator indices
-  run 1..127 and a braid takes at most ``DELETE_MAX_STRANDS`` = 128 strands.
+  run 1..``MAX_INDEX`` = 127, the one bound every letter check reads, and a
+  braid takes at most ``DELETE_MAX_STRANDS`` = ``MAX_INDEX + 1`` strands.
   ``reduce_signed``, ``join_signed`` and ``invert_signed`` reduce, multiply
   and invert them; ``pack_signed`` and ``unpack_signed`` convert letters
   given as ints. They serve ``Word``, ``Braid``, ``artin_images``,
@@ -52,8 +53,8 @@ _IDENT256 = bytes(range(256))
 # The two tuple kernels are kept only because perfbench/tracing.py wraps them
 # by name; no package code calls them.
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter string of ints in -127..127, cancelling
-    adjacent c, -c pairs: ``reduce_signed`` on its signed bytes."""
+    """Freely reduce a letter string of ints in -MAX_INDEX..MAX_INDEX,
+    cancelling adjacent c, -c pairs: ``reduce_signed`` on its signed bytes."""
     return unpack_signed(reduce_signed(pack_signed(letters)))
 
 
@@ -91,9 +92,10 @@ def artin_images(strands: int, word: bytes) -> list[bytes]:
 # ---------------------------------------------------------------------------
 # strand deletion
 
-# Braid words and their deletions are signed bytes, so the largest
-# generator index is 127; this is the strand limit of every braid.
-DELETE_MAX_STRANDS = 128
+# Letters are signed bytes, so generator indices run 1..MAX_INDEX (-128 would
+# pack as 128, its own negation), and this is the strand limit of every braid.
+MAX_INDEX = 127
+DELETE_MAX_STRANDS = MAX_INDEX + 1
 
 
 # one entry per strand count, so the cache holds at most DELETE_MAX_STRANDS
@@ -156,8 +158,8 @@ _NEGATE = _IDENT256[:1] + _IDENT256[:0:-1]
 
 
 def pack_signed(letters: Iterable[int]) -> bytes:
-    """A word of signed bytes from letters in -127..127; ``unpack_signed``
-    reverses it. It checks nothing beyond the byte range."""
+    """A word of signed bytes from letters in -MAX_INDEX..MAX_INDEX;
+    ``unpack_signed`` reverses it. It checks nothing beyond the byte range."""
     return array.array("b", letters).tobytes()
 
 

@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping
 
-from commlab.words import Word, _is_int
+from commlab.words import Word, _check_count, _is_int
 
 Monomial = tuple[int, ...]
-
-
-def _check_cutoff(cutoff: int) -> None:
-    if not _is_int(cutoff) or cutoff < 0:
-        raise ValueError(f"cutoff must be an int >= 0, got {cutoff!r}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,7 @@ class TruncatedSeries:
     terms: Mapping[Monomial, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_cutoff(self.cutoff)
+        _check_count("cutoff", self.cutoff)
         for mono, coeff in self.terms.items():
             if not isinstance(mono, tuple) or not all(
                 _is_int(k) and k > 0 for k in mono
@@ -100,7 +95,7 @@ class TruncatedSeries:
 
 def expand(w: Word, cutoff: int) -> TruncatedSeries:
     """Magnus expansion of a word, truncated beyond degree ``cutoff``."""
-    _check_cutoff(cutoff)
+    _check_count("cutoff", cutoff)
     # layers[d] holds the degree-d terms of the running product, no zeros.
     layers: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cutoff)]
     # a byte c < 128 is the letter x_c, any other the letter x_{256-c}^{-1}
@@ -134,7 +129,6 @@ def expand(w: Word, cutoff: int) -> TruncatedSeries:
 
 def gamma_membership(w: Word, k: int) -> bool:
     """Whether w lies in gamma_k of the ambient free group (k >= 1)."""
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"lower central index must be an int >= 1, got {k!r}")
+    _check_count("lower central index", k, 1)
     # the constant term is always 1, so w is a member iff it is the only term
     return len(expand(w, k - 1).terms) == 1

@@ -36,9 +36,10 @@ class SubgroupSpec:
 
 def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     """Uniformly random freely reduced word of exactly ``length`` letters."""
-    if not (_is_int(rank) and _is_int(length) and 0 <= rank <= 127 and length >= 0):
+    top = kernels.MAX_INDEX
+    if not (_is_int(rank) and _is_int(length) and 0 <= rank <= top and length >= 0):
         raise ValueError(
-            f"need ints 0 <= rank <= 127 and length >= 0,"
+            f"need ints 0 <= rank <= {top} and length >= 0,"
             f" got rank={rank!r}, length={length!r}"
         )
     if rank == 0 or length == 0:

@@ -1,12 +1,13 @@
 """Freely reduced words in a free group with numbered generators x1, x2, ...
 
 A word is stored as signed bytes, as a braid word is: the byte k for x_k and
-256 - k for x_k^{-1}, so generator indices run 1..127; ``letters`` unpacks it
-as a tuple of ints, +k and -k. ``Word`` rejects a word that is not freely
-reduced, so values are canonical and two words are equal iff they are the
-same element of the free group. Products and inverses come reduced from the
-signed-byte kernels, so they are built with the unchecked ``Word._trusted``;
-every other construction is validated by ``_pack_checked``, as braids are.
+256 - k for x_k^{-1}, so generator indices run 1..``kernels.MAX_INDEX``;
+``letters`` unpacks it as a tuple of ints, +k and -k. ``Word`` rejects a word
+that is not freely reduced, so values are canonical and two words are equal
+iff they are the same element of the free group. Products and inverses come
+reduced from the signed-byte kernels, so they are built with the unchecked
+``Word._trusted``; every other construction is validated by ``_pack_checked``,
+as braids are.
 
 Conventions (used throughout the package):
 
@@ -46,7 +47,7 @@ def _check_count(name: str, value: object, least: int = 0) -> None:
 def _pack_checked(letters: Iterable[int], bound: int, reduce: bool = False) -> bytes:
     """The letters as a reduced word of signed bytes, after checking them.
 
-    Each letter must be an int, not a bool, with 1 <= |c| <= bound <= 127
+    Each letter must be an int, not a bool, with 1 <= |c| <= bound <= MAX_INDEX
     (-128 would pack as the byte 128, its own negation). The word must be
     freely reduced, unless ``reduce`` asks for its free reduction instead.
     """
@@ -71,7 +72,7 @@ class Word:
     word: bytes
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "word", _pack_checked(letters, 127))
+        object.__setattr__(self, "word", _pack_checked(letters, kernels.MAX_INDEX))
 
     @classmethod
     def _trusted(cls, word: bytes) -> Word:

@@ -296,6 +296,40 @@ def test_braid_relations_act_equally_up_to_seven_strands():
                 assert is_trivial(Braid.from_letters(strands, [i, j, -i, -j]))
 
 
+def test_equality_by_is_trivial_matches_the_artin_action():
+    # a = b iff a * b^-1 is trivial, the test braid-tools runs. A third of
+    # the pairs splice the two sides of a braid relation (or of its inverse)
+    # into one random word; a third drop a letter of one side, which moves
+    # the exponent sum, so they differ; a third are two random words.
+    rng = random.Random(64)
+    seen = {True: 0, False: 0}
+    for case in range(450):
+        strands = rng.randint(3, 8)
+        if case % 3 == 2:
+            a, b = rand_braid(rng, strands), rand_braid(rng, strands)
+        else:
+            i = rng.randint(1, strands - 2)
+            far = [j for j in range(1, strands) if abs(i - j) >= 2]
+            if far and rng.random() < 0.5:
+                j = rng.choice(far)
+                lhs, rhs = [i, j], [j, i]
+            else:
+                lhs, rhs = [i, i + 1, i], [i + 1, i, i + 1]
+            if rng.random() < 0.5:
+                lhs, rhs = [-c for c in lhs[::-1]], [-c for c in rhs[::-1]]
+            if case % 3 == 1:
+                del rhs[rng.randrange(len(rhs))]
+            w = list(rand_braid(rng, strands).letters)
+            p = rng.randint(0, len(w))
+            a = Braid.from_letters(strands, w[:p] + lhs + w[p:])
+            b = Braid.from_letters(strands, w[:p] + rhs + w[p:])
+        same = artin_action(a) == artin_action(b)
+        assert is_trivial(a * b.inverse()) == same
+        assert same == (case % 3 == 0) or case % 3 == 2
+        seen[same] += 1
+    assert min(seen.values()) >= 100
+
+
 # ---------------------------------------------------------------------------
 # permutations, purity, strand deletion
 

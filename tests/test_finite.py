@@ -120,6 +120,13 @@ def test_closure_cap_and_degree_checks():
     for cap in (2.5, True, False, -1, "10", None):
         with pytest.raises(ValueError, match="cap must be an int >= 0"):
             closure([bytes([1, 0, 2])], cap=cap)
+    # a degree past one byte per point built an identity of another length,
+    # and a bool read as a degree of one point
+    for degree in (300, 257, -1, True, False, 2.5, "3"):
+        with pytest.raises(ValueError, match="degree must be an int in 0..256"):
+            closure([], degree=degree)
+    assert closure([], degree=256).identity == bytes(range(256))
+    assert closure([], degree=0).order == 1
 
 
 def test_closure_is_independent_of_generator_order():

@@ -270,6 +270,18 @@ def test_partition_validation():
         Partition(3, (frozenset({1, 2}), frozenset({2, 3})))  # overlap
     with pytest.raises(ValueError):
         Partition(2, (frozenset(), frozenset({1, 2})))
+    # a block must be a set of ints: a list block raised TypeError at "&"
+    for blocks in (
+        ([1], [2]),
+        ((1,), (2,)),
+        (frozenset({1}), [2]),
+        (frozenset({True}), frozenset({2})),
+        (frozenset({1.0}), frozenset({2})),
+        ("12",),
+    ):
+        with pytest.raises(ValueError, match="partition block"):
+            Partition(2, blocks)
+    assert Partition(2, ({1}, frozenset({2}))).blocks[0] == {1}
 
 
 def test_intersection_checks_every_block():
