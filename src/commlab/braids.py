@@ -22,10 +22,10 @@ each strand ends; they are not part of its value, so equality, hashing and
 rendering ignore them. They come from one pass over the word
 (``kernels.strand_deletions``) the first time they are asked for: it follows
 every strand's position, records per letter what each strand's deletion
-keeps, and freely reduces each strand's column. A product or inverse of
-braids of which one knows them derives its own instead of reading its
-letters: deletion s of ``a * b`` is deletion s of ``a`` joined to the
-deletion of ``b`` at the position where a's strand s ends
+keeps, and freely reduces each strand's column. A product of braids of
+which one knows them derives its own instead of reading its letters (an
+inverse does not): deletion s of ``a * b`` is deletion s of ``a`` joined to
+the deletion of ``b`` at the position where a's strand s ends
 (``kernels.join_signed``). This is exact, as deleting a strand commutes with
 free reduction and a word's free reduction is unique. The sampler's
 arguments are pure, so it skips the ``Braid`` layer for them: it holds each
@@ -148,20 +148,7 @@ class Braid:
         return Braid._trusted(self.strands, word, deletions)
 
     def inverse(self) -> Braid:
-        word = kernels.invert_signed(self.word)
-        if self._deletions is None:
-            return Braid._trusted(self.strands, word)
-        # Strand s of the inverse is the strand of self that ends at s.
-        ends, words = self._deletions
-        starts = kernels.invert_perm(ends)
-        deletions = (
-            starts, tuple(map(kernels.invert_signed, map(words.__getitem__, starts)))
-        )
-        return Braid._trusted(self.strands, word, deletions)
-
-    def conjugate(self, by: Braid) -> Braid:
-        """self^by = by^{-1} * self * by."""
-        return by.inverse() * self * by
+        return Braid._trusted(self.strands, kernels.invert_signed(self.word))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -226,8 +213,8 @@ def delete_strands(b: Braid) -> tuple[Braid, ...]:
     Entry j - 1 removes the strand that starts at position j and renumbers
     the rest: every crossing that strand takes part in is dropped, and the
     other generator indices shift down by one wherever the deleted strand
-    sits to their left. A braid built as a product or inverse of braids that
-    know their deletions carries its own; any other braid gets them from one
+    sits to their left. A braid built as a product of braids that know
+    their deletions carries its own; any other braid gets them from one
     pass of ``kernels.strand_deletions`` over its word, the first time they
     are asked for, and keeps them. Either way each is freely reduced, and it
     needs at least two strands.
@@ -331,7 +318,7 @@ def _invert_rows(x: tuple[bytes, ...]) -> tuple[bytes, ...]:
 
 
 def _conjugate_rows(x: tuple[bytes, ...], c: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """x^c = c^{-1} x c, joined as ``Braid.conjugate`` joins it."""
+    """x^c = c^{-1} x c, joined as ``words.conjugate`` joins it."""
     return _join_rows(_join_rows(_invert_rows(c), x), c)
 
 
@@ -355,7 +342,7 @@ def sample_brun_generators(
     a pure braid is the tuple of its word and its n deletions, all signed
     bytes, read once per stream from the t_i and the A_{i,j}. A product joins
     the rows pairwise and an inverse inverts each row, in the order of joins
-    of ``Braid.conjugate`` and ``left_normed``, so every sample carries its
+    of ``words.conjugate`` and ``left_normed``, so every sample carries its
     deletions with no ``Braid`` built per intermediate product. A conjugator
     starts at its first factor, and an argument with no factors is not
     conjugated.

@@ -322,10 +322,6 @@ class NormalSubgroup:
         reps = self.parent.classes[1]
         return sum(1 << k for k, s in enumerate(reps) if s in self.elements)
 
-    @classmethod
-    def trivial(cls, parent: PermGroup) -> NormalSubgroup:
-        return _subgroup(parent, 1)
-
 
 def _subgroup(G: PermGroup, mask: int) -> NormalSubgroup:
     """The subgroup of G under a mask met. Each is registered when built or
@@ -335,13 +331,13 @@ def _subgroup(G: PermGroup, mask: int) -> NormalSubgroup:
     return G.subgroups[mask]
 
 
-def _masks(G: PermGroup, *subgroups: NormalSubgroup) -> list[int]:
-    """The subgroups' masks, once each is checked to have G as its parent. A
-    mask with no subgroup yet (after an eviction, say) takes the one passed."""
-    for s in subgroups:
-        if s.parent is not G:
-            raise ValueError("subgroups live in different parent groups")
-    return [G.subgroups.setdefault(s.mask, s).mask for s in subgroups]
+def _mask(G: PermGroup, s: NormalSubgroup) -> int:
+    """The subgroup's mask, once it is checked to have G as its parent: one
+    check and one registration per subgroup passed to a public call. A mask
+    with no subgroup yet (after an eviction, say) takes the one passed."""
+    if s.parent is not G:
+        raise ValueError("subgroups live in different parent groups")
+    return G.subgroups.setdefault(s.mask, s).mask
 
 
 def closure(
@@ -497,7 +493,7 @@ def commutator_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     """[A, B] for normal subgroups of a common parent: one read of the
     commutator memo (see ``_commutator_mask``)."""
     G = A.parent
-    return _subgroup(G, _commutator_mask(G, *_masks(G, A, B)))
+    return _subgroup(G, _commutator_mask(G, _mask(G, A), _mask(G, B)))
 
 
 def _commutator_mask(G: PermGroup, a: int, b: int) -> int:
@@ -520,7 +516,7 @@ def _commutator_mask(G: PermGroup, a: int, b: int) -> int:
 def product_subgroup(A: NormalSubgroup, B: NormalSubgroup) -> NormalSubgroup:
     """A*B = {a b}, a subgroup as both are normal (see ``_product_mask``)."""
     G = A.parent
-    return _subgroup(G, _product_mask(G, *_masks(G, A, B)))
+    return _subgroup(G, _product_mask(G, _mask(G, A), _mask(G, B)))
 
 
 def _product_mask(G: PermGroup, a: int, b: int) -> int:
@@ -546,7 +542,7 @@ def intersection_of(
     its classes by ``_fold``."""
     if not subgroups:
         raise ValueError("need at least one subgroup to intersect")
-    meet = reduce(int.__and__, _masks(parent, *subgroups))
+    meet = reduce(int.__and__, (_mask(parent, s) for s in subgroups))
     if meet not in parent.subgroups:
         meet = _fold(parent, (k for k in range(meet.bit_length()) if meet >> k & 1))
     return _subgroup(parent, meet)
@@ -568,7 +564,7 @@ def _mask_table(
     """
     if not Rs:
         raise ValueError("need at least one subgroup")
-    masks = _masks(G, *Rs)
+    masks = [_mask(G, R) for R in Rs]
     key = (splits, *masks)
     full = G.tables.get(key)
     if full is None:

@@ -74,7 +74,12 @@ def one_relator_membership(
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty blocks of generator indices covering {1..m}."""
+    """Disjoint nonempty blocks of generator indices covering {1..m}.
+
+    The blocks may come as sets or frozensets in any order and collection;
+    they are stored as a tuple of frozensets ordered by least element, so
+    partitions hash and compare by value.
+    """
 
     m: int
     blocks: tuple[frozenset[int], ...]
@@ -82,8 +87,9 @@ class Partition:
     def __post_init__(self) -> None:
         if not _is_int(self.m):
             raise ValueError(f"need an int m, got {self.m!r}")
+        blocks = tuple(self.blocks)
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not isinstance(block, (set, frozenset)) or not all(map(_is_int, block)):
                 raise ValueError(f"partition block {block!r} is not a set of ints")
             if not block:
@@ -93,6 +99,8 @@ class Partition:
             seen |= block
         if seen != set(range(1, self.m + 1)):
             raise ValueError(f"blocks must cover exactly 1..{self.m}")
+        blocks = tuple(sorted(map(frozenset, blocks), key=min))
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def singletons(cls, m: int) -> Partition:

@@ -16,22 +16,27 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from commlab import kernels
-from commlab.words import Word, _check_count, _is_int, left_normed
+from commlab.words import Word, _check_count, _is_int, conjugate, left_normed
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """Normal closure of ``generators`` in the ambient free group."""
+    """Normal closure of ``generators`` in the ambient free group; they are
+    stored as a tuple, so specs hash and compare by value."""
 
     generators: tuple[Word, ...]
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not self.generators:
+        generators = tuple(self.generators)
+        if not generators:
             raise ValueError("SubgroupSpec needs at least one generator")
-
-    def rank_hint(self) -> int:
-        return max(g.max_index() for g in self.generators)
+        for g in generators:
+            if not isinstance(g, Word):
+                raise ValueError(f"subgroup generator {g!r} is not a Word")
+        if not isinstance(self.label, str):
+            raise ValueError(f"subgroup label {self.label!r} is not a str")
+        object.__setattr__(self, "generators", generators)
 
 
 def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
@@ -66,7 +71,7 @@ def symmetric_generators(
     _check_count("conj_depth", conj_depth)
     if count is not None:
         _check_count("count", count)
-    rank = max(s.rank_hint() for s in subgroups)
+    rank = max(g.max_index() for s in subgroups for g in s.generators)
     rng = random.Random(seed)
     emitted = 0
     while count is None or emitted < count:
@@ -85,4 +90,4 @@ def _conjugated_generator(
 ) -> Word:
     gen = rng.choice(spec.generators)
     length = rng.randint(0, conj_depth) if conj_depth else 0
-    return gen.conjugate(random_reduced_word(rng, rank, length))
+    return conjugate(gen, random_reduced_word(rng, rank, length))

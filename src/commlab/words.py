@@ -11,9 +11,12 @@ as braids are.
 
 Conventions (used throughout the package):
 
-* conjugation  a^g = g^{-1} a g
-* commutator  [a, b] = a^{-1} b^{-1} a b
+* conjugation  a^g = g^{-1} a g, built by ``conjugate``
+* commutator  [a, b] = a^{-1} b^{-1} a b, built by ``commutator``
 * left-normed commutator  [[...[a1, a2], ...], ak], built by ``left_normed``
+
+The three functions take words or braids alike: anything with ``inverse``
+and ``*``.
 """
 
 from __future__ import annotations
@@ -98,10 +101,6 @@ class Word:
     def inverse(self) -> Word:
         return Word._trusted(kernels.invert_signed(self.word))
 
-    def conjugate(self, by: Word) -> Word:
-        """self^by = by^{-1} * self * by."""
-        return by.inverse() * self * by
-
     @property
     def is_identity(self) -> bool:
         return not self.word
@@ -124,6 +123,11 @@ class _GroupElement(Protocol):  # a Word, a Braid: anything with inverse and *
 
 
 _G = TypeVar("_G", bound=_GroupElement)
+
+
+def conjugate(a: _G, by: _G) -> _G:
+    """a^by = by^{-1} a by."""
+    return by.inverse() * a * by
 
 
 def commutator(a: _G, b: _G) -> _G:

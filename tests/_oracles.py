@@ -16,6 +16,7 @@ from itertools import permutations, product
 from commlab.finite import (
     NormalSubgroup,
     commutator_subgroup,
+    normal_closure,
     product_subgroup,
 )
 
@@ -125,7 +126,7 @@ def ordered_walk(G, Rs, first_slot_only: bool = False) -> NormalSubgroup:
 
     With ``first_slot_only`` only the orderings that keep R_1 first count.
     """
-    total = NormalSubgroup.trivial(G)
+    total = normal_closure(G, [G.identity])
     for order in permutations(range(len(Rs))):
         if first_slot_only and order[0] != 0:
             continue

@@ -20,7 +20,7 @@ from commlab.braids import (
     render_braid,
     sample_brun_generators,
 )
-from commlab.words import ParseError, Word, commutator
+from commlab.words import ParseError, Word, commutator, conjugate
 
 from _oracles import (
     oracle_artin_images,
@@ -122,7 +122,7 @@ def test_braid_algebra():
     assert (a * a.inverse()).letters == ()
     assert (a * a * a).letters == (1, 1, 1)
     assert a.inverse() * a.inverse() == Braid(4, (-1, -1))
-    assert a.conjugate(b).letters == (2, 1, -2)
+    assert conjugate(a, b).letters == (2, 1, -2)
     assert len(a * b) == 2
     with pytest.raises(ValueError):
         a * Braid(3, (1,))
@@ -183,7 +183,7 @@ def test_signed_byte_words_match_the_tuple_oracle():
                 product,
                 b * a,
                 a.inverse(),
-                a.conjugate(b),
+                conjugate(a, b),
                 commutator(a, b),
                 a * a.inverse(),
             ):
@@ -194,7 +194,7 @@ def test_signed_byte_words_match_the_tuple_oracle():
                 extremes.update(c for c in built.letters if abs(c) == 127)
             x, y = a.letters, b.letters
             assert a.inverse().letters == _flip(x)
-            assert a.conjugate(b).letters == oracle_reduce(_flip(y) + x + y)
+            assert conjugate(a, b).letters == oracle_reduce(_flip(y) + x + y)
             assert commutator(a, b).letters == oracle_reduce(
                 _flip(x) + _flip(y) + x + y
             )
@@ -416,8 +416,8 @@ def _fuzzed_braids(rng, strands):
         a,
         rand_pure_braid(rng, strands),
         commutator(a, b),
-        sigma.conjugate(u),
-        rand_pure_braid(rng, strands).conjugate(u),
+        conjugate(sigma, u),
+        conjugate(rand_pure_braid(rng, strands), u),
     ]
 
 
@@ -465,15 +465,15 @@ def _derived_braids(rng, strands):
     for known_a, known_b in ((0, 0), (1, 0), (0, 1), (1, 1)):
         x = _know(a) if known_a else _forget(a)
         y = _know(b) if known_b else _forget(b)
-        # an inverse knows what its braid knows, and a product knows once a
-        # factor does; the other factor then gets its own from the kernel
-        yield x.inverse(), bool(known_a)
+        # an inverse knows none, and a product knows once a factor does;
+        # the other factor then gets its own from the kernel
+        yield x.inverse(), False
         either = bool(known_a or known_b)
         yield x * y, either
         yield y * x, either
-        yield x.conjugate(y), either
+        yield conjugate(x, y), either
         yield commutator(x, y), either
-        yield commutator(x * y, x.inverse()).conjugate(y * y), either
+        yield conjugate(commutator(x * y, x.inverse()), y * y), either
         yield x * x.inverse(), either
 
 
@@ -498,8 +498,8 @@ def test_carried_deletions_match_the_kernel_and_the_oracle():
                 assert word == oracle_delete_strand(strands, b.letters, j)
                 cancelled += len(word) < len(follow)
             assert is_pure(b) is (b._deletions[0] == bytes(range(strands)))
-    # 20 of the 28 braids per round carry their deletions
-    assert carried == 200 * 20
+    # 18 of the 28 braids per round carry their deletions
+    assert carried == 200 * 18
     assert cancelled > 3000
 
 
@@ -554,9 +554,9 @@ def test_the_deletion_kernel_runs_once_per_braid(monkeypatch):
     delete_strands(b)
     is_brunnian(b)
     assert calls == [7]
-    # a sampler asks once for each of its t_i and A_{i,j}; their inverses,
-    # its samples, and their products with braids that know their
-    # deletions, carry their own
+    # a sampler asks once for each of its t_i and A_{i,j}; its samples, and
+    # their products with braids that know their deletions, carry their
+    # own, and the kernel runs once for the control and once per inverse
     calls.clear()
     stream = sample_brun_generators(6, 3, seed=75, count=5)
     first = next(stream)
@@ -566,7 +566,7 @@ def test_the_deletion_kernel_runs_once_per_braid(monkeypatch):
         assert is_brunnian(b)
         assert not is_brunnian(b * control)
         delete_strand(b.inverse(), 3)
-    assert len(calls) == 20 + 1
+    assert len(calls) == 20 + 1 + 5
 
 
 def _oracle_is_brunnian(b):
@@ -816,7 +816,7 @@ def test_row_helpers_agree_with_braid_products():
         nonempty += all(rx[1:]) and all(ry[1:])
         assert braids._join_rows(rx, ry) == _rows(x * y)
         assert braids._invert_rows(rx) == _rows(x.inverse())
-        assert braids._conjugate_rows(rx, rc) == _rows(x.conjugate(c))
+        assert braids._conjugate_rows(rx, rc) == _rows(conjugate(x, c))
         assert braids._commutator_rows(rx, ry) == _rows(commutator(x, y))
     assert nonempty >= 20
 

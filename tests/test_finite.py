@@ -1039,7 +1039,7 @@ def test_commutator_subgroup_examples():
     assert tuples(derived.elements) == oracle_commutator_subgroup(
         tuples(G.elements), tuples(G.elements)
     )
-    triv = NormalSubgroup.trivial(G)
+    triv = normal_closure(G, [G.identity])
     assert commutator_subgroup(R, triv).order == 1
     abelian = closure([from_cycles(4, (1, 2, 3, 4))])
     A = normal_closure(abelian, list(abelian.gens))
@@ -1071,8 +1071,11 @@ def test_commutator_subgroup_cache_symmetry():
 def test_mismatched_parents_rejected():
     a = random_instance(1, n=1, degree_cap=5, order_cap=100)
     b = random_instance(2, n=1, degree_cap=6, order_cap=100)
-    with pytest.raises(ValueError):
-        commutator_subgroup(a.subgroups[0], b.subgroups[0])
+    # a foreign subgroup in either slot of either operation
+    for op in (commutator_subgroup, product_subgroup):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different parent"):
+                op(x.subgroups[0], y.subgroups[0])
     # the group given must be the subgroups' parent as well
     A = random_instance(1, n=2, degree_cap=5, order_cap=100)
     B = random_instance(2, n=2, degree_cap=6, order_cap=100)
@@ -1206,7 +1209,7 @@ def tree_walk_fat(G, Rs, weight_cap):
             value(left, assignment[:k]), value(right, assignment[k:])
         )
 
-    total = NormalSubgroup.trivial(G)
+    total = normal_closure(G, [G.identity])
     for t in range(n, weight_cap + 1):
         shapes = _shapes(t)
         for assignment in itertools.product(range(n), repeat=t):
@@ -1371,7 +1374,7 @@ def test_verify_product_rule_and_hall_on_fuzzed_triples():
 
 def test_verify_trivial_subgroups_pass_vacuously():
     G = s3()
-    t = NormalSubgroup.trivial(G)
+    t = normal_closure(G, [G.identity])
     assert verify_product_rule(t, t, t).passed
     assert verify_hall(t, t, t).passed
     report = verify_fat_equals_symmetric(G, [t, t])
@@ -1389,7 +1392,7 @@ def test_whole_group_slots_give_derived_subgroup():
 def test_verify_connectivity_trivial_cases_and_report_shape():
     G = s3()
     R = normal_closure(G, list(G.gens))
-    t = NormalSubgroup.trivial(G)
+    t = normal_closure(G, [G.identity])
     full = verify_connectivity(G, [R, R, R], I=(1, 2), J=(3,))
     assert full.equal and full.lhs_order == G.order
     empty = verify_connectivity(G, [t, t, t], I=(1, 2), J=(3,))

@@ -34,7 +34,7 @@ from commlab.braids import (
 )
 from commlab.homotopy import SpherePresentation, one_relator_membership
 from commlab.sampling import SubgroupSpec, random_reduced_word, symmetric_generators
-from commlab.words import Word, commutator
+from commlab.words import Word, commutator, conjugate
 
 
 def test_reduce_letters_examples():
@@ -183,7 +183,7 @@ def _deletion_oracle_cases():
             i = rng.randint(1, strands - 1)
             g = gen_a(i, rng.randint(i + 1, strands), strands)
             pure = pure * (g if rng.random() < 0.5 else g.inverse())
-        for b in (a, pure, commutator(a, pure), a.conjugate(u), pure.conjugate(u)):
+        for b in (a, pure, commutator(a, pure), conjugate(a, u), conjugate(pure, u)):
             yield strands, b.letters
     # sampled braids, their non-Brunnian controls, and the samples times a
     # braid relator, whose deletions free reduction does not empty

@@ -24,6 +24,18 @@ def take(stream, k):
 def test_spec_requires_generators():
     with pytest.raises(ValueError):
         SubgroupSpec(())
+    # every generator must be a Word, checked at construction
+    for generators in (("x",), "x", (Word((1,)), (1,)), (None,)):
+        with pytest.raises(ValueError, match="not a Word"):
+            SubgroupSpec(generators)
+    # generators are stored as a tuple, so specs hash and compare by value
+    spec = SubgroupSpec([Word((1,))])
+    assert spec.generators == (Word((1,)),)
+    assert spec == SubgroupSpec((Word((1,)),))
+    assert hash(spec) == hash(SubgroupSpec((Word((1,)),)))
+    assert SubgroupSpec(iter([Word((2,))]), "R").generators == (Word((2,)),)
+    with pytest.raises(ValueError, match="not a str"):
+        SubgroupSpec((Word((1,)),), ["R1"])
 
 
 def test_single_subgroup_depth_zero_is_the_constant_stream():
