@@ -29,8 +29,10 @@ the deletion of ``b`` at the position where a's strand s ends
 (``kernels.join_signed``). This is exact, as deleting a strand commutes with
 free reduction and a word's free reduction is unique. The sampler's
 arguments are pure, so it skips the ``Braid`` layer for them: it holds each
-as rows of signed bytes, its word and then its n deletions, and a product
-joins the rows pairwise. Every sample is built knowing its deletions.
+as ``_Rows``, its word and then its n deletions as signed bytes, a group
+element whose product joins the rows pairwise. The word layer's
+``conjugate`` and ``left_normed`` build every sample from them, knowing its
+deletions.
 ``is_pure`` reads the ends, ``is_brunnian`` calls it and reads the deletions,
 with no loop over letters of their own, and ``delete_strand`` picks one.
 Deletions are signed-byte words like the braid's own, and a deletion braid
@@ -61,6 +63,8 @@ from commlab.words import (
     _pack_checked,
     _parse_letters,
     _render_letters,
+    conjugate,
+    left_normed,
 )
 
 
@@ -307,24 +311,18 @@ def gen_t(i: int, n: int) -> Braid:
 # Brunnian sampling
 
 
-def _join_rows(x: tuple[bytes, ...], y: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """The rows of the product of two pure braids given by their rows."""
-    return tuple(map(kernels.join_signed, x, y))
+class _Rows(tuple):
+    """A pure braid as the sampler holds it: its word, then its n deletions,
+    all signed bytes. Deleting a strand is a homomorphism on pure braids, so
+    a product joins the rows pairwise and an inverse inverts each row."""
 
+    __slots__ = ()
 
-def _invert_rows(x: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """The rows of the inverse of a pure braid given by its rows."""
-    return tuple(map(kernels.invert_signed, x))
+    def __mul__(self, other: _Rows) -> _Rows:
+        return _Rows(map(kernels.join_signed, self, other))
 
-
-def _conjugate_rows(x: tuple[bytes, ...], c: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """x^c = c^{-1} x c, joined as ``words.conjugate`` joins it."""
-    return _join_rows(_join_rows(_invert_rows(c), x), c)
-
-
-def _commutator_rows(x: tuple[bytes, ...], y: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """[x, y] = x^{-1} y^{-1} x y, joined as ``words.commutator`` joins it."""
-    return _join_rows(_join_rows(_join_rows(_invert_rows(x), _invert_rows(y)), x), y)
+    def inverse(self) -> _Rows:
+        return _Rows(map(kernels.invert_signed, self))
 
 
 def sample_brun_generators(
@@ -337,15 +335,12 @@ def sample_brun_generators(
     time and conjugated by a short pure braid (a word of up to conj_depth
     letters in the A_{i,j} generators). Every emitted braid is Brunnian.
 
-    Every argument is pure, so each strand ends where it starts and deleting
-    strand s is a homomorphism on them. The stream therefore works on rows:
-    a pure braid is the tuple of its word and its n deletions, all signed
-    bytes, read once per stream from the t_i and the A_{i,j}. A product joins
-    the rows pairwise and an inverse inverts each row, in the order of joins
-    of ``words.conjugate`` and ``left_normed``, so every sample carries its
-    deletions with no ``Braid`` built per intermediate product. A conjugator
-    starts at its first factor, and an argument with no factors is not
-    conjugated.
+    Every argument is pure, so the stream holds each as ``_Rows``, read once
+    per stream with its inverse from the t_i and the A_{i,j}.
+    ``words.conjugate`` and ``words.left_normed`` build each sample from
+    them, so it carries its deletions with no ``Braid`` built per
+    intermediate product. A conjugator starts at its first factor, and an
+    argument with no factors is not conjugated.
     """
     _check_count("n", n, 2)
     _check_count("conj_depth", conj_depth)
@@ -353,12 +348,12 @@ def sample_brun_generators(
     rng = random.Random(seed)
     identity = bytes(range(n))
 
-    def rows_and_inverse(b: Braid) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    def rows_and_inverse(b: Braid) -> tuple[_Rows, _Rows]:
         ends, words = b._strand_deletions()
         if ends != identity:
             raise RuntimeError(f"sampler generator {b} is not pure")
-        rows = (b.word, *words)
-        return rows, _invert_rows(rows)
+        rows = _Rows((b.word, *words))
+        return rows, rows.inverse()
 
     linking_pairs = [rows_and_inverse(gen_t(i, n)) for i in range(1, n)]
     pure_pairs = [
@@ -369,20 +364,17 @@ def sample_brun_generators(
     for _ in range(count):
         order = list(range(1, n))
         rng.shuffle(order)
-        args: list[tuple[bytes, ...]] = []
+        args: list[_Rows] = []
         for index in order:
             t, t_inv = linking_pairs[index - 1]
             r = t_inv if rng.random() < 0.5 else t
-            conj: tuple[bytes, ...] | None = None
+            conj: _Rows | None = None
             for _ in range(rng.randint(0, conj_depth)):
                 g, g_inv = rng.choice(pure_pairs)
                 factor = g if rng.random() < 0.5 else g_inv
-                conj = factor if conj is None else _join_rows(conj, factor)
-            args.append(r if conj is None else _conjugate_rows(r, conj))
-        # left-normed, as ``left_normed`` folds it
-        out = args[0]
-        for a in args[1:]:
-            out = _commutator_rows(out, a)
+                conj = factor if conj is None else conj * factor
+            args.append(r if conj is None else conjugate(r, conj))
+        out = left_normed(args)
         yield Braid._trusted(n, out[0], (identity, out[1:]))
 
 

@@ -85,8 +85,7 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.m):
-            raise ValueError(f"need an int m, got {self.m!r}")
+        _check_count("m", self.m, 1)
         blocks = tuple(self.blocks)
         seen: set[int] = set()
         for block in blocks:

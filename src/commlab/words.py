@@ -15,8 +15,8 @@ Conventions (used throughout the package):
 * commutator  [a, b] = a^{-1} b^{-1} a b, built by ``commutator``
 * left-normed commutator  [[...[a1, a2], ...], ak], built by ``left_normed``
 
-The three functions take words or braids alike: anything with ``inverse``
-and ``*``.
+The three functions take words, braids and the Brunnian sampler's rows
+(``braids._Rows``) alike: anything with ``inverse`` and ``*``.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-class _GroupElement(Protocol):  # a Word, a Braid: anything with inverse and *
+class _GroupElement(Protocol):  # a Word, a Braid, sampler rows: inverse and *
     def inverse(self: _G) -> _G: ...
     def __mul__(self: _G, other: _G) -> _G: ...
 

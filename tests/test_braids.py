@@ -20,7 +20,7 @@ from commlab.braids import (
     render_braid,
     sample_brun_generators,
 )
-from commlab.words import ParseError, Word, commutator, conjugate
+from commlab.words import ParseError, Word, commutator, conjugate, left_normed
 
 from _oracles import (
     oracle_artin_images,
@@ -800,10 +800,10 @@ def _rows(b):
     computed from scratch."""
     ends, words = kernels.strand_deletions(b.strands, b.word)
     assert ends == bytes(range(b.strands))
-    return (b.word, *words)
+    return braids._Rows((b.word, *words))
 
 
-def test_row_helpers_agree_with_braid_products():
+def test_rows_agree_with_braid_products():
     # Every sample's deletions are empty, so a wrong deletion row that a
     # commutator cancels away shows only here, on arguments whose deletions
     # are not empty.
@@ -814,10 +814,11 @@ def test_row_helpers_agree_with_braid_products():
         x, y, c = (rand_pure_braid(rng, n, factors=6) for _ in range(3))
         rx, ry, rc = _rows(x), _rows(y), _rows(c)
         nonempty += all(rx[1:]) and all(ry[1:])
-        assert braids._join_rows(rx, ry) == _rows(x * y)
-        assert braids._invert_rows(rx) == _rows(x.inverse())
-        assert braids._conjugate_rows(rx, rc) == _rows(conjugate(x, c))
-        assert braids._commutator_rows(rx, ry) == _rows(commutator(x, y))
+        assert rx * ry == _rows(x * y)
+        assert rx.inverse() == _rows(x.inverse())
+        assert conjugate(rx, rc) == _rows(conjugate(x, c))
+        assert commutator(rx, ry) == _rows(commutator(x, y))
+        assert left_normed([rx, ry, rc]) == _rows(left_normed([x, y, c]))
     assert nonempty >= 20
 
 

@@ -270,6 +270,15 @@ def test_partition_validation():
         Partition(3, (frozenset({1, 2}), frozenset({2, 3})))  # overlap
     with pytest.raises(ValueError):
         Partition(2, (frozenset(), frozenset({1, 2})))
+    # m must be an int >= 1: with no blocks, the cover check compared
+    # against the empty range(1, m + 1) and passed
+    for call in (
+        lambda: Partition(-3, ()),
+        lambda: Partition(0, ()),
+        lambda: Partition.singletons(0),
+    ):
+        with pytest.raises(ValueError, match="m must be an int >= 1"):
+            call()
     # a block must be a set of ints: a list block raised TypeError at "&"
     for blocks in (
         ([1], [2]),
