@@ -41,11 +41,12 @@ is built straight from one.
 Validation happens once, at the public boundary: ``Braid(...)``,
 ``Braid.from_letters``, ``parse_braid``, ``gen_a`` and ``gen_t`` check that
 the strand count and every letter are ints (not bools) in range and that the
-word is freely reduced (``from_letters`` reduces it), with ``Word``'s
-validator ``words._pack_checked``. Values the kernels make from valid
-braids (products, inverses, strand deletions, the sampler's rows, and the
-image words of ``artin_action``) are reduced and in range by construction,
-so they are built with the unchecked ``Braid._trusted`` and ``Word._trusted``.
+word is freely reduced (``from_letters`` reduces it), with the validator
+``kernels._pack_checked`` that ``Word`` and the tuple kernels use. Values the
+kernels make from valid braids (products, inverses, strand deletions, the
+sampler's rows, and the image words of ``artin_action``) are reduced and in
+range by construction, so they are built with the unchecked
+``Braid._trusted`` and ``Word._trusted``.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from commlab import kernels
+from commlab.kernels import _is_int, _pack_checked
 from commlab.words import (
     ParseError,
     Word,
     _check_count,
-    _is_int,
-    _pack_checked,
     _parse_letters,
     _render_letters,
     conjugate,

@@ -32,12 +32,12 @@ cover's commutator lies in one of theirs (see ``fat_commutator``).
 Every normal subgroup of G comes from two primitives. The growth step builds
 the class closure <<s>> of a class's least element and the product A*B of two
 normal subgroups, by Dimino extensions by seeds and their conjugates, each
-capped at |G|/p, p the least prime dividing |G|. Most of these subgroups turn
-out to be the whole parent, which is never enumerated twice: by Lagrange a
-subgroup's order divides |G|, so one that passes the cap is G itself, and G's
-own element set is taken. The fold builds the normal subgroup generated by
-some classes as the product of their class closures (see ``_fold``): normal
-closures, commutator subgroups and new intersections all go through it.
+capped at |G|/2. Most of these subgroups turn out to be the whole parent,
+which is never enumerated twice: by Lagrange a proper subgroup has index at
+least 2, so one that passes the cap is G itself, and G's own element set is
+taken. The fold builds the normal subgroup generated by some classes as the
+product of their class closures (see ``_fold``): normal closures, commutator
+subgroups and new intersections all go through it.
 
 Seeded trials draw the same few carriers again and again (S_5, S_6, S_7), so
 work on a carrier is kept from one trial to the next, on the group itself.
@@ -436,14 +436,14 @@ def _grow_normal(
 
     The seeds list is the queue: pops a seed, skips it if it is a member, and
     otherwise adds it as a generator by one Dimino extension and queues its
-    conjugates by G's generators. Each extension is capped at the largest
-    proper divisor of |G|. The subgroup it builds lies in G, so by Lagrange
-    its order divides |G|, and an order past that cap leaves only |G|: the
-    closure is G itself, taken with G's own element set and without
-    enumerating the rest of it. Its gens are those taken so far, which
-    generate G. A new mask's subgroup is registered.
+    conjugates by G's generators. Each extension is capped at |G|/2. The
+    subgroup it builds lies in G, and by Lagrange a proper subgroup of G has
+    index at least 2, so an order past the cap leaves only G: the closure is
+    G itself, taken with G's own element set and without enumerating the
+    rest of it. Its gens are those taken so far, which generate G. A new
+    mask's subgroup is registered.
     """
-    cap = _largest_proper_divisor(G.order)
+    cap = G.order // 2
     gens = list(gens)
     while seeds:
         s = seeds.pop()
@@ -458,20 +458,6 @@ def _grow_normal(
         seeds.extend(_conjugates(G, s))
     sub = NormalSubgroup(G, frozenset(elems), tuple(gens))
     return G.subgroups.setdefault(sub.mask, sub).mask
-
-
-def _largest_proper_divisor(order: int) -> int:
-    """order // p for the least prime p dividing order (1 for order <= 1).
-
-    A subgroup of a group of this order that has more elements than this is
-    the whole group, by Lagrange.
-    """
-    p = 2
-    while p * p <= order:
-        if order % p == 0:
-            return order // p
-        p += 1
-    return 1
 
 
 class SubgroupCache:

@@ -2,10 +2,12 @@
 
 The central object is the group G = <x_1..x_m | x_1 x_2 ... x_m = 1>, which
 is concretely free of rank m-1 once x_m is rewritten as (x_1...x_{m-1})^-1.
-For a subset P of the generators, membership in the normal closure <<P>> is
-decided by killing the letters of P and eliminating the first survivor,
-which occurs exactly once in the surviving relator (a Tietze move onto an
-explicit free basis).
+For a subset P of the generators, membership of any word over x_1..x_m in
+the normal closure <<P>> is decided by killing the letters of P and
+eliminating the first survivor, which occurs exactly once in the surviving
+relator (a Tietze move onto an explicit free basis). ``one_relator_membership``
+is that one check; block closures and partition intersections call it once
+per block, on the word as given.
 
 On top of membership sit two certificate routines:
 
@@ -107,19 +109,20 @@ class Partition:
 
 
 def in_block_closure(pres: SpherePresentation, w: Word, block: Iterable[int]) -> bool:
-    """Whether w (over x_1..x_{m-1}) lies in the normal closure of the block."""
-    block = frozenset(block)
+    """Whether w (over x_1..x_m) lies in the normal closure of the nonempty
+    block: ``one_relator_membership``, which decides any word of the
+    presentation."""
+    block = tuple(block)
     if not block:
         raise ValueError("block must be nonempty")
-    if w.max_index() >= pres.m:
-        raise ValueError("word is not in eliminated form")
     return one_relator_membership(pres, w, block)
 
 
 def in_intersection(pres: SpherePresentation, w: Word, partition: Partition) -> bool:
+    """Whether w (over x_1..x_m) lies in the normal closure of every block."""
     if partition.m != pres.m:
         raise ValueError(f"partition is over m={partition.m}, group has m={pres.m}")
-    return all(in_block_closure(pres, w, block) for block in partition.blocks)
+    return all(one_relator_membership(pres, w, block) for block in partition.blocks)
 
 
 # ---------------------------------------------------------------------------

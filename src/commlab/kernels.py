@@ -10,10 +10,12 @@ plain Python. Everything here works on plain data:
   braid takes at most ``DELETE_MAX_STRANDS`` = ``MAX_INDEX + 1`` strands.
   ``reduce_signed``, ``join_signed`` and ``invert_signed`` reduce, multiply
   and invert them; ``pack_signed`` and ``unpack_signed`` convert letters
-  given as ints. They serve ``Word``, ``Braid``, ``artin_images``,
-  ``strand_deletions`` and sphere-group membership alike. The tuple kernels
-  ``reduce_letters`` and ``multiply_reduced`` wrap ``reduce_signed``, the
-  one free-reduction loop;
+  given as ints, and ``_pack_checked`` packs them after checking that each
+  is an int (not a bool) of absolute value 1..bound, the one letter check.
+  They serve ``Word``, ``Braid``, ``artin_images``, ``strand_deletions``
+  and sphere-group membership alike. The tuple kernels ``reduce_letters``
+  and ``multiply_reduced`` check their letters with ``_pack_checked`` and
+  wrap ``reduce_signed``, the one free-reduction loop;
 * permutations of degree d are ``bytes`` of length d mapping position i to
   ``p[i]`` (0-based), so sets of permutations are sets of small bytes objects.
 
@@ -53,9 +55,10 @@ _IDENT256 = bytes(range(256))
 # The two tuple kernels are kept only because perfbench/tracing.py wraps them
 # by name; no package code calls them.
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter string of ints in -MAX_INDEX..MAX_INDEX,
-    cancelling adjacent c, -c pairs: ``reduce_signed`` on its signed bytes."""
-    return unpack_signed(reduce_signed(pack_signed(letters)))
+    """Freely reduce a letter string of ints c with 1 <= |c| <= MAX_INDEX,
+    cancelling adjacent c, -c pairs: ``reduce_signed`` on its signed bytes,
+    checked by ``_pack_checked``."""
+    return unpack_signed(_pack_checked(letters, MAX_INDEX, reduce=True))
 
 
 def multiply_reduced(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -161,6 +164,31 @@ def pack_signed(letters: Iterable[int]) -> bytes:
     """A word of signed bytes from letters in -MAX_INDEX..MAX_INDEX;
     ``unpack_signed`` reverses it. It checks nothing beyond the byte range."""
     return array.array("b", letters).tobytes()
+
+
+def _is_int(x: object) -> bool:
+    """Whether x is an int and not a bool (an int subclass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _pack_checked(letters: Iterable[int], bound: int, reduce: bool = False) -> bytes:
+    """The letters as a reduced word of signed bytes, after checking them.
+
+    Each letter must be an int, not a bool, with 1 <= |c| <= bound <= MAX_INDEX
+    (-128 would pack as the byte 128, its own negation). The word must be
+    freely reduced, unless ``reduce`` asks for its free reduction instead.
+    """
+    letters = tuple(letters)
+    for c in letters:
+        if not _is_int(c) or not 1 <= abs(c) <= bound:
+            raise ValueError(
+                f"invalid letter {c!r}: want an int with 1 <= |c| <= {bound}"
+            )
+    word = pack_signed(letters)
+    reduced = reduce_signed(word)
+    if not reduce and len(reduced) != len(word):
+        raise ValueError("word is not freely reduced")
+    return reduced
 
 
 def reduce_signed(w: bytes) -> bytes:

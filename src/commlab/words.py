@@ -6,8 +6,8 @@ A word is stored as signed bytes, as a braid word is: the byte k for x_k and
 that is not freely reduced, so values are canonical and two words are equal
 iff they are the same element of the free group. Products and inverses come
 reduced from the signed-byte kernels, so they are built with the unchecked
-``Word._trusted``; every other construction is validated by ``_pack_checked``,
-as braids are.
+``Word._trusted``; every other construction is validated by
+``kernels._pack_checked``, as braids and the tuple kernels are.
 
 Conventions (used throughout the package):
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence, TypeVar
 
 from commlab import kernels
+from commlab.kernels import _is_int, _pack_checked
 
 
 class ParseError(ValueError):
@@ -36,35 +37,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _is_int(x: object) -> bool:
-    """Whether x is an int and not a bool (an int subclass)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_count(name: str, value: object, least: int = 0) -> None:
     """Reject a count, length or depth that is not an int (not a bool) >= least."""
     if not _is_int(value) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-
-
-def _pack_checked(letters: Iterable[int], bound: int, reduce: bool = False) -> bytes:
-    """The letters as a reduced word of signed bytes, after checking them.
-
-    Each letter must be an int, not a bool, with 1 <= |c| <= bound <= MAX_INDEX
-    (-128 would pack as the byte 128, its own negation). The word must be
-    freely reduced, unless ``reduce`` asks for its free reduction instead.
-    """
-    letters = tuple(letters)
-    for c in letters:
-        if not _is_int(c) or not 1 <= abs(c) <= bound:
-            raise ValueError(
-                f"invalid letter {c!r}: want an int with 1 <= |c| <= {bound}"
-            )
-    word = kernels.pack_signed(letters)
-    reduced = kernels.reduce_signed(word)
-    if not reduce and len(reduced) != len(word):
-        raise ValueError("word is not freely reduced")
-    return reduced
 
 
 @dataclass(frozen=True, init=False)

@@ -217,7 +217,8 @@ def test_three_cycles_close_to_the_alternating_group(n):
 
 
 def test_closure_of_order_three_in_the_cyclic_group_of_order_nine():
-    # the least prime dividing 9 is 3, so the cap sits at 3
+    # the cap sits at 9 // 2 = 4: C3 grows under it, and the square's
+    # closure passes it, so it is the whole group
     G = _cyclic(9)
     cube, square = (bytes((i + k) % 9 for i in range(9)) for k in (3, 2))
     C3 = normal_closure(G, [cube])
@@ -228,7 +229,8 @@ def test_closure_of_order_three_in_the_cyclic_group_of_order_nine():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_closures_in_groups_of_prime_order(p):
-    # the cap is 1, so any nontrivial element generates the whole group
+    # the only proper subgroup is trivial, so growth passes the cap p // 2
+    # and any nontrivial element generates the whole group
     G = _cyclic(p)
     ident = G.identity
     assert normal_closure(G, [ident]).order == 1

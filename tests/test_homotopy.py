@@ -45,7 +45,8 @@ def oracle_member(m, w, killed):
 
 
 def rand_sphere_word(rng, m, length=14):
-    return random_reduced_word(rng, m - 1, rng.randint(0, length))
+    """A random reduced word over all m generators of the presentation."""
+    return random_reduced_word(rng, m, rng.randint(0, length))
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +246,25 @@ def test_block_closure_spec_behaviour():
     assert in_block_closure(pres, comm, {2})
     assert in_block_closure(pres, comm, {3})
     assert not in_block_closure(pres, Word((1,)), {3})
+    # words may use x_m: x_3 = (x_1 x_2)^-1 is not killed by x_1 alone
+    assert in_block_closure(pres, Word((3,)), {1}) is False
+    assert oracle_member(3, Word((3,)), {1}) is False
+    assert in_block_closure(pres, Word((3,)), {3}) is True
     with pytest.raises(ValueError):
         in_block_closure(pres, Word((1,)), set())
-    with pytest.raises(ValueError):
-        in_block_closure(pres, Word((3,)), {1})  # not in eliminated form
 
 
-def test_block_closure_agrees_with_eliminated_membership():
+def test_block_closure_and_intersection_agree_with_the_oracle():
     rng = random.Random(54)
-    pres = SpherePresentation(4)
+    m = 4
+    pres = SpherePresentation(m)
+    singletons = Partition.singletons(m)
     for _ in range(200):
-        w = rand_sphere_word(rng, 4)
-        block = set(rng.sample(range(1, 5), rng.randint(1, 4)))
-        assert in_block_closure(pres, w, block) == oracle_member(4, w, block)
+        w = rand_sphere_word(rng, m)
+        block = set(rng.sample(range(1, m + 1), rng.randint(1, m)))
+        assert in_block_closure(pres, w, block) == oracle_member(m, w, block)
+        expected = all(oracle_member(m, w, {i}) for i in range(1, m + 1))
+        assert in_intersection(pres, w, singletons) == expected
 
 
 def test_partition_validation():

@@ -43,12 +43,18 @@ def test_reduce_letters_examples():
     assert kernels.reduce_letters([1, 2, -2, -1, 3]) == (3,)
     assert kernels.reduce_letters([2, -3, 3, -2, 1]) == (1,)
     assert kernels.reduce_letters(iter([1, 1, -1])) == (1,)
+    # letters outside 1 <= |c| <= MAX_INDEX, and bools, are not letters
+    for bad in ([-128, -128], [0], [1, 0, -1], [True, -1], [128]):
+        with pytest.raises(ValueError):
+            kernels.reduce_letters(bad)
 
 
 def test_multiply_and_invert_examples():
     assert kernels.multiply_reduced((1, 2), (-2, -1, 3)) == (3,)
     assert kernels.multiply_reduced((), (4,)) == (4,)
     assert kernels.multiply_reduced((4,), ()) == (4,)
+    with pytest.raises(ValueError):
+        kernels.multiply_reduced([5], [-128])
 
 
 def _images(strands, letters):
